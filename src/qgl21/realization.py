@@ -266,10 +266,27 @@ def fock_matrix(x, D, assignment=None, modes=None):
                       basis=basis, boundary_columns=boundary)
 
 
+def _assigned_rational(assignment, name):
+    value = assignment.get(name)
+    if value is None:
+        return None
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s = %r is not a rational number" % (name, value)) \
+            from None
+
+
 def _check_assignment(assignment):
-    q = Fraction(assignment.get("q"))
+    q = _assigned_rational(assignment, "q")
+    if q is None:
+        raise ValueError("the assignment gives no value for q")
     if q in (0, 1, -1):
         raise ValueError("q = %s is a deformation singularity" % q)
+    for name in ("p1", "p2", "p3"):
+        if _assigned_rational(assignment, name) == 0:
+            raise ValueError("%s = 0 is not allowed: p_i = q^lambda_i "
+                             "is nonzero" % name)
 
 
 def fock_modes(mode):

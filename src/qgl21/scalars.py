@@ -6,15 +6,27 @@ stay integral.  A QScalar is a reduced fraction of polynomials with Fraction
 coefficients; inverse powers are ordinary fractions (q^-1 is 1/q).  The
 canonical form keeps numerator and denominator coprime with the denominator
 monic under lex order on (q, p1, p2, p3) exponent vectors, so equality and
-hashing are purely structural.  This is what makes the rewriting engines'
-"residual is exactly zero" checks meaningful.
+hashing are purely structural (a constant scalar hashes like the rational
+it equals, so sc.ONE and 1 are one dict key).  This is what makes the
+rewriting engines' "residual is exactly zero" checks meaningful.
 
-All values are immutable; every operation is a pure function.
+Reduction follows Henrici (1956): both operands of * and + are already
+canonical, so the gcds are taken of their small factors, never of the full
+products.  a/b * c/d cancels gcd(a, d) and gcd(c, b); a/b + c/d with
+g = gcd(b, d) forms t = a*(d/g) + c*(b/g) and cancels only gcd(t, g).  The
+results come out coprime with a monic denominator, with no final gcd.  The
+full reduction _reduce (a primitive-PRS gcd of numerator and denominator,
+Collins 1967 / Brown 1971) runs only for constructions that are not
+reduced by construction: from_laurent, invert, sums over one denominator.
+
+All values are immutable; every operation is a pure function, and q_power
+and q_integer are memoized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 NVARS = 4
 VAR_NAMES = ("q", "p1", "p2", "p3")
@@ -211,6 +223,8 @@ def _p_gcd(a, b):
         return _p_monic(b)
     if not b:
         return _p_monic(a)
+    if _p_is_unit(a) or _p_is_unit(b):
+        return dict(_ONE_POLY)
     sa = _p_mono_content(a)
     sb = _p_mono_content(b)
     shared = tuple(min(x, y) for x, y in zip(sa, sb))
@@ -246,15 +260,20 @@ def _p_gcd(a, b):
     return _p_monic(core)
 
 
+def _p_cancel(a, b):
+    """(a/g, b/g, g) for the monic g = gcd(a, b)."""
+    g = _p_gcd(a, b)
+    if _p_is_unit(g):
+        return a, b, g
+    return _p_div_exact(a, g), _p_div_exact(b, g), g
+
+
 def _reduce(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, dict(_ONE_POLY)
-    g = _p_gcd(num, den)
-    if not _p_is_unit(g):
-        num = _p_div_exact(num, g)
-        den = _p_div_exact(den, g)
+    num, den, _ = _p_cancel(num, den)
     lc = den[max(den)]
     if lc != 1:
         inv = 1 / lc
@@ -310,8 +329,16 @@ class QScalar:
             return self
         if self.den == other.den:
             return QScalar(_p_add(self.num, other.num), dict(self.den))
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-        return QScalar(num, _p_mul(self.den, other.den))
+        # t is coprime to b/g and d/g, so only gcd(t, g) can cancel
+        b, d, g = _p_cancel(self.den, other.den)
+        t = _p_add(_p_mul(self.num, d), _p_mul(other.num, b))
+        if not t:
+            return ZERO
+        t, g, _ = _p_cancel(t, g)
+        den = _p_mul(b, d)
+        if not _p_is_unit(g):
+            den = _p_mul(den, g)
+        return QScalar(t, den, _reduced=True)
 
     __radd__ = __add__
 
@@ -338,7 +365,9 @@ class QScalar:
             if c == 1:
                 return other
             return QScalar(_p_scale(other.num, c), dict(other.den), _reduced=True)
-        return QScalar(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        a, d, _ = _p_cancel(self.num, other.den)
+        c, b, _ = _p_cancel(other.num, self.den)
+        return QScalar(_p_mul(a, c), _p_mul(b, d), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -378,8 +407,13 @@ class QScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((tuple(sorted(self.num.items())),
-                               tuple(sorted(self.den.items()))))
+            if _p_is_unit(self.den) and (
+                    not self.num or _p_is_unit(self.num)):
+                # agree with == under coercion: hash(from_rational(c)) == hash(c)
+                self._hash = hash(self.num.get(_UNIT_MONO, Fraction(0)))
+            else:
+                self._hash = hash((tuple(sorted(self.num.items())),
+                                   tuple(sorted(self.den.items()))))
         return self._hash
 
     def __bool__(self):
@@ -519,6 +553,7 @@ def monomial(coeff, eq=0, e1=0, e2=0, e3=0):
     return QScalar.from_laurent({(eq, e1, e2, e3): Fraction(coeff)})
 
 
+@cache
 def q_power(n):
     return monomial(1, eq=n)
 
@@ -540,6 +575,7 @@ EPS = Q - QINV                 # q - q^-1, the ubiquitous denominator
 EPS_INV = EPS.invert()
 
 
+@cache
 def q_integer(n):
     """[n] = (q^n - q^-n)/(q - q^-1), in canonical polynomial form."""
     if n == 0:

@@ -47,6 +47,60 @@ qscalars = st.builds(sc.QScalar.from_laurent, laurent_dicts)
 nonzero_qscalars = qscalars.filter(bool)
 
 
+def _poly(terms):
+    return {m: Fraction(c) for m, c in terms.items()}
+
+
+# q-polynomial factors of the kind the Fock route's denominators have.
+DENOMINATOR_FACTORS = tuple(_poly(f) for f in (
+    {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1},
+    {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1},
+    {(2, 0, 0, 0): 1, (0, 0, 0, 0): 1},
+))
+
+# Fixed scalars with p_i*q + p_j style factors, shaped like Fock-matrix
+# entries, e.g. (p1^2*p3^2 - 1)/(q^2*p1*p3 - p1*p3); built by sc._reduce.
+P_FACTOR_SCALARS = tuple(sc.QScalar(_poly(n), _poly(d)) for n, d in (
+    ({(0, 2, 0, 2): 1, (0, 0, 0, 0): -1},
+     {(2, 1, 0, 1): 1, (0, 1, 0, 1): -1}),
+    ({(2, 0, 2, 0): 1, (0, 2, 0, 0): -1},
+     {(2, 1, 1, 0): 1, (0, 1, 1, 0): -1}),
+    ({(1, 1, 0, 0): 1, (1, 0, 1, 0): 1},
+     {(3, 1, 0, 0): 1, (2, 0, 1, 0): -1, (1, 1, 0, 0): -1, (0, 0, 1, 0): 1}),
+    ({(0, 0, 0, 0): 1}, {(1, 1, 0, 0): 1, (0, 0, 1, 0): -1}),
+    ({(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}),
+    ({(1, 0, 1, 0): 1, (0, 0, 0, 1): -1}, {(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}),
+))
+
+
+def _rational_function(num_terms, den_terms, num_factor, den_factor, mono):
+    """mono * (num * factor) / (den * factor) for two Laurent dicts, reduced
+    by the full gcd of sc._reduce, so no operation under test builds the
+    operands."""
+    shift = tuple(-min(0, mono[v], *(m[v] for m in num_terms),
+                       *(m[v] for m in den_terms)) for v in range(sc.NVARS))
+    num = {sc._mono_mul(sc._mono_mul(m, mono), shift): Fraction(c)
+           for m, c in num_terms.items()}
+    den = {sc._mono_mul(m, shift): Fraction(c) for m, c in den_terms.items()}
+    return sc.QScalar(sc._p_mul(num, num_factor), sc._p_mul(den, den_factor))
+
+
+# The Laurent dicts are in q alone and the p_i enter through a monomial:
+# the primitive-PRS gcd behind the full-product reference reduction takes
+# minutes on some products of random polynomials in two or more variables
+# (q-polynomials times p1*q - 1 on both sides are enough).  Factors of the
+# p_i*q + p_j kind are covered by the fixed P_FACTOR_SCALARS instead.
+nonzero_fractions = small_fractions.filter(bool)
+q_exponents = st.tuples(st.integers(min_value=-2, max_value=2),
+                        st.just(0), st.just(0), st.just(0))
+maybe_factor = st.sampled_from(DENOMINATOR_FACTORS + (sc._ONE_POLY,))
+rational_functions = st.builds(
+    _rational_function,
+    st.dictionaries(q_exponents, nonzero_fractions, max_size=3),
+    st.dictionaries(q_exponents, nonzero_fractions, min_size=1, max_size=3),
+    maybe_factor, maybe_factor, small_exponents)
+
+
 def _build_monomial(raising, lowering, pick_raise, k, i1, j1, i2, j2,
                     eps, al, be, de):
     m, l = (raising, 0) if pick_raise else (0, lowering)

@@ -134,6 +134,16 @@ def test_matrix_export_rejects_singular_q(capsys, tmp_path):
     assert "singular" in err
 
 
+def test_matrix_export_rejects_zero_p(capsys, tmp_path):
+    out_path = tmp_path / "x.json"
+    code, _out, err = run(capsys, "matrix", "E21", "--dim", "4", "--mode",
+                          "fermionic", "--numeric", "--p1", "0",
+                          "--out", str(out_path))
+    assert code == 2
+    assert "p1" in err
+    assert not out_path.exists()
+
+
 def test_matrix_export_w_generator(capsys, tmp_path):
     out_path = tmp_path / "t.json"
     code, _out, _err = run(capsys, "matrix", "t", "--dim", "3",

@@ -166,6 +166,20 @@ def test_fock_matrix_rejects_singular_assignment():
         fock_matrix(g("a"), 4, assignment={"q": 1})
 
 
+@pytest.mark.parametrize("assignment, name", [
+    ({"p1": 2, "p2": 3, "p3": 5}, "q"),
+    ({"q": None, "p1": 2}, "q"),
+    ({"q": "x", "p1": 2}, "q"),
+    ({"q": 2, "p1": 0, "p2": 3, "p3": 5}, "p1"),
+    ({"q": 2, "p1": 2, "p2": Fraction(0), "p3": 5}, "p2"),
+    ({"q": 2, "p1": 2, "p2": 3, "p3": "0"}, "p3"),
+    ({"q": 2, "p1": [1]}, "p1"),
+])
+def test_fock_matrix_rejects_bad_assignment_by_name(assignment, name):
+    with pytest.raises(ValueError, match=r"\b%s\b" % name):
+        fock_matrix(g("a"), 4, assignment=assignment)
+
+
 def test_fock_matches_long_boson_words():
     # high-power words exercise the a+a contraction cascade; the truncated
     # Fock representation is an independent route through the same algebra

@@ -1,10 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgl21.scalars as sc
-from conftest import nonzero_qscalars, qscalars
+from conftest import (
+    P_FACTOR_SCALARS, nonzero_qscalars, qscalars, rational_functions,
+)
 
 Q, QINV, ONE, ZERO = sc.Q, sc.QINV, sc.ONE, sc.ZERO
 
@@ -154,3 +158,41 @@ def test_canonical_form_idempotent(a):
 @given(qscalars, qscalars)
 def test_subtraction_is_inverse_of_addition(a, b):
     assert (a + b) - b == a
+
+
+def _assert_matches_full_reduction(x, y):
+    """x*y, x+y and x-y equal, dict for dict, the canonical forms that the
+    full reduction sc._reduce gives for the unreduced full products."""
+    cross = (sc._p_mul(x.num, y.den), sc._p_mul(y.num, x.den))
+    den = sc._p_mul(x.den, y.den)
+    naive = {
+        "mul": sc.QScalar(sc._p_mul(x.num, y.num), den),
+        "add": sc.QScalar(sc._p_add(*cross), den),
+        "sub": sc.QScalar(sc._p_add(cross[0], sc._p_neg(cross[1])), den),
+    }
+    for op, got in (("mul", x * y), ("add", x + y), ("sub", x - y)):
+        assert (got.num, got.den) == (naive[op].num, naive[op].den), op
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_functions, rational_functions)
+def test_cross_cancellation_matches_full_reduction(x, y):
+    _assert_matches_full_reduction(x, y)
+
+
+@pytest.mark.parametrize("x, y", itertools.product(P_FACTOR_SCALARS,
+                                                   repeat=2))
+def test_cross_cancellation_matches_full_reduction_on_p_factors(x, y):
+    _assert_matches_full_reduction(x, y)
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_constant_hash_agrees_with_rational(c):
+    assert hash(sc.QScalar.from_rational(c)) == hash(c)
+
+
+def test_constant_and_rational_are_one_dict_key():
+    assert len({ONE: 0, 1: 1}) == 1
+    assert len({ZERO: 0, 0: 1, Fraction(0): 2}) == 1
+    half = Fraction(1, 2)
+    assert {sc.EPS * sc.EPS_INV / 2: "x"}[half] == "x"
