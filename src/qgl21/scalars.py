@@ -2,31 +2,52 @@
 
 Every coefficient in the engine lives here.  q is the deformation parameter
 and p1, p2, p3 stand for the weight factors q^{lambda_i}, so all exponents
-stay integral.  A QScalar is a reduced fraction of polynomials with Fraction
-coefficients; inverse powers are ordinary fractions (q^-1 is 1/q).  The
-canonical form keeps numerator and denominator coprime with the denominator
-monic under lex order on (q, p1, p2, p3) exponent vectors, so equality and
-hashing are purely structural (a constant scalar hashes like the rational
-it equals, so sc.ONE and 1 are one dict key).  This is what makes the
-rewriting engines' "residual is exactly zero" checks meaningful.
+stay integral.  A QScalar is a reduced fraction _n/_d of polynomials with
+integer coefficients ({exponent 4-tuple: int}); inverse powers are ordinary
+fractions (q^-1 is 1/q).  The canonical form has three invariants:
 
-Reduction follows Henrici (1956): both operands of * and + are already
-canonical, so the gcds are taken of their small factors, never of the full
-products.  a/b * c/d cancels gcd(a, d) and gcd(c, b); a/b + c/d with
-g = gcd(b, d) forms t = a*(d/g) + c*(b/g) and cancels only gcd(t, g).  The
-results come out coprime with a monic denominator, with no final gcd.  The
-full reduction _reduce (a primitive-PRS gcd of numerator and denominator,
-Collins 1967 / Brown 1971) runs only for constructions that are not
-reduced by construction: from_laurent, invert, sums over one denominator.
+  * _n and _d are coprime in Q[q, p1, p2, p3];
+  * they are jointly primitive: the gcd of all their coefficients is 1;
+  * the leading coefficient of _d under lex order on (q, p1, p2, p3)
+    exponent vectors is positive.
 
-All values are immutable; every operation is a pure function, and q_power
-and q_integer are memoized.
+The form is unique, so equality and hashing are purely structural (a
+constant scalar hashes like the rational it equals, so sc.ONE and 1 are one
+dict key).  This is what makes the rewriting engines' "residual is exactly
+zero" checks meaningful.  Fraction appears only at the boundaries:
+from_rational, from_laurent, the public constructor, evaluate, and the
+monic views and rendering below.
+
+Gcds are taken over Z: the gcd of the integer contents times the primitive
+gcd (primitive pseudo-remainder sequences, Collins 1967 / Brown 1971, which
+strip the integer content at every step), with a positive leading
+coefficient.  Reduction follows Henrici (1956): both operands of * and + are
+already canonical, so the gcds are taken of their small factors, never of
+the full products.  a/b * c/d cancels gcd(a, d) and gcd(c, b); a/b + c/d
+with g = gcd(b, d) forms t = a*(d/g) + c*(b/g) and cancels only gcd(t, g).
+Over Z these gcds also carry the integer content, so the results come out
+coprime, jointly primitive (a prime dividing both would divide a cancelled
+gcd, or both halves of an operand) and with a positive leading denominator
+coefficient (a product of positive ones), with no final normalization pass.
+invert takes no gcd either: it swaps _n and _d and negates both only when
+the new denominator leads with a negative coefficient.  The full reduction
+_reduce runs only in the public constructor, which accepts int or Fraction
+coefficients and clears their denominators first.
+
+num and den are read-only views of the monic form (denominator leading
+coefficient 1, Fraction values), derived from _n/_d when read; rendering
+uses them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
+
+All values are immutable, and the coefficient dicts are never mutated once
+built, so scalars may share them; every operation is a pure function, and
+q_power and q_integer are memoized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 NVARS = 4
 VAR_NAMES = ("q", "p1", "p2", "p3")
@@ -38,7 +59,7 @@ class PoleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer: dict mapping exponent 4-tuples to Fraction, no zero values
+# polynomial layer: dict mapping exponent 4-tuples to int, no zero values
 # ---------------------------------------------------------------------------
 
 def _mono_mul(a, b):
@@ -69,6 +90,11 @@ def _p_neg(a):
     return {m: -c for m, c in a.items()}
 
 
+def _p_positive(a):
+    """a or -a, whichever has a positive leading coefficient."""
+    return _p_neg(a) if a and a[max(a)] < 0 else a
+
+
 def _p_mul(a, b):
     if not a or not b:
         return {}
@@ -76,8 +102,9 @@ def _p_mul(a, b):
         a, b = b, a
     out = {}
     for ma, ca in a.items():
+        a0, a1, a2, a3 = ma
         for mb, cb in b.items():
-            mono = _mono_mul(ma, mb)
+            mono = (a0 + mb[0], a1 + mb[1], a2 + mb[2], a3 + mb[3])
             s = out.get(mono)
             s = ca * cb if s is None else s + ca * cb
             if s:
@@ -87,27 +114,12 @@ def _p_mul(a, b):
     return out
 
 
-def _p_scale(a, c):
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
-def _p_monic(a):
-    if not a:
-        return {}
-    lc = a[max(a)]
-    if lc == 1:
-        return dict(a)
-    return _p_scale(a, 1 / lc)
-
-
 def _p_deg(a, v):
     return max((m[v] for m in a), default=-1)
 
 
 def _p_div_exact(a, b):
-    """Quotient a/b when the division is exact, else None."""
+    """Quotient a/b over Z when the division is exact, else None."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
@@ -121,7 +133,9 @@ def _p_div_exact(a, b):
         mono = _mono_div(lr, lb)
         if mono is None:
             return None
-        c = rem[lr] / lbc
+        c, r = divmod(rem[lr], lbc)
+        if r:
+            return None
         quo[mono] = c
         for mb, cb in b.items():
             mm = _mono_mul(mono, mb)
@@ -136,26 +150,24 @@ def _p_div_exact(a, b):
 
 def _p_mono_content(a):
     """Largest monomial dividing every term."""
-    mins = [None] * NVARS
-    for mono in a:
-        for v in range(NVARS):
-            e = mono[v]
-            if mins[v] is None or e < mins[v]:
-                mins[v] = e
-    return tuple(mins)
+    return tuple(map(min, zip(*a)))
 
 
 def _p_shift_down(a, mono):
     if mono == _UNIT_MONO:
-        return dict(a)
+        return a
     return {_mono_div(m, mono): c for m, c in a.items()}
 
 
-_ONE_POLY = {_UNIT_MONO: Fraction(1)}
+_ONE_POLY = {_UNIT_MONO: 1}
 
 
-def _p_is_unit(a):
+def _p_is_const(a):
     return len(a) == 1 and _UNIT_MONO in a
+
+
+def _p_is_one(a):
+    return len(a) == 1 and a.get(_UNIT_MONO) == 1
 
 
 # univariate view in variable v: dict exp -> poly dict (v-component zeroed)
@@ -178,11 +190,12 @@ def _p_from_univ(u, v):
 
 
 def _u_content_pp(u):
+    """Content over Z (integer content included) and primitive part."""
     cont = {}
     for poly in u.values():
         cont = _p_gcd(cont, poly)
-        if _p_is_unit(cont):
-            return dict(_ONE_POLY), {e: dict(p) for e, p in u.items()}
+        if _p_is_one(cont):
+            return cont, u
     pp = {e: _p_div_exact(poly, cont) for e, poly in u.items()}
     return cont, pp
 
@@ -191,7 +204,7 @@ def _u_prem(A, B):
     """Pseudo-remainder of A by B (univariate dicts with poly coefficients)."""
     dB = max(B)
     lcB = B[dB]
-    R = {e: dict(p) for e, p in A.items()}
+    R = A
     while R:
         dR = max(R)
         if dR < dB:
@@ -218,67 +231,68 @@ def _u_prem(A, B):
 
 
 def _p_gcd(a, b):
-    """Monic gcd via primitive pseudo-remainder sequences."""
+    """gcd over Z: the gcd of the integer contents times the primitive gcd
+    (primitive PRS), with a positive leading coefficient."""
     if not a:
-        return _p_monic(b)
+        return _p_positive(b)
     if not b:
-        return _p_monic(a)
-    if _p_is_unit(a) or _p_is_unit(b):
-        return dict(_ONE_POLY)
+        return _p_positive(a)
+    if _p_is_const(a) or _p_is_const(b):
+        return {_UNIT_MONO: gcd(*a.values(), *b.values())}
     sa = _p_mono_content(a)
     sb = _p_mono_content(b)
-    shared = tuple(min(x, y) for x, y in zip(sa, sb))
+    shared = tuple(map(min, sa, sb))
     a = _p_shift_down(a, sa)
     b = _p_shift_down(b, sb)
     if len(a) == 1 or len(b) == 1:
-        core = dict(_ONE_POLY)
+        core = {_UNIT_MONO: gcd(*a.values(), *b.values())}
     elif a == b:
-        core = _p_monic(a)
+        core = _p_positive(a)
     else:
-        v = None
-        for i in range(NVARS):
-            if _p_deg(a, i) > 0 or _p_deg(b, i) > 0:
-                v = i
-                break
-        if v is None:
-            core = dict(_ONE_POLY)
-        else:
-            ca, pa = _u_content_pp(_p_univ(a, v))
-            cb, pb = _u_content_pp(_p_univ(b, v))
-            cg = _p_gcd(ca, cb)
-            A, B = pa, pb
-            if max(A) < max(B):
-                A, B = B, A
-            while B:
-                R = _u_prem(A, B)
-                if R:
-                    _, R = _u_content_pp(R)
-                A, B = B, R
-            core = _p_mul(cg, _p_from_univ(A, v))
+        # both have two or more terms after the shift, so some variable
+        # occurs with a positive degree
+        v = next(i for i in range(NVARS)
+                 if _p_deg(a, i) > 0 or _p_deg(b, i) > 0)
+        ca, pa = _u_content_pp(_p_univ(a, v))
+        cb, pb = _u_content_pp(_p_univ(b, v))
+        cg = _p_gcd(ca, cb)
+        A, B = pa, pb
+        if max(A) < max(B):
+            A, B = B, A
+        while B:
+            R = _u_prem(A, B)
+            if R:
+                _, R = _u_content_pp(R)
+            A, B = B, R
+        core = _p_positive(_p_mul(cg, _p_from_univ(A, v)))
     if shared != _UNIT_MONO:
         core = {_mono_mul(m, shared): c for m, c in core.items()}
-    return _p_monic(core)
+    return core
 
 
 def _p_cancel(a, b):
-    """(a/g, b/g, g) for the monic g = gcd(a, b)."""
+    """(a/g, b/g, g) for g = gcd(a, b) over Z."""
     g = _p_gcd(a, b)
-    if _p_is_unit(g):
+    if _p_is_one(g):
         return a, b, g
     return _p_div_exact(a, g), _p_div_exact(b, g), g
 
 
 def _reduce(num, den):
+    """Canonical (_n, _d) of num/den, polynomials with int or Fraction
+    coefficients: clear the denominators, cancel the gcd over Z and make the
+    leading denominator coefficient positive."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, dict(_ONE_POLY)
+        return {}, _ONE_POLY
+    scale = lcm(*(c.denominator for c in num.values()),
+                *(c.denominator for c in den.values()))
+    num = {m: int(c * scale) for m, c in num.items()}
+    den = {m: int(c * scale) for m, c in den.items()}
     num, den, _ = _p_cancel(num, den)
-    lc = den[max(den)]
-    if lc != 1:
-        inv = 1 / lc
-        num = _p_scale(num, inv)
-        den = _p_scale(den, inv)
+    if den[max(den)] < 0:
+        num, den = _p_neg(num), _p_neg(den)
     return num, den
 
 
@@ -289,22 +303,22 @@ def _reduce(num, den):
 class QScalar:
     """An element of Q(q, p1, p2, p3) in canonical reduced form."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("_n", "_d", "_hash")
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
-            den = dict(_ONE_POLY)
+            den = _ONE_POLY
         if not _reduced:
             num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        self._n = num
+        self._d = den
         self._hash = None
 
     @classmethod
     def from_rational(cls, value):
         c = Fraction(value)
-        num = {_UNIT_MONO: c} if c else {}
-        return cls(num, dict(_ONE_POLY), _reduced=True)
+        num = {_UNIT_MONO: c.numerator} if c else {}
+        return cls(num, {_UNIT_MONO: c.denominator}, _reduced=True)
 
     @classmethod
     def from_laurent(cls, terms):
@@ -314,8 +328,21 @@ class QScalar:
             return ZERO
         shift = tuple(max(0, -min(m[v] for m in terms)) for v in range(NVARS))
         num = {_mono_mul(m, shift): c for m, c in terms.items()}
-        den = {shift: Fraction(1)}
-        return cls(num, den)
+        return cls(num, {shift: 1})
+
+    # -- monic views ----------------------------------------------------------
+
+    @property
+    def num(self):
+        """Numerator of the monic form, {exponent 4-tuple: Fraction}."""
+        lc = self._d[max(self._d)]
+        return {m: Fraction(c, lc) for m, c in self._n.items()}
+
+    @property
+    def den(self):
+        """Denominator of the monic form (leading coefficient 1)."""
+        lc = self._d[max(self._d)]
+        return {m: Fraction(c, lc) for m, c in self._d.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -323,27 +350,31 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num:
+        if not self._n:
             return other
-        if not other.num:
+        if not other._n:
             return self
-        if self.den == other.den:
-            return QScalar(_p_add(self.num, other.num), dict(self.den))
+        if self._d == other._d:
+            t = _p_add(self._n, other._n)
+            if not t:
+                return ZERO
+            t, den, _ = _p_cancel(t, self._d)
+            return QScalar(t, den, _reduced=True)
         # t is coprime to b/g and d/g, so only gcd(t, g) can cancel
-        b, d, g = _p_cancel(self.den, other.den)
-        t = _p_add(_p_mul(self.num, d), _p_mul(other.num, b))
+        b, d, g = _p_cancel(self._d, other._d)
+        t = _p_add(_p_mul(self._n, d), _p_mul(other._n, b))
         if not t:
             return ZERO
         t, g, _ = _p_cancel(t, g)
         den = _p_mul(b, d)
-        if not _p_is_unit(g):
+        if not _p_is_one(g):
             den = _p_mul(den, g)
         return QScalar(t, den, _reduced=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(_p_neg(self.num), dict(self.den), _reduced=True)
+        return QScalar(_p_neg(self._n), self._d, _reduced=True)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -358,23 +389,31 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num or not other.num:
+        if not self._n or not other._n:
             return ZERO
-        if _p_is_unit(self.num) and _p_is_unit(self.den):
-            c = self.num[_UNIT_MONO]
-            if c == 1:
+        if _p_is_const(self._n) and _p_is_const(self._d):
+            # the rational r = n0/d0 times other: only integers cancel
+            n0, d0 = self._n[_UNIT_MONO], self._d[_UNIT_MONO]
+            if n0 == 1 and d0 == 1:
                 return other
-            return QScalar(_p_scale(other.num, c), dict(other.den), _reduced=True)
-        a, d, _ = _p_cancel(self.num, other.den)
-        c, b, _ = _p_cancel(other.num, self.den)
+            g = gcd(n0, *other._d.values())
+            h = gcd(d0, *other._n.values())
+            n0, d0 = n0 // g, d0 // h
+            return QScalar({m: c // h * n0 for m, c in other._n.items()},
+                           {m: c // g * d0 for m, c in other._d.items()},
+                           _reduced=True)
+        a, d, _ = _p_cancel(self._n, other._d)
+        c, b, _ = _p_cancel(other._n, self._d)
         return QScalar(_p_mul(a, c), _p_mul(b, d), _reduced=True)
 
     __rmul__ = __mul__
 
     def invert(self):
-        if not self.num:
+        if not self._n:
             raise ZeroDivisionError("cannot invert the zero scalar")
-        return QScalar(dict(self.den), dict(self.num))
+        if self._n[max(self._n)] < 0:
+            return QScalar(_p_neg(self._d), _p_neg(self._n), _reduced=True)
+        return QScalar(self._d, self._n, _reduced=True)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -403,32 +442,32 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
         if self._hash is None:
-            if _p_is_unit(self.den) and (
-                    not self.num or _p_is_unit(self.num)):
+            if _p_is_const(self._d) and (
+                    not self._n or _p_is_const(self._n)):
                 # agree with == under coercion: hash(from_rational(c)) == hash(c)
-                self._hash = hash(self.num.get(_UNIT_MONO, Fraction(0)))
+                self._hash = hash(Fraction(self._n.get(_UNIT_MONO, 0),
+                                           self._d[_UNIT_MONO]))
             else:
-                self._hash = hash((tuple(sorted(self.num.items())),
-                                   tuple(sorted(self.den.items()))))
+                self._hash = hash((tuple(sorted(self._n.items())),
+                                   tuple(sorted(self._d.items()))))
         return self._hash
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     # -- queries ------------------------------------------------------------
 
     def is_one(self):
-        return _p_is_unit(self.num) and _p_is_unit(self.den) \
-            and self.num[_UNIT_MONO] == 1
+        return _p_is_one(self._n) and _p_is_one(self._d)
 
     def variables(self):
         """Names of the symbols that actually occur."""
         used = set()
-        for poly in (self.num, self.den):
+        for poly in (self._n, self._d):
             for mono in poly:
                 for v in range(NVARS):
                     if mono[v]:
@@ -459,45 +498,23 @@ class QScalar:
                 total += term
             return total
 
-        d = ev(self.den)
+        d = ev(self._d)
         if d == 0:
             raise PoleError("denominator vanishes at the assignment")
-        return ev(self.num) / d
-
-    def substitute_monomial(self, var, exps):
-        """Replace a variable by a Laurent monomial, e.g. p3 -> p2^-1."""
-        v = VAR_NAMES.index(var)
-
-        def sub(poly):
-            out = {}
-            for mono, c in poly.items():
-                e = mono[v]
-                base = mono[:v] + (0,) + mono[v + 1:]
-                tgt = tuple(b + e * x for b, x in zip(base, exps))
-                s = out.get(tgt)
-                s = c if s is None else s + c
-                if s:
-                    out[tgt] = s
-                elif tgt in out:
-                    del out[tgt]
-            return out
-
-        den = QScalar.from_laurent(sub(self.den))
-        if not den:
-            raise PoleError("substitution sends the denominator to zero")
-        return QScalar.from_laurent(sub(self.num)) / den
+        return ev(self._n) / d
 
     # -- rendering ----------------------------------------------------------
 
     def render(self):
-        if not self.num:
+        if not self._n:
             return "0"
-        if len(self.den) == 1:
-            ((dm, dc),) = self.den.items()
-            terms = {_mono_div_signed(m, dm): c / dc for m, c in self.num.items()}
+        if len(self._d) == 1:
+            ((dm, dc),) = self._d.items()
+            terms = {_mono_div_signed(m, dm): Fraction(c, dc)
+                     for m, c in self._n.items()}
             return _render_terms(terms)
         num_s = _render_terms(self.num)
-        if len(self.num) > 1:
+        if len(self._n) > 1:
             num_s = "(" + num_s + ")"
         return num_s + "/(" + _render_terms(self.den) + ")"
 
@@ -545,7 +562,7 @@ def _coerce(x):
 # constants and standard constructors
 # ---------------------------------------------------------------------------
 
-ZERO = QScalar({}, dict(_ONE_POLY), _reduced=True)
+ZERO = QScalar({}, _ONE_POLY, _reduced=True)
 ONE = QScalar.from_rational(1)
 
 

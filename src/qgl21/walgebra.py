@@ -581,14 +581,14 @@ def render_element(x):
     dens = {tuple(sorted(x.terms[m].den.items())) for m in monos}
     common = None
     if len(dens) == 1 and len(monos) > 1:
-        den = x.terms[monos[0]].den
-        if not sc._p_is_unit(den):
-            common = QScalar(dict(den), _reduced=True)
+        common = QScalar(x.terms[monos[0]].den)
+        if common.is_one():
+            common = None
     pieces = []
     for mon in monos:
         c = x.terms[mon]
         if common is not None:
-            c = QScalar(dict(c.num), _reduced=True)
+            c = QScalar(c.num)
         mstr = render_monomial(mon)
         single = len(c.num) == 1 and len(c.den) == 1
         neg = False

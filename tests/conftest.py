@@ -101,6 +101,24 @@ rational_functions = st.builds(
     maybe_factor, maybe_factor, small_exponents)
 
 
+def substitute_monomial(x, var, exps):
+    """x with a variable replaced by a Laurent monomial, e.g. p3 -> p2^-1."""
+    v = sc.VAR_NAMES.index(var)
+
+    def sub(poly):
+        out = {}
+        for mono, c in poly.items():
+            base = mono[:v] + (0,) + mono[v + 1:]
+            tgt = tuple(b + mono[v] * e for b, e in zip(base, exps))
+            out[tgt] = out.get(tgt, 0) + c
+        return out
+
+    den = sc.QScalar.from_laurent(sub(x.den))
+    if not den:
+        raise sc.PoleError("substitution sends the denominator to zero")
+    return sc.QScalar.from_laurent(sub(x.num)) / den
+
+
 def _build_monomial(raising, lowering, pick_raise, k, i1, j1, i2, j2,
                     eps, al, be, de):
     m, l = (raising, 0) if pick_raise else (0, lowering)

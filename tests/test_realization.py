@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import qgl21.scalars as sc
+from conftest import substitute_monomial
 from qgl21.qmatrix import QMatrix
 from qgl21.realization import (
     GENERATOR_IMAGE_NAMES, check_relations_on_fock, dyson_check, fock_matrix,
@@ -100,7 +101,7 @@ def test_trivial_mode_is_vacuum_sector_of_fermionic():
             if mon.i2 or mon.j2:
                 continue
             projected = projected + WElement.from_monomial(
-                mon, c.substitute_monomial("p3", (0, 0, -1, 0)))
+                mon, substitute_monomial(c, "p3", (0, 0, -1, 0)))
         assert projected == rho(name, "trivial"), name
 
 

@@ -1,17 +1,27 @@
 """Canonical forms must not drift: the rendered entries of every abstract
-generator's Fock matrix (fermionic mode, 6 levels, symbolic) are compared
-string for string with a corpus recorded before the scalar arithmetic was
-rewritten.  A different but equal canonical form would change CLI output
-and JSON exports, so this checks rendering, not just equality."""
+generator's Fock matrix (fermionic mode, 6 levels, symbolic) and the output
+of `qgl21 normal-order` on a corpus of W expressions are compared string for
+string with corpora recorded before the scalar arithmetic was rewritten.  A
+different but equal canonical form would change CLI output and JSON exports,
+so this checks rendering, not just equality.  The normal-order corpus
+reaches what the Fock corpus does not: render_element's grouping of terms
+over a common denominator, e.g. 1/(2q + 2)*a + q/(q + 1)*a+ + 1/(3q + 3)
+renders as (1/3 + 1/2*a + q*a+)/(q + 1), beside sums whose denominators
+differ and denominators with non-integer monic coefficients."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
+from qgl21 import cli
 from qgl21.realization import (
     GENERATOR_IMAGE_NAMES, fock_matrix, fock_modes, rho,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "fock_render_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "fock_render_golden.json"
+NORMAL_ORDER_GOLDEN = DATA / "normal_order_golden.json"
 MODE = "fermionic"
 DIM = 6
 
@@ -33,7 +43,25 @@ def test_fock_render_corpus_is_unchanged():
     assert render_corpus() == golden
 
 
+def normal_order_output(expression):
+    """What `qgl21 normal-order <expression>` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["normal-order", expression]) == 0, expression
+    return out.getvalue()
+
+
+def test_normal_order_corpus_is_unchanged():
+    golden = json.loads(NORMAL_ORDER_GOLDEN.read_text())
+    assert len(golden) >= 20
+    for expression, expected in golden:
+        assert normal_order_output(expression) == expected, expression
+
+
 if __name__ == "__main__":
-    # Re-record the corpus (only when a rendering change is intended).
+    # Re-record the corpora (only when a rendering change is intended).
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(render_corpus(), indent=1) + "\n")
+    expressions = [e for e, _ in json.loads(NORMAL_ORDER_GOLDEN.read_text())]
+    NORMAL_ORDER_GOLDEN.write_text(json.dumps(
+        [[e, normal_order_output(e)] for e in expressions], indent=1) + "\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import qgl21.scalars as sc
 from conftest import (
     P_FACTOR_SCALARS, nonzero_qscalars, qscalars, rational_functions,
+    substitute_monomial,
 )
 
 Q, QINV, ONE, ZERO = sc.Q, sc.QINV, sc.ONE, sc.ZERO
@@ -119,7 +121,7 @@ def test_variables():
 
 def test_substitute_monomial():
     x = sc.P3 * sc.P2 + sc.P3.invert()
-    y = x.substitute_monomial("p3", (0, 0, -1, 0))
+    y = substitute_monomial(x, "p3", (0, 0, -1, 0))
     assert y == ONE + sc.P2
 
 
@@ -196,3 +198,60 @@ def test_constant_and_rational_are_one_dict_key():
     assert len({ZERO: 0, 0: 1, Fraction(0): 2}) == 1
     half = Fraction(1, 2)
     assert {sc.EPS * sc.EPS_INV / 2: "x"}[half] == "x"
+
+
+def test_multivariate_gcd_strips_integer_content():
+    """Rational coefficients in two or more variables once grew without bound
+    in the primitive PRS; over Z this pair reduces at once, and the only
+    common factor is q^2."""
+    num = {(6, 1, 0, 4): Fraction(3, 4), (5, 1, 0, 4): Fraction(3, 4),
+           (5, 1, 0, 2): Fraction(3, 2), (4, 1, 0, 2): Fraction(1, 2),
+           (3, 1, 0, 2): -1, (3, 1, 0, 0): -2, (2, 1, 0, 0): -2}
+    den = {(7, 0, 1, 3): 1, (6, 1, 1, 2): Fraction(1, 2),
+           (5, 1, 2, 3): -1, (4, 2, 2, 2): Fraction(-1, 2)}
+    x = sc.QScalar(num, den)
+    q2 = (2, 0, 0, 0)
+    # num and den over Z are 4*num and 4*den, jointly primitive
+    assert x._n == {sc._mono_div(m, q2): int(4 * c) for m, c in num.items()}
+    assert x._d == {sc._mono_div(m, q2): int(4 * c) for m, c in den.items()}
+    assert sc._p_gcd(x._n, x._d) == sc._ONE_POLY
+    assert x * sc.q_power(2) == sc.QScalar(num, {sc._mono_div(m, q2): c
+                                                 for m, c in den.items()})
+
+
+def _assert_canonical(z):
+    """The storage invariants of the integer canonical form."""
+    for poly in (z._n, z._d):
+        assert all(type(c) is int for c in poly.values())
+    assert sc._p_gcd(z._n, z._d) == sc._ONE_POLY
+    assert math.gcd(*z._n.values(), *z._d.values()) == 1
+    assert z._d[max(z._d)] > 0
+    assert sc.QScalar(dict(z.num), dict(z.den)) == z
+
+
+def _assert_results_canonical(x, y):
+    results = [x + y, x - y, x * y]
+    if y:
+        results.append(x / y)
+    if x:
+        results.append(x.invert())
+    for z in results:
+        _assert_canonical(z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qscalars, qscalars)
+def test_storage_invariants_on_laurent_scalars(x, y):
+    _assert_results_canonical(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_functions, rational_functions)
+def test_storage_invariants_on_rational_functions(x, y):
+    _assert_results_canonical(x, y)
+
+
+@pytest.mark.parametrize("x, y", itertools.product(P_FACTOR_SCALARS,
+                                                   repeat=2))
+def test_storage_invariants_on_p_factors(x, y):
+    _assert_results_canonical(x, y)
