@@ -148,7 +148,7 @@ def _cmd_matrix(args):
             element = wa.generator(name)
         assignment = None
         if args.numeric:
-            assignment = {k: Fraction(getattr(args, k))
+            assignment = {k: getattr(args, k)
                           for k in ("q", "p1", "p2", "p3")}
         fock = rz.fock_matrix(element, args.dim, assignment,
                               modes=rz.fock_modes(args.mode)
@@ -164,7 +164,7 @@ def _cmd_matrix(args):
         "fermion_modes": list(fock.modes),
         "basis": [list(lab) for lab in fock.basis],
         "boundary_columns": list(fock.boundary_columns),
-        "assignment": {k: str(v) for k, v in assignment.items()}
+        "assignment": {k: str(Fraction(v)) for k, v in assignment.items()}
         if assignment else None,
         "entries": sorted(
             [[i, j, v.render()] for i, j, v in fock.matrix.iter_entries()],

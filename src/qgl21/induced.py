@@ -14,6 +14,9 @@ Two independent action routes are implemented:
                 push the leftover A0 word into V through the matrices.
 
 Their agreement over the verification grid certifies the closed formulas.
+The relation checks go through superalgebra.evaluate: on the module with
+act as the generator action (apply_uelement), and inside A0 with the
+representation matrices (validate_a0rep).
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 from . import scalars as sc
 from . import superalgebra as ua
+from .linear import Combination, accumulate
 from .qmatrix import QMatrix
 from .reporting import CheckResult
-from .scalars import QScalar
 
 
 class RepresentationError(ValueError):
@@ -130,12 +133,6 @@ class A0Rep:
             out = out * base
         return out
 
-    def word_matrix(self, word):
-        out = QMatrix.identity(self.dim)
-        for nm, e in word:
-            out = out * self.mat(nm, e)
-        return out
-
     def apply_word(self, word, vec):
         """A0 word applied to a sparse column vector over V."""
         for nm, e in reversed(word):
@@ -175,7 +172,7 @@ def validate_a0rep(rep):
                    for nm, _e in w}
         if not letters <= a0_names:
             continue
-        residual = _uelement_matrix(rel.lhs, rep) - _uelement_matrix(rel.rhs, rep)
+        residual = _a0_matrix(rel.lhs, rep) - _a0_matrix(rel.rhs, rep)
         results.append(CheckResult(rel.name, residual.nnz() == 0, residual.nnz()))
     for name in ("E23", "E32"):
         bad = sum(1 for i, j, _v in rep.mats[name].iter_entries()
@@ -188,68 +185,25 @@ def validate_a0rep(rep):
     return results
 
 
-def _uelement_matrix(el, rep):
-    out = QMatrix.zero(rep.dim)
-    for word, c in el.terms.items():
-        out = out + rep.word_matrix(word).scale(c)
-    return out
+def _a0_matrix(el, rep):
+    return ua.evaluate(el, lambda g, m: rep.mat(g) * m,
+                       QMatrix.identity(rep.dim))
 
 
 # ---------------------------------------------------------------------------
 # vectors of the induced module
 # ---------------------------------------------------------------------------
 
-class InducedVector:
+class InducedVector(Combination):
     """Finite combination of basis states (N, M, v-index)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @classmethod
     def basis_state(cls, N, M, idx=0, coeff=None):
         if N < 0 or M not in (0, 1):
             raise ValueError("invalid basis state (%r, %r)" % (N, M))
         return cls({(N, M, idx): coeff if coeff is not None else sc.ONE})
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return InducedVector(out)
-
-    def __neg__(self):
-        return InducedVector({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = c if isinstance(c, QScalar) else QScalar.from_rational(c)
-        if not c:
-            return InducedVector.zero()
-        return InducedVector({k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, InducedVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:
@@ -274,16 +228,7 @@ def act(g, x, rep):
         if not c:
             return
         for i, v in vec.items():
-            cv = c * v
-            if not cv:
-                continue
-            key = (N, M, i)
-            s = out.get(key)
-            s = cv if s is None else s + cv
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            accumulate(out, (N, M, i), c * v)
 
     for (N, M, i), c in x.terms.items():
         e_i = {i: sc.ONE}
@@ -336,7 +281,10 @@ def act(g, x, rep):
                 if N > 0:
                     put(N, 0, phi("K1", "K3"),
                         c * sc.q_power(N - 1) * sc.q_integer(N))
-                put(N, 0, _apply_cartan13(rep, e_i), c * sc.QINV * sc.EPS_INV)
+                # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
+                cartan = c * sc.QINV * sc.EPS_INV
+                put(N, 0, phi("K1", "K3"), cartan)
+                put(N, 0, phi("K1inv", "K3inv"), -cartan)
             if N > 0:
                 put(N - 1, M, phi("K1", "K2inv", "E32"),
                     c * sgn * sc.q_power(N + M - 2) * sc.q_integer(N))
@@ -344,21 +292,6 @@ def act(g, x, rep):
         else:
             raise ValueError("unknown generator %r" % g)
     return InducedVector(out)
-
-
-def _apply_cartan13(rep, vec):
-    """(K1 K3 - K1^-1 K3^-1) applied to a column vector."""
-    a = rep.mat("K1").apply_column(rep.mat("K3").apply_column(vec))
-    b = rep.mat("K1inv").apply_column(rep.mat("K3inv").apply_column(vec))
-    out = dict(a)
-    for i, v in b.items():
-        s = out.get(i)
-        s = -v if s is None else s - v
-        if s:
-            out[i] = s
-        elif i in out:
-            del out[i]
-    return out
 
 
 def act_oracle(g, x, rep, single_swaps=False):
@@ -370,34 +303,13 @@ def act_oracle(g, x, rep, single_swaps=False):
         for term in straighten(g, N, M):
             vec = rep.apply_word(term.a0word, {i: sc.ONE})
             for r, v in vec.items():
-                cv = c * term.coeff * v
-                if not cv:
-                    continue
-                key = (term.n, term.m, r)
-                s = out.get(key)
-                s = cv if s is None else s + cv
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                accumulate(out, (term.n, term.m, r), c * term.coeff * v)
     return InducedVector(out)
 
 
 def apply_uelement(el, x, rep):
     """A UElement acting through `act`, letters applied right to left."""
-    total = InducedVector.zero()
-    for word, c in el.terms.items():
-        vec = x
-        for nm, e in reversed(word):
-            g = nm if e > 0 else nm + "inv"
-            for _ in range(abs(e)):
-                vec = act(g, vec, rep)
-                if not vec:
-                    break
-            if not vec:
-                break
-        total = total + vec.scale(c)
-    return total
+    return ua.evaluate(el, lambda g, vec: act(g, vec, rep), x)
 
 
 def check_relations_on_module(rep, nmax):

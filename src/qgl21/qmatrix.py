@@ -8,6 +8,7 @@ subset of basis columns, which is how truncation-safe Fock checks work).
 from __future__ import annotations
 
 from . import scalars as sc
+from .linear import accumulate
 
 
 class QMatrix:
@@ -40,14 +41,9 @@ class QMatrix:
         if not v:
             return
         row = self.rows.setdefault(i, {})
-        s = row.get(j)
-        s = v if s is None else s + v
-        if s:
-            row[j] = s
-        else:
-            del row[j]
-            if not row:
-                del self.rows[i]
+        accumulate(row, j, v)
+        if not row:
+            del self.rows[i]
 
     def entry(self, i, j):
         return self.rows.get(i, {}).get(j, sc.ZERO)
@@ -57,8 +53,13 @@ class QMatrix:
             for j, v in row.items():
                 yield i, j, v
 
-    def nnz(self):
-        return sum(len(r) for r in self.rows.values())
+    def nnz(self, cols=None):
+        """Number of nonzero entries, optionally only those in the given
+        columns."""
+        if cols is None:
+            return sum(len(r) for r in self.rows.values())
+        cols = set(cols)
+        return sum(1 for _, j, _v in self.iter_entries() if j in cols)
 
     def __add__(self, other):
         out = QMatrix(self.nrows, self.ncols,
@@ -94,13 +95,7 @@ class QMatrix:
                     if not brow:
                         continue
                     for j, b in brow.items():
-                        s = acc.get(j)
-                        ab = a * b
-                        s = ab if s is None else s + ab
-                        if s:
-                            acc[j] = s
-                        elif j in acc:
-                            del acc[j]
+                        accumulate(acc, j, a * b)
                 if acc:
                     out.rows[i] = acc
             return out
@@ -115,14 +110,6 @@ class QMatrix:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
             and self.rows == other.rows
 
-    def column(self, j):
-        out = {}
-        for i, row in self.rows.items():
-            v = row.get(j)
-            if v:
-                out[i] = v
-        return out
-
     def apply_column(self, vec):
         """Matrix times a sparse column vector {index: QScalar}."""
         out = {}
@@ -136,21 +123,6 @@ class QMatrix:
             if s:
                 out[i] = s
         return out
-
-    def diff_nnz(self, other, cols=None):
-        """Number of entries where the two matrices disagree, optionally
-        restricted to a set of columns."""
-        diff = self + (-other)
-        if cols is None:
-            return diff.nnz()
-        cols = set(cols)
-        return sum(1 for _, j, _v in diff.iter_entries() if j in cols)
-
-    def is_zero(self, cols=None):
-        if cols is None:
-            return not self.rows
-        cols = set(cols)
-        return all(j not in cols for _, j, _v in self.iter_entries())
 
     def __repr__(self):
         return "QMatrix(%d x %d, %d nonzero)" % (self.nrows, self.ncols, self.nnz())

@@ -23,6 +23,11 @@ directly and then machine-verified.  Verification is dual-route:
   truncated Fock space and the relations are re-checked by exact matrix
   arithmetic on the truncation-safe columns.
 
+Both evaluate each side of a relation with superalgebra.evaluate, letting
+the generator images (image_of_uelement) or their matrices act on the
+identity from the left; the numeric Fock route evaluates the relation
+coefficients at the assignment first.
+
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
 """
@@ -137,15 +142,7 @@ def rho(g, mode="abstract"):
 
 def image_of_uelement(el, mode="abstract"):
     images = realization_map(mode).images
-    out = wa.zero()
-    for word, c in el.terms.items():
-        acc = wa.one()
-        for nm, e in word:
-            base = images[nm] if e > 0 else images[nm + "inv"]
-            for _ in range(abs(e)):
-                acc = w_mul(acc, base)
-        out = out + acc.scale(c)
-    return out
+    return ua.evaluate(el, lambda g, acc: w_mul(images[g], acc), wa.one())
 
 
 def verify_realization(mode="abstract"):
@@ -200,7 +197,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
         raise ValueError(
             "element has abstract gl(1/1) factors; substitute a realization first")
     if assignment is not None:
-        _check_assignment(assignment)
+        assignment = _check_assignment(assignment)
     if modes is None:
         modes = x.fermion_modes()
     modes = tuple(modes)
@@ -272,21 +269,28 @@ def _assigned_rational(assignment, name):
         return None
     try:
         return Fraction(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError("%s = %r is not a rational number" % (name, value)) \
             from None
 
 
 def _check_assignment(assignment):
-    q = _assigned_rational(assignment, "q")
+    """The assignment with Fraction values; a ValueError names the variable
+    of a missing, non-rational or singular value, or an unknown name."""
+    unknown = sorted(set(assignment) - set(sc.VAR_NAMES))
+    if unknown:
+        raise ValueError("%s is not one of q, p1, p2, p3" % unknown[0])
+    values = {name: _assigned_rational(assignment, name) for name in assignment}
+    q = values.get("q")
     if q is None:
         raise ValueError("the assignment gives no value for q")
     if q in (0, 1, -1):
         raise ValueError("q = %s is a deformation singularity" % q)
     for name in ("p1", "p2", "p3"):
-        if _assigned_rational(assignment, name) == 0:
+        if values.get(name) == 0:
             raise ValueError("%s = 0 is not allowed: p_i = q^lambda_i "
                              "is nonzero" % name)
+    return values
 
 
 def fock_modes(mode):
@@ -327,21 +331,12 @@ def check_relations_on_fock(mode, D, assignment=None):
             for nm, el in images.items()}
     shifts = relation_shifts(mode)
 
-    def scalar(c):
-        if assignment is None:
-            return c
-        return QScalar.from_rational(c.evaluate(**assignment))
-
     def side_matrix(el):
-        out = QMatrix.zero(D * fdim)
-        for word, c in el.terms.items():
-            acc = QMatrix.identity(D * fdim)
-            for nm, e in word:
-                m = mats[nm] if e > 0 else mats[nm + "inv"]
-                for _ in range(abs(e)):
-                    acc = acc * m
-            out = out + acc.scale(scalar(c))
-        return out
+        if assignment is not None:
+            el = ua.UElement({w: QScalar.from_rational(c.evaluate(**assignment))
+                              for w, c in el.terms.items()})
+        return ua.evaluate(el, lambda g, m: mats[g] * m,
+                           QMatrix.identity(D * fdim))
 
     results = []
     for rel in ua.relation_set():
@@ -350,7 +345,7 @@ def check_relations_on_fock(mode, D, assignment=None):
                      if i // fdim <= D - 1 - shift]
         excluded = D * fdim - len(safe_cols)
         diff = side_matrix(rel.lhs) - side_matrix(rel.rhs)
-        residuals = diff.diff_nnz(QMatrix.zero(D * fdim), cols=safe_cols)
+        residuals = diff.nnz(cols=safe_cols)
         results.append(CheckResult(
             rel.name, residuals == 0, residuals,
             detail="%d boundary columns excluded" % excluded))
@@ -410,6 +405,6 @@ def dyson_check(D):
     ]
     results = []
     for name, residual, cols in checks:
-        bad = residual.diff_nnz(QMatrix.zero(D), cols=cols)
+        bad = residual.nnz(cols=cols)
         results.append(CheckResult(name, bad == 0, bad))
     return results

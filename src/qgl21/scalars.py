@@ -31,8 +31,10 @@ gcd, or both halves of an operand) and with a positive leading denominator
 coefficient (a product of positive ones), with no final normalization pass.
 invert takes no gcd either: it swaps _n and _d and negates both only when
 the new denominator leads with a negative coefficient.  The full reduction
-_reduce runs only in the public constructor, which accepts int or Fraction
-coefficients and clears their denominators first.
+_reduce runs only in the public constructor, which accepts Laurent
+polynomials with int or Fraction coefficients and clears their
+denominators and negative exponents first.  A rational constant on either
+side of * cancels only integers, and 1 returns the other operand.
 
 num and den are read-only views of the monic form (denominator leading
 coefficient 1, Fraction values), derived from _n/_d when read; rendering
@@ -279,17 +281,23 @@ def _p_cancel(a, b):
 
 
 def _reduce(num, den):
-    """Canonical (_n, _d) of num/den, polynomials with int or Fraction
-    coefficients: clear the denominators, cancel the gcd over Z and make the
-    leading denominator coefficient positive."""
+    """Canonical (_n, _d) of num/den, Laurent polynomials with int or
+    Fraction coefficients: drop zero coefficients, multiply both by one
+    integer and one monomial that clear the coefficient denominators and
+    the negative exponents, cancel the gcd over Z and make the leading
+    denominator coefficient positive."""
+    num = {m: c for m, c in num.items() if c}
+    den = {m: c for m, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, _ONE_POLY
     scale = lcm(*(c.denominator for c in num.values()),
                 *(c.denominator for c in den.values()))
-    num = {m: int(c * scale) for m, c in num.items()}
-    den = {m: int(c * scale) for m, c in den.items()}
+    shift = tuple(max(0, -min(ea, eb)) for ea, eb in
+                  zip(_p_mono_content(num), _p_mono_content(den)))
+    num = {_mono_mul(m, shift): int(c * scale) for m, c in num.items()}
+    den = {_mono_mul(m, shift): int(c * scale) for m, c in den.items()}
     num, den, _ = _p_cancel(num, den)
     if den[max(den)] < 0:
         num, den = _p_neg(num), _p_neg(den)
@@ -323,12 +331,7 @@ class QScalar:
     @classmethod
     def from_laurent(cls, terms):
         """Build from a Laurent term dict {exponent 4-tuple: coefficient}."""
-        terms = {m: Fraction(c) for m, c in terms.items() if c}
-        if not terms:
-            return ZERO
-        shift = tuple(max(0, -min(m[v] for m in terms)) for v in range(NVARS))
-        num = {_mono_mul(m, shift): c for m, c in terms.items()}
-        return cls(num, {shift: 1})
+        return cls({m: Fraction(c) for m, c in terms.items()})
 
     # -- monic views ----------------------------------------------------------
 
@@ -391,6 +394,8 @@ class QScalar:
             return NotImplemented
         if not self._n or not other._n:
             return ZERO
+        if _p_is_const(other._n) and _p_is_const(other._d):
+            self, other = other, self
         if _p_is_const(self._n) and _p_is_const(self._d):
             # the rational r = n0/d0 times other: only integers cancel
             n0, d0 = self._n[_UNIT_MONO], self._d[_UNIT_MONO]

@@ -5,6 +5,14 @@ arbitrary integer exponents, E letters always exponent 1.  UElement is the
 free QScalar-linear span of such words (adjacent equal K letters merge),
 which doubles as the free algebra used by the derivation-chain tests.
 
+evaluate is the one evaluator of a UElement through generator images: it
+folds each word right to left, acc = apply(g, acc), and sums coeff * acc.
+All four verification routes check the relation set through it: W normal
+ordering (realization.image_of_uelement, apply = left multiplication by a
+generator image in W), the induced module (induced.apply_uelement,
+apply = act), and the Fock and A0 matrices (apply = left multiplication by
+a generator matrix).
+
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
 E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
 
@@ -24,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import scalars as sc
+from .linear import Combination, accumulate, render_terms
 from .scalars import QScalar
 
 ODD_GENERATORS = ("E23", "E32", "E13", "E31")
@@ -61,21 +70,11 @@ def _merge_adjacent_k(letters):
     return tuple(out)
 
 
-def word_parity(word):
-    return sum(1 for nm, _e in word if nm in ODD_GENERATORS) & 1
-
-
-class UElement:
+class UElement(Combination):
     """QScalar-linear combination of generator words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
+    __slots__ = ()
+    UNIT = ()
 
     @classmethod
     def one(cls):
@@ -91,85 +90,16 @@ class UElement:
     def gen(cls, name, exp=1):
         return cls.word((name, exp))
 
-    def __add__(self, other):
-        other = _as_uelement(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return UElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_uelement(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_uelement(other) - self
-
     def __mul__(self, other):
         if isinstance(other, UElement):
             out = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = _clean_word(w1 + w2)
-                    c = c1 * c2
-                    s = out.get(w)
-                    s = c if s is None else s + c
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+                    accumulate(out, _clean_word(w1 + w2), c1 * c2)
             return UElement(out)
         if isinstance(other, (int, QScalar)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = c if isinstance(c, QScalar) else QScalar.from_rational(c)
-        if not c:
-            return UElement.zero()
-        return UElement({w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other):
-        other = _as_uelement(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def drop_adjacent_squares(self, name):
-        """Discard words containing the letter twice in a row (used by the
-        derivation-chain tests, where e.g. E23^2 = 0 kills whole words)."""
-        out = {}
-        for w, c in self.terms.items():
-            if any(w[i][0] == name and w[i + 1][0] == name
-                   for i in range(len(w) - 1)):
-                continue
-            out[w] = c
-        return UElement(out)
 
     def __repr__(self):
         return render_uelement(self)
@@ -177,13 +107,20 @@ class UElement:
     __str__ = __repr__
 
 
-def _as_uelement(x):
-    if isinstance(x, UElement):
-        return x
-    if isinstance(x, (int, QScalar)):
-        c = x if isinstance(x, QScalar) else QScalar.from_rational(x)
-        return UElement({(): c} if c else {})
-    return NotImplemented
+def evaluate(el, apply, start):
+    """Sum over the words of el of coeff * (word applied to start).  Each
+    word acts right to left through acc = apply(g, acc), one letter at a
+    time, with g the generator name for a positive power and name + "inv"
+    for a negative one; apply must be linear in acc."""
+    total = start.scale(sc.ZERO)
+    for word, c in el.terms.items():
+        acc = start
+        for nm, e in reversed(word):
+            g = nm if e > 0 else nm + "inv"
+            for _ in range(abs(e)):
+                acc = apply(g, acc)
+        total = total + acc.scale(c)
+    return total
 
 
 def render_word(word):
@@ -196,34 +133,8 @@ def render_word(word):
 
 
 def render_uelement(x):
-    if not x.terms:
-        return "0"
-    pieces = []
-    for w in sorted(x.terms, key=lambda w: (len(w), w)):
-        c = x.terms[w]
-        single = len(c.num) == 1 and len(c.den) == 1
-        neg = False
-        mstr = render_word(w)
-        if single:
-            cstr = c.render()
-            if cstr.startswith("-"):
-                neg = True
-                cstr = cstr[1:]
-            if not w:
-                body = cstr
-            elif cstr == "1":
-                body = mstr
-            else:
-                body = cstr + "*" + mstr
-        else:
-            body = "(" + c.render() + ")"
-            if w:
-                body += "*" + mstr
-        if not pieces:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces)
+    words = sorted(x.terms, key=lambda w: (len(w), w))
+    return render_terms((x.terms[w], render_word(w)) for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +354,7 @@ def normalize_word(coeff, word, bases=("E12", "E13"), single=False):
         c, w = stack.pop()
         idx = _find_violation(w, bases)
         if idx is None:
-            s = done.get(w)
-            s = c if s is None else s + c
-            if s:
-                done[w] = s
-            elif w in done:
-                del done[w]
+            accumulate(done, w, c)
             continue
         base = w[idx + 1][0]
         if single:
@@ -487,13 +393,7 @@ def _to_terms(word_dict):
         if any(rest[i][0] == rest[i + 1][0] and rest[i][0] in ODD_GENERATORS
                for i in range(len(rest) - 1)):
             continue                       # adjacent odd square
-        key = (n, m, rest)
-        s = terms.get(key)
-        s = c if s is None else s + c
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
+        accumulate(terms, (n, m, rest), c)
     out = [StraightenTerm(c, n, m, rest) for (n, m, rest), c in terms.items()]
     out.sort(key=lambda t: (-t.n, -t.m, t.a0word))
     return out

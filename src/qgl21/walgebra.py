@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import scalars as sc
+from .linear import Combination, accumulate, render_terms
 from .scalars import QScalar
 
 
@@ -74,15 +75,6 @@ class WMonomial(NamedTuple):
 UNIT = WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _acc(d, key, val):
-    s = d.get(key)
-    s = val if s is None else s + val
-    if s:
-        d[key] = s
-    elif key in d:
-        del d[key]
-
-
 # ---------------------------------------------------------------------------
 # boson sector
 # ---------------------------------------------------------------------------
@@ -96,8 +88,8 @@ def _a_through_creators(m):
     #        = q^-1 a+ (a a+^{m-1}) + q^{m-1} a+^{m-1} t
     out = {}
     for (m2, k2, l2), c in _a_through_creators(m - 1).items():
-        _acc(out, (m2 + 1, k2, l2), sc.QINV * c)
-    _acc(out, (m - 1, 1, 0), sc.q_power(m - 1))
+        accumulate(out, (m2 + 1, k2, l2), sc.QINV * c)
+    accumulate(out, (m - 1, 1, 0), sc.q_power(m - 1))
     return out
 
 
@@ -110,11 +102,11 @@ def _annihilators_through_creators(l, m):
     for (m1, k1, l1), c in _annihilators_through_creators(l - 1, m).items():
         if m1 == 0:
             # a t^{k1} = q^{k1} t^{k1} a
-            _acc(out, (0, k1, l1 + 1), c * sc.q_power(k1))
+            accumulate(out, (0, k1, l1 + 1), c * sc.q_power(k1))
             continue
         for (m2, k2, l2), c2 in _a_through_creators(m1).items():
             # a^{l2} t^{k1} = q^{l2 k1} t^{k1} a^{l2}
-            _acc(out, (m2, k2 + k1, l2 + l1), c * c2 * sc.q_power(l2 * k1))
+            accumulate(out, (m2, k2 + k1, l2 + l1), c * c2 * sc.q_power(l2 * k1))
     return out
 
 
@@ -129,9 +121,9 @@ def _contract(m, k, l):
     c = sc.q_power(-k) * sc.EPS_INV
     out = {}
     for key, c2 in _contract(m - 1, k + 1, l - 1).items():
-        _acc(out, key, c * c2)
+        accumulate(out, key, c * c2)
     for key, c2 in _contract(m - 1, k - 1, l - 1).items():
-        _acc(out, key, -(c * c2))
+        accumulate(out, key, -(c * c2))
     return out
 
 
@@ -144,7 +136,7 @@ def _bos_mul(x, y):
         # a+^{m1} t^{k1} (a+^m t^k a^l) t^{k2} a^{l2}
         coeff = c * sc.q_power(k1 * m + l * k2)
         for key, c2 in _contract(m1 + m, k1 + k + k2, l + l2).items():
-            _acc(out, key, coeff * c2)
+            accumulate(out, key, coeff * c2)
     return out
 
 
@@ -172,24 +164,24 @@ def _fg_insert(part, kind, exp):
         out = []
         if de:
             # e23 e32 = -e32 e23 + (k2 k3 - k2^-1 k3^-1)/(q - q^-1)
-            _acc_pair(out, (i1, j1, i2, j2, eps, al + 1, be + 1, 0), sc.EPS_INV)
-            _acc_pair(out, (i1, j1, i2, j2, eps, al - 1, be - 1, 0), -sc.EPS_INV)
+            out.append(((i1, j1, i2, j2, eps, al + 1, be + 1, 0), sc.EPS_INV))
+            out.append(((i1, j1, i2, j2, eps, al - 1, be - 1, 0), -sc.EPS_INV))
         if not eps:
             c = sc.q_power(be - al)
             if de:
                 c = -c
-            _acc_pair(out, (i1, j1, i2, j2, 1, al, be, de), c)
+            out.append(((i1, j1, i2, j2, 1, al, be, de), c))
         return out
     sgn_gl = -1 if (eps + de) & 1 else 1
     if kind == "b2+":
         out = []
         if j2:
             # b2 b2+ = 1 - b2+ b2
-            _acc_pair(out, (i1, j1, i2, 0, eps, al, be, de), _sgn(sgn_gl))
+            out.append(((i1, j1, i2, 0, eps, al, be, de), _sgn(sgn_gl)))
             if not i2:
-                _acc_pair(out, (i1, j1, 1, 1, eps, al, be, de), _sgn(-sgn_gl))
+                out.append(((i1, j1, 1, 1, eps, al, be, de), _sgn(-sgn_gl)))
         elif not i2:
-            _acc_pair(out, (i1, j1, 1, 0, eps, al, be, de), _sgn(sgn_gl))
+            out.append(((i1, j1, 1, 0, eps, al, be, de), _sgn(sgn_gl)))
         return out
     if kind == "b2":
         if j2:
@@ -199,11 +191,11 @@ def _fg_insert(part, kind, exp):
     if kind == "b1+":
         out = []
         if j1:
-            _acc_pair(out, (i1, 0, i2, j2, eps, al, be, de), _sgn(sgn1))
+            out.append(((i1, 0, i2, j2, eps, al, be, de), _sgn(sgn1)))
             if not i1:
-                _acc_pair(out, (1, 1, i2, j2, eps, al, be, de), _sgn(-sgn1))
+                out.append(((1, 1, i2, j2, eps, al, be, de), _sgn(-sgn1)))
         elif not i1:
-            _acc_pair(out, (1, 0, i2, j2, eps, al, be, de), _sgn(sgn1))
+            out.append(((1, 0, i2, j2, eps, al, be, de), _sgn(sgn1)))
         return out
     if kind == "b1":
         if j1:
@@ -214,10 +206,6 @@ def _fg_insert(part, kind, exp):
 
 def _sgn(s):
     return sc.ONE if s > 0 else -sc.ONE
-
-
-def _acc_pair(out, part, coeff):
-    out.append((part, coeff))
 
 
 def _fg_atoms(part):
@@ -248,7 +236,7 @@ def _fg_mul(px, py):
         nxt = {}
         for part, c in cur.items():
             for part2, c2 in _fg_insert(part, kind, exp):
-                _acc(nxt, part2, c * c2)
+                accumulate(nxt, part2, c * c2)
         cur = nxt
         if not cur:
             break
@@ -259,17 +247,11 @@ def _fg_mul(px, py):
 # elements
 # ---------------------------------------------------------------------------
 
-class WElement:
+class WElement(Combination):
     """Finite QScalar-linear combination of normal-ordered monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
+    __slots__ = ()
+    UNIT = UNIT
 
     @classmethod
     def from_scalar(cls, c):
@@ -281,46 +263,12 @@ class WElement:
         c = sc.ONE if coeff is None else coeff
         return cls({mon: c} if c else {})
 
-    def __add__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            _acc(out, mon, c)
-        return WElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_element(other) - self
-
     def __mul__(self, other):
         if isinstance(other, WElement):
             return w_mul(self, other)
         if isinstance(other, (int, QScalar)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = c if isinstance(c, QScalar) else QScalar.from_rational(c)
-        if not c:
-            return WElement.zero()
-        return WElement({m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -343,18 +291,6 @@ class WElement:
             raise SubstitutionError("element is not an invertible monomial")
         inv = WMonomial(0, -mon.k, 0, 0, 0, 0, 0, 0, -mon.al, -mon.be, 0)
         return WElement({inv: c.invert()})
-
-    def __eq__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def parity(self):
         """0 or 1 for homogeneous elements, None for mixed (zero counts
@@ -383,14 +319,6 @@ class WElement:
         return render_element(self)
 
     __str__ = __repr__
-
-
-def _as_element(x):
-    if isinstance(x, WElement):
-        return x
-    if isinstance(x, (int, QScalar)):
-        return WElement.from_scalar(x)
-    return NotImplemented
 
 
 def zero():
@@ -449,7 +377,7 @@ def w_mul(x, y):
             for (m, k, l), cb in bos.items():
                 cbl = c0 * cb
                 for part, cf in fg.items():
-                    _acc(out, WMonomial(m, k, l, *part), cbl * cf)
+                    accumulate(out, WMonomial(m, k, l, *part), cbl * cf)
     return WElement(out)
 
 
@@ -584,33 +512,9 @@ def render_element(x):
         common = QScalar(x.terms[monos[0]].den)
         if common.is_one():
             common = None
-    pieces = []
-    for mon in monos:
-        c = x.terms[mon]
-        if common is not None:
-            c = QScalar(c.num)
-        mstr = render_monomial(mon)
-        single = len(c.num) == 1 and len(c.den) == 1
-        neg = False
-        if single:
-            cstr = c.render()
-            if cstr.startswith("-"):
-                neg = True
-                cstr = cstr[1:]
-            if mon == UNIT:
-                body = cstr
-            elif cstr == "1":
-                body = mstr
-            else:
-                body = cstr + "*" + mstr
-        else:
-            cstr = "(" + c.render() + ")"
-            body = cstr if mon == UNIT else cstr + "*" + mstr
-        if not pieces:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    body = "".join(pieces)
+    body = render_terms(
+        (QScalar(x.terms[mon].num) if common is not None else x.terms[mon],
+         render_monomial(mon)) for mon in monos)
     if common is not None:
         return "(" + body + ")/(" + common.render() + ")"
     return body

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import qgl21.scalars as sc
 from qgl21 import cli
 from qgl21.parsing import parse_scalar
@@ -141,6 +143,16 @@ def test_matrix_export_rejects_zero_p(capsys, tmp_path):
                           "--out", str(out_path))
     assert code == 2
     assert "p1" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--q", "--p1"])
+def test_matrix_export_rejects_zero_denominator(capsys, tmp_path, flag):
+    out_path = tmp_path / "x.json"
+    code, _out, err = run(capsys, "matrix", "E12", "--dim", "8", "--numeric",
+                          flag, "1/0", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: %s = '1/0'" % flag[2:])
     assert not out_path.exists()
 
 

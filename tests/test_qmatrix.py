@@ -46,11 +46,11 @@ def test_shape_mismatch_rejected():
 def test_column_and_diff_restriction():
     a = QMatrix.from_entries(2, 2, [(0, 0, sc.ONE), (1, 1, sc.Q)])
     b = QMatrix.from_entries(2, 2, [(0, 0, sc.ONE)])
-    assert a.column(1) == {1: sc.Q}
-    assert a.diff_nnz(b) == 1
-    assert a.diff_nnz(b, cols=[0]) == 0
-    assert (a - b).is_zero(cols=[0])
-    assert not (a - b).is_zero()
+    assert a.nnz(cols=[1]) == 1
+    assert a.entry(1, 1) == sc.Q
+    assert (a - b).nnz() == 1
+    assert (a - b).nnz(cols=[0]) == 0
+    assert (a - b).nnz(cols=[1]) == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,13 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
 from conftest import (
-    P_FACTOR_SCALARS, nonzero_qscalars, qscalars, rational_functions,
-    substitute_monomial,
+    P_FACTOR_SCALARS, _rational_function, nonzero_qscalars, qscalars,
+    rational_functions, substitute_monomial,
 )
 
 Q, QINV, ONE, ZERO = sc.Q, sc.QINV, sc.ONE, sc.ZERO
@@ -245,10 +245,34 @@ def test_storage_invariants_on_laurent_scalars(x, y):
     _assert_results_canonical(x, y)
 
 
+# x = p3^-1 and y = 1 + q^-1, whose Laurent input once stayed stored with a
+# negative exponent (_n = {1, q^-1}, _d = 1), so y != 1 + QINV
 @settings(max_examples=100, deadline=None)
 @given(rational_functions, rational_functions)
+@example(_rational_function({(0, 0, 0, 0): 1}, {(0, 0, 0, 0): 1},
+                            sc._ONE_POLY, sc._ONE_POLY, (0, 0, 0, -1)),
+         _rational_function({(-1, 0, 0, 0): 1, (0, 0, 0, 0): 1},
+                            {(-1, 0, 0, 0): 1},
+                            sc._ONE_POLY, sc._ONE_POLY, (-1, 0, 0, 0)))
 def test_storage_invariants_on_rational_functions(x, y):
     _assert_results_canonical(x, y)
+
+
+def test_constructor_drops_zero_coefficients():
+    assert sc.QScalar({(1, 0, 0, 0): 0, (0, 0, 0, 0): 1}) == ONE
+    assert not sc.QScalar({(1, 0, 0, 0): Fraction(0)})
+    assert sc.QScalar({(1, 0, 0, 0): 1}, {(0, 0, 0, 0): 1, (2, 0, 0, 0): 0}) == Q
+    with pytest.raises(ZeroDivisionError):
+        sc.QScalar({(0, 0, 0, 0): 1}, {(1, 0, 0, 0): 0})
+
+
+def test_constructor_clears_negative_exponents():
+    assert sc.QScalar({(-1, 0, 0, 0): 1}) == QINV
+    y = sc.QScalar({(-1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0): 1},
+                   {(0, 0, -2, 0): 1})
+    assert y == (ONE + QINV / 2) * sc.P2 ** 2
+    assert y._n == {(1, 0, 2, 0): 2, (0, 0, 2, 0): 1}
+    assert y._d == {(1, 0, 0, 0): 2}
 
 
 @pytest.mark.parametrize("x, y", itertools.product(P_FACTOR_SCALARS,
