@@ -78,7 +78,14 @@ def _cmd_normal_order(args):
             wa.SubstitutionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    print(wa.render_element(element))
+    try:
+        text = wa.render_element(element)
+    except ValueError:
+        # str() of an int refuses more than sys.get_int_max_str_digits()
+        print("error: the result has a coefficient of more than %d digits"
+              % sys.get_int_max_str_digits(), file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 

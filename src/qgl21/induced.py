@@ -22,6 +22,7 @@ representation matrices (validate_a0rep).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import scalars as sc
 from . import superalgebra as ua
@@ -119,15 +120,18 @@ class A0Rep:
     mats: dict          # E21, E23, E32, K1..K3 and inverses
     parity: tuple
 
+    @cached_property
+    def _mats(self):
+        """mats plus E31 = -E21 E32 + q^-1 E32 E21, built once."""
+        m = self.mats
+        e31 = -(m["E21"] * m["E32"]) + (m["E32"] * m["E21"]).scale(sc.QINV)
+        return dict(m, E31=e31)
+
     def mat(self, name, exp=1):
-        if name == "E31":
-            # E31 = -E21 E32 + q^-1 E32 E21
-            return -(self.mats["E21"] * self.mats["E32"]) \
-                + (self.mats["E32"] * self.mats["E21"]).scale(sc.QINV)
         if exp < 0:
             name = name + "inv"
             exp = -exp
-        base = self.mats[name]
+        base = self._mats[name]
         out = base
         for _ in range(exp - 1):
             out = out * base

@@ -18,6 +18,7 @@ parse back to equal elements.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import scalars as sc
@@ -105,7 +106,12 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("integer of more than %d digits"
+                                 % sys.get_int_max_str_digits(), i) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha():

@@ -36,6 +36,19 @@ polynomials with int or Fraction coefficients and clears their
 denominators and negative exponents first.  A rational constant on either
 side of * cancels only integers, and 1 returns the other operand.
 
+Every denominator the engine itself builds, on the W, induced-module, Fock
+and Dyson routes alike, is a product of q, q - 1, q + 1 and the p_i: the
+closed denominator basis.  Once _p_gcd has shifted out the monomial content,
+such a denominator is c * (q - 1)^i * (q + 1)^j, and a gcd with one argument
+of that form needs no PRS.  Synthetic division by q - 1 and by q + 1
+(Horner at q = +-1 on one dense q-row per monomial in the p_i, linear in
+the size of the row) gives the multiplicities v- and v+ of q -+ 1 in the
+other argument, and the gcd is gcd(c, its integer content) *
+(q - 1)^min(i, v-) * (q + 1)^min(j, v+).  The PRS still runs when neither
+argument has that form after the shift: for input from outside the engine,
+such as the parsed 1/(q + 2) or 1/(q*p1 + 1), and for factors like
+p1*q + p2.
+
 num and den are read-only views of the monic form (denominator leading
 coefficient 1, Fraction values), derived from _n/_d when read; rendering
 uses them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
@@ -232,6 +245,88 @@ def _u_prem(A, B):
     return R
 
 
+# the closed denominator basis: c * (q - 1)^i * (q + 1)^j
+
+def _q_rows(a):
+    """a as dense coefficient lists in q (constant term first), one for each
+    monomial in the p_i."""
+    rows = {}
+    for mono, c in a.items():
+        rest = mono[1:]
+        row = rows.get(rest)
+        if row is None:
+            row = rows[rest] = []
+        e = mono[0]
+        if e >= len(row):
+            row.extend([0] * (e + 1 - len(row)))
+        row[e] = c
+    return list(rows.values())
+
+
+def _q_divide(row, r):
+    """Quotient and remainder of a dense q-row by q - r (Horner)."""
+    quo = [0] * (len(row) - 1)
+    acc = 0
+    for k in range(len(row) - 1, 0, -1):
+        acc = row[k] + r * acc
+        quo[k - 1] = acc
+    return quo, row[0] + r * acc
+
+
+def _q_multiplicity(rows, r, cap):
+    """(k, quotient rows): q - r divides every row k times, k <= cap."""
+    k = 0
+    while k < cap:
+        quos = []
+        for row in rows:
+            quo, rem = _q_divide(row, r)
+            if rem:
+                return k, rows
+            quos.append(quo)
+        rows = quos
+        k += 1
+    return k, rows
+
+
+def _closed_form(a):
+    """(c, i, j) if a == c * (q - 1)^i * (q + 1)^j, else None."""
+    if any(m[1] or m[2] or m[3] for m in a):
+        return None
+    (row,) = _q_rows(a)
+    if abs(row[0]) != abs(row[-1]):
+        return None
+    i, (row,) = _q_multiplicity([row], 1, len(row))
+    j, (row,) = _q_multiplicity([row], -1, len(row))
+    return (row[0], i, j) if len(row) == 1 else None
+
+
+@cache
+def _closed_row(i, j):
+    """Dense q-row of (q - 1)^i * (q + 1)^j."""
+    row = [1]
+    for r in (1,) * i + (-1,) * j:
+        row = [lo - r * hi for lo, hi in zip([0] + row, row + [0])]
+    return row
+
+
+def _closed_gcd(a, b):
+    """gcd(a, b) if a or b is c * (q - 1)^i * (q + 1)^j, else None: the
+    multiplicities of q -+ 1 in the other come from synthetic division by
+    q -+ 1, one dense q-row per p-monomial, so no PRS step is taken."""
+    if len(a) > len(b):
+        a, b = b, a
+    for x, y in ((a, b), (b, a)):
+        form = _closed_form(x)
+        if form is not None:
+            c, i, j = form
+            vm, rows = _q_multiplicity(_q_rows(y), 1, i)
+            vp, _ = _q_multiplicity(rows, -1, j)
+            g = gcd(c, *y.values())
+            return {(e, 0, 0, 0): g * k for e, k in
+                    enumerate(_closed_row(vm, vp)) if k}
+    return None
+
+
 def _p_gcd(a, b):
     """gcd over Z: the gcd of the integer contents times the primitive gcd
     (primitive PRS), with a positive leading coefficient."""
@@ -250,6 +345,8 @@ def _p_gcd(a, b):
         core = {_UNIT_MONO: gcd(*a.values(), *b.values())}
     elif a == b:
         core = _p_positive(a)
+    elif (closed := _closed_gcd(a, b)) is not None:
+        core = closed
     else:
         # both have two or more terms after the shift, so some variable
         # occurs with a positive degree

@@ -275,14 +275,21 @@ class WElement(Combination):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = one()
-        for _ in range(n):
-            out = w_mul(out, self)
-        return out
+        out = None          # square and multiply, one() only for n == 0
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else w_mul(out, base)
+            n >>= 1
+            if n:
+                base = w_mul(base, base)
+        return one() if out is None else out
 
     def inverse(self):
         """Inverse of a scalar multiple of an invertible monomial
         (powers of t, k2, k3); anything else has no inverse in W."""
+        if not self.terms:
+            raise SubstitutionError("division by zero")
         if len(self.terms) != 1:
             raise SubstitutionError("element is not an invertible monomial")
         ((mon, c),) = self.terms.items()

@@ -1,5 +1,6 @@
-"""Shared sample builders and hypothesis strategies."""
+"""Shared sample builders, hypothesis strategies and checks."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -72,6 +73,11 @@ P_FACTOR_SCALARS = tuple(sc.QScalar(_poly(n), _poly(d)) for n, d in (
     ({(1, 0, 1, 0): 1, (0, 0, 0, 1): -1}, {(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}),
 ))
 
+# p1*q + p2 and q + 2: a gcd outside the closed basis c*(q - 1)^i*(q + 1)^j,
+# which only the PRS answers
+P1Q_PLUS_P2 = {(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}
+Q_PLUS_2 = {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2}
+
 
 def _rational_function(num_terms, den_terms, num_factor, den_factor, mono):
     """mono * (num * factor) / (den * factor) for two Laurent dicts, reduced
@@ -99,6 +105,16 @@ rational_functions = st.builds(
     st.dictionaries(q_exponents, nonzero_fractions, max_size=3),
     st.dictionaries(q_exponents, nonzero_fractions, min_size=1, max_size=3),
     maybe_factor, maybe_factor, small_exponents)
+
+
+def assert_canonical(z):
+    """The storage invariants of the integer canonical form."""
+    for poly in (z._n, z._d):
+        assert all(type(c) is int for c in poly.values())
+    assert sc._p_gcd(z._n, z._d) == sc._ONE_POLY
+    assert math.gcd(*z._n.values(), *z._d.values()) == 1
+    assert z._d[max(z._d)] > 0
+    assert sc.QScalar(dict(z.num), dict(z.den)) == z
 
 
 def substitute_monomial(x, var, exps):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -45,6 +46,29 @@ def test_normal_order_rejects_abstract_symbols(capsys):
     code, _out, err = run(capsys, "normal-order", "E12 * E21")
     assert code == 2
     assert "verify" in err
+
+
+def test_normal_order_result_too_large_to_print(capsys):
+    code, out, err = run(capsys, "normal-order", "2^100000*a")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the result has a coefficient of more than %d " \
+        "digits\n" % sys.get_int_max_str_digits()
+
+
+def test_normal_order_integer_literal_too_long(capsys):
+    code, _out, err = run(capsys, "normal-order",
+                          "1" * (sys.get_int_max_str_digits() + 1) + "*a")
+    assert code == 2
+    assert err.startswith("error: at position 0: integer of more than")
+
+
+@pytest.mark.parametrize("expr", ["1/(q-q)*a", "a/0", "a/(b*b)"])
+def test_normal_order_division_by_zero(capsys, expr):
+    code, out, err = run(capsys, "normal-order", expr)
+    assert code == 2
+    assert out == ""
+    assert err == "error: division by zero\n"
 
 
 def test_verify_lemma1(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import qgl21.scalars as sc
@@ -181,3 +183,30 @@ def test_basis_state_validation():
         InducedVector.basis_state(-1, 0)
     with pytest.raises(ValueError):
         InducedVector.basis_state(0, 2)
+
+
+def test_e31_is_built_once_per_rep(monkeypatch):
+    rep = highest_weight_a0rep(fermionic_gl11_rep())
+    products = []
+    mul = QMatrix.__mul__
+
+    def counting(a, b):
+        products.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(QMatrix, "__mul__", counting)
+    assert all_passed(check_relations_on_module(rep, 6))
+    # the two products of E31 = -E21 E32 + q^-1 E32 E21 are the only ones
+    assert len(products) == 2
+    assert rep.mat("E31") is rep.mat("E31")
+
+
+def test_e31_follows_replaced_e21_and_e32(fermionic_rep):
+    e21 = QMatrix.identity(2, sc.P1)
+    e32 = fermionic_rep.mats["E32"].scale(sc.Q)
+    rep = dataclasses.replace(
+        fermionic_rep, mats=dict(fermionic_rep.mats, E21=e21, E32=e32))
+    e31 = rep.mat("E31")
+    assert e31.nnz() == 1
+    assert e31 == -(e21 * e32) + (e32 * e21).scale(sc.QINV)
+    assert fermionic_rep.mat("E31").nnz() == 0

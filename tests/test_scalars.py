@@ -1,18 +1,25 @@
 import itertools
-import math
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
+from qgl21 import induced as ind
+from qgl21 import realization as rz
+from qgl21 import superalgebra as ua
+from qgl21.parsing import parse_w
 from conftest import (
-    P_FACTOR_SCALARS, _rational_function, nonzero_qscalars, qscalars,
-    rational_functions, substitute_monomial,
+    P1Q_PLUS_P2, P_FACTOR_SCALARS, Q_PLUS_2, _rational_function,
+    assert_canonical, nonzero_qscalars, qscalars, rational_functions,
+    substitute_monomial,
 )
 
 Q, QINV, ONE, ZERO = sc.Q, sc.QINV, sc.ONE, sc.ZERO
+NORMAL_ORDER_GOLDEN = Path(__file__).parent / "data" / "normal_order_golden.json"
 
 
 def test_additive_identity():
@@ -219,16 +226,6 @@ def test_multivariate_gcd_strips_integer_content():
                                                  for m, c in den.items()})
 
 
-def _assert_canonical(z):
-    """The storage invariants of the integer canonical form."""
-    for poly in (z._n, z._d):
-        assert all(type(c) is int for c in poly.values())
-    assert sc._p_gcd(z._n, z._d) == sc._ONE_POLY
-    assert math.gcd(*z._n.values(), *z._d.values()) == 1
-    assert z._d[max(z._d)] > 0
-    assert sc.QScalar(dict(z.num), dict(z.den)) == z
-
-
 def _assert_results_canonical(x, y):
     results = [x + y, x - y, x * y]
     if y:
@@ -236,7 +233,7 @@ def _assert_results_canonical(x, y):
     if x:
         results.append(x.invert())
     for z in results:
-        _assert_canonical(z)
+        assert_canonical(z)
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,3 +276,73 @@ def test_constructor_clears_negative_exponents():
                                                    repeat=2))
 def test_storage_invariants_on_p_factors(x, y):
     _assert_results_canonical(x, y)
+
+
+# -- the closed denominator basis c * (q - 1)^i * (q + 1)^j ---------------------
+
+def _count_prem_calls(monkeypatch):
+    """A list that grows by one at every pseudo-remainder the PRS takes."""
+    calls = []
+    prem = sc._u_prem
+
+    def counting(A, B):
+        calls.append(None)
+        return prem(A, B)
+
+    monkeypatch.setattr(sc, "_u_prem", counting)
+    return calls
+
+
+def _module_route():
+    for gl11 in (ind.trivial_gl11_rep(), ind.fermionic_gl11_rep()):
+        ind.check_relations_on_module(ind.highest_weight_a0rep(gl11), 6)
+
+
+# every denominator these routes build is a product of q, q - 1, q + 1 and
+# the p_i, so each gcd is answered by synthetic division by q -+ 1
+CLOSED_BASIS_ROUTES = {
+    "fock symbolic": lambda: rz.check_relations_on_fock("fermionic", 8),
+    "fock numeric": lambda: rz.check_relations_on_fock(
+        "fermionic", 8, rz.DEFAULT_ASSIGNMENT),
+    "induced module": _module_route,
+    "realization": lambda: [rz.verify_realization(mode) for mode in
+                            ("abstract", "trivial", "fermionic")],
+    "straightening": lambda: ua.check_straightening_identities(6),
+    "dyson": lambda: rz.dyson_check(6),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CLOSED_BASIS_ROUTES))
+def test_closed_basis_routes_never_reach_the_prs(route, monkeypatch):
+    calls = _count_prem_calls(monkeypatch)
+    CLOSED_BASIS_ROUTES[route]()
+    assert not calls
+
+
+# parser input whose denominators, q*p1 + 1 and 2*p1 + 4*q, lie outside the
+# closed basis
+GOLDEN_OUTSIDE_CLOSED_BASIS = {
+    "(p1 - 1)/(q*p1 + 1)*a + (p1 - 1)/(q*p1 + 1)*t + 2/(q*p1 + 1)",
+    "(3*q + 6)/(2*p1 + 4*q)",
+}
+
+
+def test_golden_normal_orders_reach_the_prs_only_outside_the_basis(
+        monkeypatch):
+    calls = _count_prem_calls(monkeypatch)
+    reached = set()
+    for expr, _expected in json.loads(NORMAL_ORDER_GOLDEN.read_text()):
+        del calls[:]
+        parse_w(expr)
+        if calls:
+            reached.add(expr)
+    assert reached <= GOLDEN_OUTSIDE_CLOSED_BASIS
+
+
+def test_gcd_outside_the_closed_basis_falls_back_to_the_prs(monkeypatch):
+    calls = _count_prem_calls(monkeypatch)
+    product = sc._p_mul(P1Q_PLUS_P2, Q_PLUS_2)
+    for a in (P1Q_PLUS_P2, sc._p_neg(P1Q_PLUS_P2)):
+        assert sc._p_gcd(a, product) == P1Q_PLUS_P2
+        assert sc._p_gcd(product, a) == P1Q_PLUS_P2
+    assert calls

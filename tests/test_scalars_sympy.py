@@ -4,12 +4,17 @@ zero tests (not rendered forms)."""
 
 import itertools
 import operator
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgl21.scalars as sc
-from conftest import P_FACTOR_SCALARS, rational_functions
+from conftest import (
+    P1Q_PLUS_P2, P_FACTOR_SCALARS, Q_PLUS_2, assert_canonical,
+    rational_functions,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -61,3 +66,86 @@ def test_p_factor_operations_agree_with_sympy(x, y):
 def test_self_cancellation_is_exact_zero(x):
     _agrees(x - x, sympy.Integer(0))
     _agrees(x + (-x), sympy.Integer(0))
+
+
+# -- the gcd fast path for c * (q - 1)^i * (q + 1)^j ----------------------------
+
+Q_MINUS_1 = {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1}
+Q_PLUS_1 = {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}
+
+
+def _closed(c, i, j):
+    """c * (q - 1)^i * (q + 1)^j as an integer polynomial dict."""
+    out = {(0, 0, 0, 0): c}
+    for factor in (Q_MINUS_1,) * i + (Q_PLUS_1,) * j:
+        out = sc._p_mul(out, factor)
+    return out
+
+
+def _sympy_poly(poly):
+    return sympy.Poly.from_dict(dict(poly), *SYMBOLS)
+
+
+def _sympy_gcd(a, b):
+    """gcd over ZZ with a positive lex-leading coefficient."""
+    g = _sympy_poly(a).gcd(_sympy_poly(b))
+    return -g if g.LC() < 0 else g
+
+
+def _prs_reached(A, B):
+    raise AssertionError("a closed-basis gcd reached the PRS")
+
+
+small_exponent = st.integers(min_value=0, max_value=2)
+numerator_terms = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), small_exponent,
+              small_exponent, small_exponent),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    min_size=1, max_size=4)
+contents = st.integers(min_value=-6, max_value=6).filter(bool)
+monomial_factors = st.tuples(small_exponent, small_exponent, small_exponent,
+                             small_exponent)
+factor_powers = st.integers(min_value=0, max_value=4)
+denominator_scales = st.integers(min_value=-12, max_value=12).filter(bool)
+denominator_powers = st.integers(min_value=0, max_value=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerator_terms, contents, monomial_factors, factor_powers,
+       factor_powers, denominator_scales, denominator_powers,
+       denominator_powers)
+# i = j = 0: a constant denominator
+@example({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, 3, (0, 0, 0, 0), 1, 0, 6, 0, 0)
+# a negative scale c, and a monomial factor q*p2
+@example({(1, 0, 0, 0): 2, (0, 0, 0, 0): -2}, -3, (1, 0, 1, 0), 0, 2, -4, 2, 1)
+# q - 1 divides r*s five times, the denominator twice
+@example({(1, 0, 0, 0): 1, (0, 0, 0, 0): -1}, 1, (0, 0, 0, 0), 4, 0, 2, 2, 0)
+# r free of q
+@example({(0, 1, 0, 0): 1, (0, 0, 2, 1): -3}, 2, (0, 0, 1, 0), 0, 0, 5, 3, 2)
+# both arguments in the closed basis
+@example({(0, 0, 0, 0): 1}, 4, (0, 0, 0, 0), 3, 1, 6, 1, 5)
+def test_closed_basis_gcd_agrees_with_sympy(terms, content, mono, a, b,
+                                            c, i, j):
+    r = {sc._mono_mul(m, mono): content * k for m, k in terms.items()}
+    s = _closed(1, a, b)
+    num, den = sc._p_mul(r, s), _closed(c, i, j)
+    expected = _sympy_gcd(num, den)
+    with mock.patch.object(sc, "_u_prem", _prs_reached):
+        for x, y in ((num, den), (den, num)):
+            assert _sympy_poly(sc._p_gcd(x, y)) == expected
+        got = sc.QScalar(num, den)
+        # the same quotient through Henrici * and +
+        s_scalar = (sc.Q - 1) ** a * (sc.Q + 1) ** b
+        den_inv = (c * (sc.Q - 1) ** i * (sc.Q + 1) ** j).invert()
+        product = sc.QScalar(r) * s_scalar * den_inv
+        total = sum((sc.QScalar({m: k}) * s_scalar * den_inv
+                     for m, k in r.items()), sc.ZERO)
+    assert got == product == total
+    for z in (got, product, total):
+        assert_canonical(z)
+
+
+def test_prs_fallback_agrees_with_sympy():
+    product = sc._p_mul(P1Q_PLUS_P2, Q_PLUS_2)
+    for a, b in ((P1Q_PLUS_P2, product), (product, sc._p_neg(P1Q_PLUS_P2))):
+        assert _sympy_poly(sc._p_gcd(a, b)) == _sympy_gcd(a, b)

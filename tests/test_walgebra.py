@@ -205,6 +205,17 @@ def test_element_inverse():
         g("a+").inverse()
     with pytest.raises(SubstitutionError):
         (g("t") + g("k2")).inverse()
+    with pytest.raises(SubstitutionError, match="division by zero"):
+        WElement.zero().inverse()
+
+
+def test_power_matches_repeated_products():
+    x = g("a") + g("a+").scale(sc.Q) + g("b2+")
+    product = one()
+    for n in range(7):
+        assert x ** n == product
+        product = w_mul(product, x)
+    assert g("t") ** -3 == w_mul(g("tinv"), w_mul(g("tinv"), g("tinv")))
 
 
 def test_max_raising():
