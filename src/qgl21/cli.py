@@ -63,10 +63,12 @@ def _build_parser():
     p_mat.add_argument("--mode", choices=("trivial", "fermionic"),
                        default="trivial")
     p_mat.add_argument("--numeric", action="store_true")
-    p_mat.add_argument("--q", default="3/2")
-    p_mat.add_argument("--p1", default="2")
-    p_mat.add_argument("--p2", default="3")
-    p_mat.add_argument("--p3", default="5")
+    for name, default in (("q", "3/2"), ("p1", "2"), ("p2", "3"), ("p3", "5")):
+        p_mat.add_argument(
+            "--" + name, default=default,
+            help="rational value of %s for --numeric (default %s); write a "
+                 "negative value as --%s=-7/3, since --%s -7/3 reads -7/3 "
+                 "as an option" % (name, default, name, name))
     p_mat.add_argument("--out", required=True)
     return parser
 
@@ -81,12 +83,16 @@ def _cmd_normal_order(args):
     try:
         text = wa.render_element(element)
     except ValueError:
-        # str() of an int refuses more than sys.get_int_max_str_digits()
-        print("error: the result has a coefficient of more than %d digits"
-              % sys.get_int_max_str_digits(), file=sys.stderr)
-        return 2
+        return _too_many_digits("the result has a coefficient")
     print(text)
     return 0
+
+
+def _too_many_digits(what):
+    # str() of an int refuses more than sys.get_int_max_str_digits()
+    print("error: %s of more than %d digits"
+          % (what, sys.get_int_max_str_digits()), file=sys.stderr)
+    return 2
 
 
 def _range_check(value, lo, hi, flag):
@@ -163,9 +169,26 @@ def _cmd_matrix(args):
     except (ValueError, PoleError, wa.SubstitutionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    doc = {
+    try:
+        text = json.dumps(_matrix_document(name, args.mode, fock, assignment),
+                          indent=1)
+    except ValueError:
+        return _too_many_digits("the matrix has a number")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (args.out, exc.strerror),
+              file=sys.stderr)
+        return 2
+    print("wrote %s (%d nonzero entries)" % (args.out, fock.matrix.nnz()))
+    return 0
+
+
+def _matrix_document(name, mode, fock, assignment):
+    return {
         "generator": name,
-        "mode": args.mode if name in parsing.ABSTRACT_SYMBOLS else None,
+        "mode": mode if name in parsing.ABSTRACT_SYMBOLS else None,
         "dim": fock.dim,
         "fock_levels": fock.boson_dim,
         "fermion_modes": list(fock.modes),
@@ -177,11 +200,6 @@ def _cmd_matrix(args):
             [[i, j, v.render()] for i, j, v in fock.matrix.iter_entries()],
             key=lambda e: (e[0], e[1])),
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print("wrote %s (%d nonzero entries)" % (args.out, len(doc["entries"])))
-    return 0
 
 
 def main(argv=None):

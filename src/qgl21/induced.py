@@ -190,8 +190,10 @@ def validate_a0rep(rep):
 
 
 def _a0_matrix(el, rep):
-    return ua.evaluate(el, lambda g, m: rep.mat(g) * m,
-                       QMatrix.identity(rep.dim))
+    ident = QMatrix.identity(rep.dim)
+    # every word starts from the identity, and mat(g) * 1 is mat(g)
+    return ua.evaluate(el, lambda g, m: rep.mat(g) if m is ident
+                       else rep.mat(g) * m, ident)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,10 @@ directly and then machine-verified.  Verification is dual-route:
 
 Both evaluate each side of a relation with superalgebra.evaluate, letting
 the generator images (image_of_uelement) or their matrices act on the
-identity from the left; the numeric Fock route evaluates the relation
-coefficients at the assignment first.
+identity from the left.  The numeric Fock route evaluates first: each
+relation coefficient, each image coefficient and each boson factor is
+evaluated once at the assignment, and matrix entries are products of
+rationals (see fock_matrix for why this is exact).
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -188,9 +190,18 @@ def fock_matrix(x, D, assignment=None, modes=None):
     """Render a W element on the D-level truncated Fock space.
 
     Elements still carrying abstract gl(1/1) factors have no matrix; apply
-    substitute_gl11 first.  With an assignment, entries are evaluated to
-    exact rationals (q = 0, +1, -1 are rejected as deformation
-    singularities)."""
+    substitute_gl11 first.  An entry is c * [n][n-1]...[n-l+1] q^(k(n-l)),
+    up to a fermion sign, for a monomial with coefficient c.  The boson
+    factor is built once per (l, k, n), and an entry once per (monomial,
+    n, sign), shared by the fermion occupations that give it.
+
+    With an assignment, entries are exact rationals (q = 0, +1, -1 are
+    rejected as deformation singularities, p_i = 0 as well), and they are
+    evaluated first: the value of c, taken the first time its monomial
+    gives an entry, times the value of the boson factor.  That equals the
+    value of the product and raises the same errors, because the boson
+    factor's numerator has no rational root other than 0 and +-1, so it
+    cancels no pole of c at an accepted assignment."""
     if D < 2:
         raise ValueError("Fock dimension must be at least 2")
     if x.has_gl11():
@@ -206,14 +217,37 @@ def fock_matrix(x, D, assignment=None, modes=None):
     fdim = 2 ** len(modes)
     mat = QMatrix.zero(D * fdim)
     raising = max(0, x.max_raising())
+    boson = {}      # (l, k, n) -> [n]...[n-l+1] q^(k(n-l)), or its value
+    value = {}      # monomial -> value of its coefficient at the assignment
+    entry = {}      # (monomial, n, sign) -> entry, shared by occupations
+
+    def amplitude(mon, c, n, negate):
+        key = (mon.l, mon.k, n)
+        factor = boson.get(key)
+        if factor is None:
+            factor = sc.ONE
+            for j in range(mon.l):
+                factor = factor * sc.q_integer(n - j)
+            if mon.k:
+                factor = factor * sc.q_power(mon.k * (n - mon.l))
+            if assignment is not None:
+                factor = factor.evaluate(**assignment)
+            boson[key] = factor
+        if assignment is None:
+            return -(c * factor) if negate else c * factor
+        if mon not in value:
+            value[mon] = c.evaluate(**assignment)
+        amp = value[mon] * factor
+        return QScalar.from_rational(-amp if negate else amp)
+
     for col, lab in enumerate(basis):
         n = lab[0]
         occ = dict(zip(modes, lab[1:]))
         for mon, c in x.terms.items():
-            amp = c
             # mode-2 operators act first and cross the mode-1 occupation
             f1 = occ.get(1, 0)
             f2 = occ.get(2, 0)
+            negate = False
             if mon.i2 or mon.j2:
                 if 2 not in occ:
                     raise ValueError("element uses fermion mode 2 "
@@ -226,8 +260,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
                     if f2 == 1:
                         continue
                     f2 = 1
-                if f1 and (mon.i2 + mon.j2) & 1:
-                    amp = -amp
+                negate = bool(f1 and (mon.i2 + mon.j2) & 1)
             if mon.i1 or mon.j1:
                 if 1 not in occ:
                     raise ValueError("element uses fermion mode 1 "
@@ -241,21 +274,15 @@ def fock_matrix(x, D, assignment=None, modes=None):
                         continue
                     f1 = 1
             # boson: a^l, then t^k, then a+^m
-            if n < mon.l:
-                continue
-            n2 = n
-            for _ in range(mon.l):
-                amp = amp * sc.q_integer(n2)
-                n2 -= 1
-            if mon.k:
-                amp = amp * sc.q_power(mon.k * n2)
-            n2 += mon.m
-            if n2 >= D:
-                continue        # truncated
+            n2 = n - mon.l + mon.m
+            if n < mon.l or n2 >= D:
+                continue        # annihilated or truncated
+            key = (mon, n, negate)
+            amp = entry.get(key)
+            if amp is None:
+                amp = entry[key] = amplitude(mon, c, n, negate)
             row_lab = (n2,) + tuple(
                 f1 if mode == 1 else f2 for mode in modes)
-            if assignment is not None:
-                amp = QScalar.from_rational(amp.evaluate(**assignment))
             mat.add_entry(index[row_lab], col, amp)
     boundary = tuple(i for i, lab in enumerate(basis)
                      if lab[0] >= D - raising)
@@ -330,13 +357,17 @@ def check_relations_on_fock(mode, D, assignment=None):
     mats = {nm: fock_matrix(el, D, assignment, modes).matrix
             for nm, el in images.items()}
     shifts = relation_shifts(mode)
+    ident = QMatrix.identity(D * fdim)
+
+    def apply(g, m):
+        # every word starts from the identity, and mats[g] * 1 is mats[g]
+        return mats[g] if m is ident else mats[g] * m
 
     def side_matrix(el):
         if assignment is not None:
             el = ua.UElement({w: QScalar.from_rational(c.evaluate(**assignment))
                               for w, c in el.terms.items()})
-        return ua.evaluate(el, lambda g, m: mats[g] * m,
-                           QMatrix.identity(D * fdim))
+        return ua.evaluate(el, apply, ident)
 
     results = []
     for rel in ua.relation_set():

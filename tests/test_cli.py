@@ -180,6 +180,42 @@ def test_matrix_export_rejects_zero_denominator(capsys, tmp_path, flag):
     assert not out_path.exists()
 
 
+def test_matrix_export_negative_assignment(capsys, tmp_path):
+    # argparse reads "--q -7/3" as two options; "--q=-7/3" is one
+    out_path = tmp_path / "k1.json"
+    code, _out, _err = run(capsys, "matrix", "K1", "--dim", "4", "--numeric",
+                           "--q=-7/3", "--p1=-2", "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["assignment"]["q"] == "-7/3"
+    assert doc["assignment"]["p1"] == "-2"
+    assert run(capsys, "matrix", "K1", "--dim", "4", "--numeric",
+               "--q", "-7/3", "--out", str(out_path))[0] == 2
+
+
+def test_matrix_export_to_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run(capsys, "matrix", "E21", "--dim", "8",
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("dim, q", [("64", "1e400"), ("8", "1e5000")])
+def test_matrix_export_of_too_long_numbers_exits_2(capsys, tmp_path, dim, q):
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, "matrix", "K1", "--dim", dim, "--numeric",
+                         "--q", q, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the matrix has a number of more than %d digits\n" \
+        % sys.get_int_max_str_digits()
+    assert not out_path.exists()
+
+
 def test_matrix_export_w_generator(capsys, tmp_path):
     out_path = tmp_path / "t.json"
     code, _out, _err = run(capsys, "matrix", "t", "--dim", "3",

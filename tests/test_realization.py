@@ -1,15 +1,19 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgl21.scalars as sc
 from conftest import substitute_monomial
+from qgl21.parsing import parse_w
 from qgl21.qmatrix import QMatrix
 from qgl21.realization import (
-    GENERATOR_IMAGE_NAMES, check_relations_on_fock, dyson_check, fock_matrix,
-    image_of_uelement, realization_map, relation_shifts, rho,
-    verify_realization,
+    DEFAULT_ASSIGNMENT, GENERATOR_IMAGE_NAMES, check_relations_on_fock,
+    dyson_check, fock_matrix, fock_modes, image_of_uelement, realization_map,
+    relation_shifts, rho, verify_realization,
 )
 from qgl21.reporting import all_passed
 from qgl21.superalgebra import relation_set
@@ -227,6 +231,122 @@ def test_rendering_commutes_with_substitution():
                 substitute_gl11(rho(name, "abstract"), mode), 5,
                 modes=modes).matrix
             assert direct == via_subst
+
+
+# -- the numeric route evaluates first ----------------------------------------
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# what _check_assignment accepts: q outside {0, +-1}, every p_i nonzero
+accepted_assignments = st.fixed_dictionaries({
+    "q": _rationals.filter(lambda v: v not in (0, 1, -1)),
+    "p1": _rationals.filter(bool),
+    "p2": _rationals.filter(bool),
+    "p3": _rationals.filter(bool),
+})
+
+# coefficients with poles only where an accepted assignment never goes
+_COEFFICIENTS = ("1", "-2/3", "q^-3", "p1/(q - 1)", "p2/(q + 1)^2",
+                 "q*p3^-1", "(q + 1)/q")
+_MONOMIALS = ("1", "a", "a+", "a^2*t", "a+^2*t^-3", "t^-1*b+", "b*b2+",
+              "a*t^2*b+*b2", "a^3*b2+*b2")
+w_elements = st.lists(
+    st.tuples(st.sampled_from(_COEFFICIENTS), st.sampled_from(_MONOMIALS)),
+    min_size=1, max_size=4,
+).map(lambda terms: parse_w(" + ".join("(%s)*%s" % t for t in terms)))
+
+
+def _evaluated(fock, assignment):
+    """A symbolic Fock matrix with every entry evaluated at the assignment."""
+    m = fock.matrix
+    return QMatrix.from_entries(m.nrows, m.ncols, (
+        (i, j, sc.QScalar.from_rational(v.evaluate(**assignment)))
+        for i, j, v in m.iter_entries()))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (sc.PoleError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_image(name, mode):
+    return fock_matrix(rho(name, mode), 8, modes=fock_modes(mode))
+
+
+@settings(max_examples=12, deadline=None)
+@given(accepted_assignments)
+def test_fock_numeric_equals_symbolic_evaluated_on_images(assignment):
+    for mode in ("trivial", "fermionic"):
+        for name in GENERATOR_IMAGE_NAMES:
+            numeric = fock_matrix(rho(name, mode), 8, assignment,
+                                  fock_modes(mode))
+            expected = _evaluated(_symbolic_image(name, mode), assignment)
+            assert numeric.matrix == expected, (mode, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w_elements, st.sampled_from((2, 5, 8)), accepted_assignments)
+@example(parse_w("1/(q + 2)*a"), 8,
+         {"q": -2, "p1": 2, "p2": 3, "p3": 5}).via("a pole of c")
+@example(parse_w("1/(q + 2)*a^3"), 2,
+         {"q": -2, "p1": 2, "p2": 3, "p3": 5}).via("c never gives an entry")
+@example(rho("K1", "fermionic"), 8, {"q": 2}).via("p1 unassigned")
+def test_fock_numeric_equals_symbolic_evaluated_on_w_elements(x, D,
+                                                              assignment):
+    numeric = _outcome(
+        lambda: fock_matrix(x, D, assignment, (1, 2)).matrix)
+    expected = _outcome(
+        lambda: _evaluated(fock_matrix(x, D, modes=(1, 2)), assignment))
+    assert numeric == expected
+
+
+def test_fock_numeric_error_parity_cases():
+    pole = {"q": -2, "p1": 2, "p2": 3, "p3": 5}
+    with pytest.raises(sc.PoleError):
+        fock_matrix(parse_w("1/(q + 2)*a"), 8, pole)
+    # a^3 annihilates every state of a 2-level space: c is never evaluated
+    assert fock_matrix(parse_w("1/(q + 2)*a^3"), 2, pole).matrix.nnz() == 0
+    with pytest.raises(ValueError, match="no value assigned for p1"):
+        fock_matrix(rho("K1", "fermionic"), 8, {"q": 2}, (1, 2))
+
+
+def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
+        monkeypatch):
+    # evaluation first: once per monomial and once per (l, k, n), never
+    # once per entry
+    calls = []
+    evaluate = sc.QScalar.evaluate
+
+    def counting(self, **assignment):
+        calls.append(None)
+        return evaluate(self, **assignment)
+
+    monkeypatch.setattr(sc.QScalar, "evaluate", counting)
+    D = 16
+    x = rho("E21", "fermionic")
+    fock = fock_matrix(x, D, DEFAULT_ASSIGNMENT, (1, 2))
+    boson_factors = {(mon.l, mon.k, n) for mon in x.terms
+                     for n in range(mon.l, D)}
+    assert len(calls) <= len(x.terms) + len(boson_factors)
+    assert len(calls) < fock.matrix.nnz()
+
+
+def test_fock_relation_check_skips_identity_products(monkeypatch):
+    # each word starts from the identity; its first letter is the
+    # generator's matrix itself, not a product with the identity
+    calls = []
+    mul = QMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "__mul__", counting)
+    results = check_relations_on_fock("fermionic", 16)
+    assert all_passed(results)
+    assert len(calls) == 73
 
 
 # -- relation checks on the Fock space ----------------------------------------
