@@ -4,8 +4,7 @@ A0Rep is a finite-dimensional representation of the parabolic subalgebra A0
 (generated by E21, E23, E32 and the K_i^{+-1}) on a graded space V; from a
 gl(1/1) representation one builds the highest-weight A0Rep with E21 -> 0 and
 K1 -> p1 * id.  The module W has basis (N, M, v-index) with N unbounded
-(states materialize lazily, so no truncation enters these checks), M in
-{0, 1}.
+(states materialize lazily) and M in {0, 1}.
 
 Two independent action routes are implemented:
 
@@ -14,9 +13,12 @@ Two independent action routes are implemented:
                 push the leftover A0 word into V through the matrices.
 
 Their agreement over the verification grid certifies the closed formulas.
-The relation checks go through superalgebra.evaluate: on the module with
-act as the generator action (apply_uelement), and inside A0 with the
-representation matrices (validate_a0rep).
+The relation checks are calls to superalgebra.check_relations, with the A0
+representation matrices (validate_a0rep) and with the matrices of act on
+the states N <= nmax, compared on the columns N <= nmax - 2
+(check_relations_on_module).  That truncation is exact: each letter raises
+N by at most 1 and no relation word has more than two letters, so from
+N <= nmax - 2 a word passes only through states N <= nmax.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import scalars as sc
 from . import superalgebra as ua
 from .linear import Combination, accumulate
 from .qmatrix import QMatrix
-from .reporting import CheckResult
+from .reporting import CheckResult, residual_results
 
 
 class RepresentationError(ValueError):
@@ -101,8 +103,8 @@ def validate_gl11_rep(rep):
         ("e32^2 = 0", m["e32"] * m["e32"]),
         ("{e23, e32} = cartan", m["e23"] * m["e32"] + m["e32"] * m["e23"] - cartan),
     ]
-    results = [CheckResult(name, residual.nnz() == 0, residual.nnz())
-               for name, residual in checks]
+    results = residual_results((name, residual, None)
+                               for name, residual in checks)
     for name in ("e23", "e32"):
         bad = sum(1 for i, j, _v in m[name].iter_entries()
                   if rep.parity[i] == rep.parity[j])
@@ -169,15 +171,11 @@ def highest_weight_a0rep(gl11rep):
 
 def validate_a0rep(rep):
     """Report on every defining relation that lives inside A0."""
-    results = []
     a0_names = set(ua.A0_GENERATOR_NAMES)
-    for rel in ua.relation_set():
-        letters = {nm for w in list(rel.lhs.terms) + list(rel.rhs.terms)
-                   for nm, _e in w}
-        if not letters <= a0_names:
-            continue
-        residual = _a0_matrix(rel.lhs, rep) - _a0_matrix(rel.rhs, rep)
-        results.append(CheckResult(rel.name, residual.nnz() == 0, residual.nnz()))
+    rels = [rel for rel in ua.relation_set()
+            if {nm for w in list(rel.lhs.terms) + list(rel.rhs.terms)
+                for nm, _e in w} <= a0_names]
+    results = ua.check_relations(rels, rep._mats, QMatrix.identity(rep.dim))
     for name in ("E23", "E32"):
         bad = sum(1 for i, j, _v in rep.mats[name].iter_entries()
                   if rep.parity[i] == rep.parity[j])
@@ -187,13 +185,6 @@ def validate_a0rep(rep):
                   if rep.parity[i] != rep.parity[j])
         results.append(CheckResult("%s preserves parity" % name, bad == 0, bad))
     return results
-
-
-def _a0_matrix(el, rep):
-    ident = QMatrix.identity(rep.dim)
-    # every word starts from the identity, and mat(g) * 1 is mat(g)
-    return ua.evaluate(el, lambda g, m: rep.mat(g) if m is ident
-                       else rep.mat(g) * m, ident)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +310,23 @@ def apply_uelement(el, x, rep):
 
 
 def check_relations_on_module(rep, nmax):
-    """Apply every defining relation to all basis states with N <= nmax - 2
-    (each relation raises N by at most 2) and report the residuals."""
+    """Check every defining relation on the basis states N <= nmax - 2, with
+    the generators as matrices on the states N <= nmax: one act call per
+    generator and state (see the module docstring for why this is exact)."""
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    results = []
-    for rel in ua.relation_set():
-        residuals = 0
-        for N in range(nmax - 1):
-            for M in (0, 1):
-                for i in range(rep.dim):
-                    state = InducedVector.basis_state(N, M, i)
-                    diff = apply_uelement(rel.lhs, state, rep) \
-                        - apply_uelement(rel.rhs, state, rep)
-                    residuals += len(diff.terms)
-        results.append(CheckResult(rel.name, residuals == 0, residuals))
-    return results
+    states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
+              for i in range(rep.dim)]
+    index = {state: k for k, state in enumerate(states)}
+    mats = {}
+    for g in ACT_GENERATORS:
+        mats[g] = QMatrix.zero(len(states))
+        for col, state in enumerate(states):
+            image = act(g, InducedVector.basis_state(*state), rep)
+            for target, c in image.terms.items():
+                if target in index:
+                    mats[g].add_entry(index[target], col, c)
+    checked = range(2 * rep.dim * (nmax - 1))      # the states N <= nmax - 2
+    return ua.check_relations(ua.relation_set(), mats,
+                              QMatrix.identity(len(states)),
+                              lambda rel: checked)

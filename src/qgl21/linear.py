@@ -97,6 +97,9 @@ class Combination:
     def is_zero(self):
         return not self.terms
 
+    def nnz(self):
+        return len(self.terms)
+
 
 def render_terms(pairs):
     """Signed sum of (QScalar, basis string) pairs, in the given order; the

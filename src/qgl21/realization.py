@@ -23,12 +23,12 @@ directly and then machine-verified.  Verification is dual-route:
   truncated Fock space and the relations are re-checked by exact matrix
   arithmetic on the truncation-safe columns.
 
-Both evaluate each side of a relation with superalgebra.evaluate, letting
-the generator images (image_of_uelement) or their matrices act on the
-identity from the left.  The numeric Fock route evaluates first: each
-relation coefficient, each image coefficient and each boson factor is
-evaluated once at the assignment, and matrix entries are products of
-rationals (see fock_matrix for why this is exact).
+Both are calls to superalgebra.check_relations, the one relation checker
+of all four routes, with the generator images (on the W identity) or their
+matrices (on the identity matrix) acting from the left.  The numeric Fock
+route evaluates first: each relation coefficient, each image coefficient
+and each boson factor is evaluated once at the assignment, and matrix
+entries are products of rationals (see fock_matrix for why this is exact).
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -43,7 +43,7 @@ from . import scalars as sc
 from . import superalgebra as ua
 from . import walgebra as wa
 from .qmatrix import QMatrix
-from .reporting import CheckResult
+from .reporting import residual_results
 from .scalars import QScalar
 from .walgebra import generator, substitute_gl11, w_mul
 
@@ -118,20 +118,15 @@ def realization_map(mode="abstract"):
     """The generator-image table for a subalgebra mode, cached."""
     if mode not in SUBALGEBRA_MODES:
         raise ValueError("unknown subalgebra mode %r" % mode)
-    cached = _IMAGE_CACHE.get(mode)
-    if cached is None:
-        abstract = _IMAGE_CACHE.get("abstract")
-        if abstract is None:
-            abstract = RealizationMap("abstract", _abstract_images())
-            _IMAGE_CACHE["abstract"] = abstract
-        if mode == "abstract":
-            cached = abstract
-        else:
-            cached = RealizationMap(mode, {
+    if mode not in _IMAGE_CACHE:
+        if "abstract" not in _IMAGE_CACHE:
+            _IMAGE_CACHE["abstract"] = RealizationMap(
+                "abstract", _abstract_images())
+        if mode != "abstract":
+            _IMAGE_CACHE[mode] = RealizationMap(mode, {
                 name: substitute_gl11(el, mode)
-                for name, el in abstract.images.items()})
-            _IMAGE_CACHE[mode] = cached
-    return cached
+                for name, el in _IMAGE_CACHE["abstract"].images.items()})
+    return _IMAGE_CACHE[mode]
 
 
 def rho(g, mode="abstract"):
@@ -150,11 +145,8 @@ def image_of_uelement(el, mode="abstract"):
 def verify_realization(mode="abstract"):
     """Map every defining relation through rho and reduce in W; the report
     lists the exact residual term count for each relation."""
-    results = []
-    for rel in ua.relation_set():
-        diff = image_of_uelement(rel.lhs, mode) - image_of_uelement(rel.rhs, mode)
-        results.append(CheckResult(rel.name, diff.is_zero(), len(diff.terms)))
-    return results
+    return ua.check_relations(ua.relation_set(), realization_map(mode).images,
+                              wa.one())
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +323,8 @@ def relation_shifts(mode):
     raise_of = {nm: max(0, el.max_raising()) for nm, el in images.items()}
 
     def word_shift(word):
-        total = 0
-        for nm, e in word:
-            key = nm if e > 0 else nm + "inv"
-            total += raise_of[key] * abs(e)
-        return total
+        return sum(raise_of[nm if e > 0 else nm + "inv"] * abs(e)
+                   for nm, e in word)
 
     shifts = {}
     for rel in ua.relation_set():
@@ -346,41 +335,33 @@ def relation_shifts(mode):
 
 def check_relations_on_fock(mode, D, assignment=None):
     """Re-check every relation by exact matrix arithmetic on the truncated
-    Fock space, comparing only truncation-safe columns."""
+    Fock space, on the columns of the levels n < D - s for a relation whose
+    words raise the boson number by up to s."""
     if mode not in ("trivial", "fermionic"):
         raise ValueError("Fock checks need a concrete subalgebra mode")
     if D < 4:
         raise ValueError("Fock dimension must be at least 4")
-    images = realization_map(mode).images
     modes = fock_modes(mode)
     fdim = 2 ** len(modes)
     mats = {nm: fock_matrix(el, D, assignment, modes).matrix
-            for nm, el in images.items()}
+            for nm, el in realization_map(mode).images.items()}
     shifts = relation_shifts(mode)
-    ident = QMatrix.identity(D * fdim)
-
-    def apply(g, m):
-        # every word starts from the identity, and mats[g] * 1 is mats[g]
-        return mats[g] if m is ident else mats[g] * m
-
-    def side_matrix(el):
-        if assignment is not None:
-            el = ua.UElement({w: QScalar.from_rational(c.evaluate(**assignment))
-                              for w, c in el.terms.items()})
-        return ua.evaluate(el, apply, ident)
-
-    results = []
-    for rel in ua.relation_set():
-        shift = shifts[rel.name]
-        safe_cols = [i for i in range(D * fdim)
-                     if i // fdim <= D - 1 - shift]
-        excluded = D * fdim - len(safe_cols)
-        diff = side_matrix(rel.lhs) - side_matrix(rel.rhs)
-        residuals = diff.nnz(cols=safe_cols)
-        results.append(CheckResult(
-            rel.name, residuals == 0, residuals,
-            detail="%d boundary columns excluded" % excluded))
+    rels = ua.relation_set()
+    if assignment is not None:
+        rels = [rel._replace(lhs=_evaluated(rel.lhs, assignment),
+                             rhs=_evaluated(rel.rhs, assignment))
+                for rel in rels]
+    results = ua.check_relations(
+        rels, mats, QMatrix.identity(D * fdim),
+        lambda rel: range(fdim * (D - shifts[rel.name])))
+    for r in results:
+        r.detail = "%d boundary columns excluded" % (fdim * shifts[r.name])
     return results
+
+
+def _evaluated(el, assignment):
+    return ua.UElement({w: QScalar.from_rational(c.evaluate(**assignment))
+                        for w, c in el.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +415,4 @@ def dyson_check(D):
         ("a a+ - q a+ a = q^-x",
          a_dyson * aplus - (aplus * a_dyson).scale(sc.Q) - tinv_dyson, safe),
     ]
-    results = []
-    for name, residual, cols in checks:
-        bad = residual.nnz(cols=cols)
-        results.append(CheckResult(name, bad == 0, bad))
-    return results
+    return residual_results(checks)

@@ -13,6 +13,16 @@ class CheckResult:
     detail: str = ""
 
 
+def residual_results(checks):
+    """A CheckResult per (name, residual, cols): the nonzero terms or
+    entries of residual, in the columns cols unless cols is None."""
+    results = []
+    for name, residual, cols in checks:
+        bad = residual.nnz() if cols is None else residual.nnz(cols)
+        results.append(CheckResult(name, bad == 0, bad))
+    return results
+
+
 def all_passed(results):
     return all(r.passed for r in results)
 

@@ -7,11 +7,9 @@ which doubles as the free algebra used by the derivation-chain tests.
 
 evaluate is the one evaluator of a UElement through generator images: it
 folds each word right to left, acc = apply(g, acc), and sums coeff * acc.
-All four verification routes check the relation set through it: W normal
-ordering (realization.image_of_uelement, apply = left multiplication by a
-generator image in W), the induced module (induced.apply_uelement,
-apply = act), and the Fock and A0 matrices (apply = left multiplication by
-a generator matrix).
+check_relations, built on it, is the one relation checker of all four
+verification routes: W images on the W identity, the Fock matrices, the
+generator matrices of the induced module and the A0 matrices.
 
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
 E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
@@ -33,6 +31,7 @@ from typing import NamedTuple
 
 from . import scalars as sc
 from .linear import Combination, accumulate, render_terms
+from .reporting import residual_results
 from .scalars import QScalar
 
 ODD_GENERATORS = ("E23", "E32", "E13", "E31")
@@ -119,8 +118,21 @@ def evaluate(el, apply, start):
             g = nm if e > 0 else nm + "inv"
             for _ in range(abs(e)):
                 acc = apply(g, acc)
-        total = total + acc.scale(c)
+        total = total + (acc if c.is_one() else acc.scale(c))
     return total
+
+
+def check_relations(relations, gens, unit, cols=None):
+    """One CheckResult per relation: the residual lhs - rhs, with gens[g]
+    acting from the left on unit (gens[g] itself when the operand is unit),
+    counted in the columns cols(rel), or in full when cols is None."""
+    def apply(g, acc):
+        return gens[g] if acc is unit else gens[g] * acc
+
+    return residual_results(
+        (rel.name, evaluate(rel.lhs - rel.rhs, apply, unit),
+         None if cols is None else cols(rel))
+        for rel in relations)
 
 
 def render_word(word):

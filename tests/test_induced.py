@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import qgl21.scalars as sc
+from qgl21 import induced
 from qgl21.induced import (
     ACT_GENERATORS, A0Rep, Gl11Rep, InducedVector, RepresentationError,
     act, act_oracle, apply_uelement, check_relations_on_module,
@@ -195,10 +196,25 @@ def test_e31_is_built_once_per_rep(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(QMatrix, "__mul__", counting)
-    assert all_passed(check_relations_on_module(rep, 6))
-    # the two products of E31 = -E21 E32 + q^-1 E32 E21 are the only ones
+    e31 = rep.mat("E31")
+    # the two products of E31 = -E21 E32 + q^-1 E32 E21
     assert len(products) == 2
-    assert rep.mat("E31") is rep.mat("E31")
+    assert rep.mat("E31") is e31
+    assert len(products) == 2
+
+
+def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
+    rep = highest_weight_a0rep(fermionic_gl11_rep())
+    calls = []
+
+    def counting(g, x, r):
+        calls.append(g)
+        return act(g, x, r)
+
+    monkeypatch.setattr(induced, "act", counting)
+    assert all_passed(check_relations_on_module(rep, 6))
+    # 12 generators x 7 levels N <= 6 x 2 values of M x dim 2
+    assert len(calls) == 336
 
 
 def test_e31_follows_replaced_e21_and_e32(fermionic_rep):

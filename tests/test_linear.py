@@ -1,4 +1,5 @@
-"""The shared linear-space type and the one UElement evaluator."""
+"""The shared linear-space type, the one UElement evaluator and the one
+relation checker built on it."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from qgl21.induced import InducedVector, act
 from qgl21.linear import accumulate
 from qgl21.qmatrix import QMatrix
 from qgl21.realization import rho
-from qgl21.superalgebra import UElement, evaluate
+from qgl21.superalgebra import Relation, UElement, check_relations, evaluate
 from qgl21.walgebra import WElement, generator, one, w_mul
 
 W = UElement.word
@@ -115,3 +116,44 @@ def test_evaluate_zero_results(target):
     assert evaluate(UElement.zero(), apply, start) == zero
     # E23 is nilpotent on every target, so the word vanishes
     assert evaluate(W(("E23", 1), ("E23", 1)), apply, start) == zero
+
+
+# -- check_relations, the one relation checker ------------------------------------
+
+def _two_by_two():
+    """X = diag(1, 2) and Y = |0><1|: X X^-1 = 1 holds, while X Y - Y X is
+    -|0><1|, nonzero in column 1 only."""
+    two = sc.QScalar.from_rational(2)
+    gens = {
+        "X": QMatrix.from_entries(2, 2, [(0, 0, sc.ONE), (1, 1, two)]),
+        "Xinv": QMatrix.from_entries(2, 2, [(0, 0, sc.ONE),
+                                            (1, 1, two.invert())]),
+        "Y": QMatrix.from_entries(2, 2, [(0, 1, sc.ONE)]),
+    }
+    relations = [
+        Relation("X Y = Y X", "test", W(("X", 1), ("Y", 1)),
+                 W(("Y", 1), ("X", 1))),
+        Relation("X X^-1 = 1", "test", W(("X", 1), ("X", -1)),
+                 UElement.one()),
+    ]
+    return relations, gens
+
+
+def test_check_relations_counts_residual_entries_in_the_given_columns():
+    relations, gens = _two_by_two()
+    unit = QMatrix.identity(2)
+    results = check_relations(relations, gens, unit)
+    assert [(r.name, r.passed, r.residuals) for r in results] == [
+        ("X Y = Y X", False, 1), ("X X^-1 = 1", True, 0)]
+    results = check_relations(relations, gens, unit, cols=lambda rel: [0])
+    assert [(r.passed, r.residuals) for r in results] == [(True, 0), (True, 0)]
+
+
+def test_check_relations_on_w_counts_residual_terms():
+    gens = {"A": generator("a"), "B": generator("a+")}
+    rel = Relation("A B = B A", "test", W(("A", 1), ("B", 1)),
+                   W(("B", 1), ("A", 1)))
+    residual = w_mul(gens["A"], gens["B"]) - w_mul(gens["B"], gens["A"])
+    [result] = check_relations([rel], gens, one())
+    assert not result.passed
+    assert result.residuals == len(residual.terms) > 0

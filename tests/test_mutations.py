@@ -64,3 +64,34 @@ def test_module_route_catches_doubled_k2():
     assert _failed(ind.check_relations_on_module(_doubled_k2_rep(), 4)) == {
         "K2 K2^-1 = 1", CARTAN_23, "E21 E31 = q E31 E21",
         "E31 = -E21 E32 + q^-1 E32 E21"}
+
+
+# -- E12 raising N by two on the module ---------------------------------------------
+
+# the residual counts of an untruncated check (each relation applied through
+# act to the states N <= 2, with N unbounded)
+E12_BY_TWO_BREAKS = {
+    "E12 E13 = q E13 E12": 6,
+    "E13 = E12 E23 - q^-1 E23 E12": 18,
+    "K1 E12 = q^+1 E12 K1": 12,
+    "K2 E12 = q^-1 E12 K2": 12,
+    "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)": 24,
+}
+
+
+def test_module_truncation_hides_no_fault(monkeypatch):
+    # the faulty E12 raises N by two, so its words leave the states N <= nmax
+    # that the module check builds; the residuals must all still show
+    act = ind.act
+
+    def e12_by_two(g, x, rep):
+        if g == "E12":
+            return ind.InducedVector({(N + 2, M, i): c
+                                      for (N, M, i), c in x.terms.items()})
+        return act(g, x, rep)
+
+    monkeypatch.setattr(ind, "act", e12_by_two)
+    rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
+    results = ind.check_relations_on_module(rep, 4)
+    assert {r.name: r.residuals for r in results if not r.passed} \
+        == E12_BY_TWO_BREAKS

@@ -349,6 +349,21 @@ def test_fock_relation_check_skips_identity_products(monkeypatch):
     assert len(calls) == 73
 
 
+def test_fock_relation_check_never_scales_by_one(monkeypatch):
+    coeffs = []
+    scale = QMatrix.scale
+
+    def recording(self, c):
+        coeffs.append(c)
+        return scale(self, c)
+
+    monkeypatch.setattr(QMatrix, "scale", recording)
+    assert all_passed(
+        check_relations_on_fock("fermionic", 16, DEFAULT_ASSIGNMENT))
+    assert coeffs
+    assert not [c for c in coeffs if c == 1]
+
+
 # -- relation checks on the Fock space ----------------------------------------
 
 @pytest.mark.parametrize("mode", ["trivial", "fermionic"])
