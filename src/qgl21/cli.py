@@ -80,6 +80,10 @@ def _cmd_normal_order(args):
             wa.SubstitutionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the expression is nested too deeply, or its powers "
+              "are too large, to evaluate", file=sys.stderr)
+        return 2
     try:
         text = wa.render_element(element)
     except ValueError:
@@ -114,9 +118,7 @@ def _cmd_verify(args):
         nmax = 6 if args.nmax is None else args.nmax
         if not _range_check(nmax, 2, 12, "--nmax"):
             return 2
-        results = [
-            CheckResult(name, ok, bad)
-            for name, ok, bad in ua.check_straightening_identities(nmax)]
+        results = ua.check_straightening_identities(nmax)
         title = "straightening identities, closed form vs single swaps " \
                 "(n <= %d)" % nmax
     elif suite == "induced":

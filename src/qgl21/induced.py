@@ -13,12 +13,14 @@ Two independent action routes are implemented:
                 push the leftover A0 word into V through the matrices.
 
 Their agreement over the verification grid certifies the closed formulas.
-The relation checks are calls to superalgebra.check_relations, with the A0
-representation matrices (validate_a0rep) and with the matrices of act on
-the states N <= nmax, compared on the columns N <= nmax - 2
-(check_relations_on_module).  That truncation is exact: each letter raises
-N by at most 1 and no relation word has more than two letters, so from
-N <= nmax - 2 a word passes only through states N <= nmax.
+The relation checks are calls to superalgebra.check_relations: the gl(1/1)
+plug-ins against the defining relations among E23, E32, K2 and K3
+(validate_gl11_rep), the A0 representation against those inside A0
+(validate_a0rep), both with the parity of the odd letters, and the module
+with the matrices of act on the states N <= nmax, compared on the columns
+N <= nmax - 2 (check_relations_on_module).  That truncation is exact: each
+letter raises N by at most 1 and no relation word has more than two
+letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
 """
 
 from __future__ import annotations
@@ -85,31 +87,30 @@ def fermionic_gl11_rep():
         parity=(0, 1))
 
 
-def validate_gl11_rep(rep):
-    """Check the gl(1/1) relations as matrix identities."""
-    m = rep.mats
-    d = rep.dim
-    ident = QMatrix.identity(d)
-    cartan = (m["k2"] * m["k3"] - m["k2inv"] * m["k3inv"]).scale(sc.EPS_INV)
-    checks = [
-        ("k2 k2^-1 = 1", m["k2"] * m["k2inv"] - ident),
-        ("k3 k3^-1 = 1", m["k3"] * m["k3inv"] - ident),
-        ("k2 k3 = k3 k2", m["k2"] * m["k3"] - m["k3"] * m["k2"]),
-        ("k2 e23 = q e23 k2", m["k2"] * m["e23"] - (m["e23"] * m["k2"]).scale(sc.Q)),
-        ("k3 e23 = q^-1 e23 k3", m["k3"] * m["e23"] - (m["e23"] * m["k3"]).scale(sc.QINV)),
-        ("k2 e32 = q^-1 e32 k2", m["k2"] * m["e32"] - (m["e32"] * m["k2"]).scale(sc.QINV)),
-        ("k3 e32 = q e32 k3", m["k3"] * m["e32"] - (m["e32"] * m["k3"]).scale(sc.Q)),
-        ("e23^2 = 0", m["e23"] * m["e23"]),
-        ("e32^2 = 0", m["e32"] * m["e32"]),
-        ("{e23, e32} = cartan", m["e23"] * m["e32"] + m["e32"] * m["e23"] - cartan),
-    ]
-    results = residual_results((name, residual, None)
-                               for name, residual in checks)
-    for name in ("e23", "e32"):
-        bad = sum(1 for i, j, _v in m[name].iter_entries()
-                  if rep.parity[i] == rep.parity[j])
-        results.append(CheckResult("%s flips parity" % name, bad == 0, bad))
+def _check_rep(mats, dim, parity):
+    """The relations of relation_set() whose letters all have matrices in
+    mats, checked on the identity; then E23 and E32 must flip parity and
+    E21 preserve it (those of them that mats has)."""
+    def known(word):
+        return all((nm if e > 0 else nm + "inv") in mats for nm, e in word)
+
+    rels = [rel for rel in ua.relation_set()
+            if all(map(known, (*rel.lhs.terms, *rel.rhs.terms)))]
+    results = ua.check_relations(rels, mats, QMatrix.identity(dim))
+    for name, verb in (("E23", "flips"), ("E32", "flips"),
+                       ("E21", "preserves")):
+        if name in mats:
+            bad = sum(1 for i, j, _v in mats[name].iter_entries()
+                      if (parity[i] == parity[j]) == (verb == "flips"))
+            results.append(CheckResult("%s %s parity" % (name, verb),
+                                       bad == 0, bad))
     return results
+
+
+def validate_gl11_rep(rep):
+    """Check the defining relations among E23, E32, K2 and K3, and parity."""
+    return _check_rep({nm.capitalize(): m for nm, m in rep.mats.items()},
+                      rep.dim, rep.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -155,36 +156,15 @@ def highest_weight_a0rep(gl11rep):
         raise RepresentationError(
             "gl(1/1) relations violated: " + ", ".join(r.name for r in bad))
     d = gl11rep.dim
-    mats = {
-        "E21": QMatrix.zero(d),
-        "E23": gl11rep.mats["e23"],
-        "E32": gl11rep.mats["e32"],
-        "K1": QMatrix.identity(d, sc.P1),
-        "K1inv": QMatrix.identity(d, sc.P1.invert()),
-        "K2": gl11rep.mats["k2"],
-        "K2inv": gl11rep.mats["k2inv"],
-        "K3": gl11rep.mats["k3"],
-        "K3inv": gl11rep.mats["k3inv"],
-    }
+    mats = {nm.capitalize(): m for nm, m in gl11rep.mats.items()}
+    mats.update(E21=QMatrix.zero(d), K1=QMatrix.identity(d, sc.P1),
+                K1inv=QMatrix.identity(d, sc.P1.invert()))
     return A0Rep(dim=d, mats=mats, parity=gl11rep.parity)
 
 
 def validate_a0rep(rep):
-    """Report on every defining relation that lives inside A0."""
-    a0_names = set(ua.A0_GENERATOR_NAMES)
-    rels = [rel for rel in ua.relation_set()
-            if {nm for w in list(rel.lhs.terms) + list(rel.rhs.terms)
-                for nm, _e in w} <= a0_names]
-    results = ua.check_relations(rels, rep._mats, QMatrix.identity(rep.dim))
-    for name in ("E23", "E32"):
-        bad = sum(1 for i, j, _v in rep.mats[name].iter_entries()
-                  if rep.parity[i] == rep.parity[j])
-        results.append(CheckResult("%s flips parity" % name, bad == 0, bad))
-    for name in ("E21",):
-        bad = sum(1 for i, j, _v in rep.mats[name].iter_entries()
-                  if rep.parity[i] != rep.parity[j])
-        results.append(CheckResult("%s preserves parity" % name, bad == 0, bad))
-    return results
+    """Report on every defining relation that lives inside A0, and parity."""
+    return _check_rep(rep._mats, rep.dim, rep.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -217,83 +197,75 @@ ACT_GENERATORS = (
 )
 
 
+# q-exponent per (N, M) of each K on |N,M> (x) v, times its matrix on v
+_K_WEIGHTS = {"K1": (1, 1), "K1inv": (-1, -1), "K2": (-1, 0),
+              "K2inv": (1, 0), "K3": (0, -1), "K3inv": (0, 1)}
+
+
 def act(g, x, rep):
     """Closed-form action of a generator on an induced-module vector."""
+    if g not in ACT_GENERATORS:
+        raise ValueError("unknown generator %r" % g)
     out = {}
-
-    def put(N, M, vec, c):
-        if not c:
-            return
-        for i, v in vec.items():
-            accumulate(out, (N, M, i), c * v)
-
     for (N, M, i), c in x.terms.items():
-        e_i = {i: sc.ONE}
 
-        def phi(*words):
-            vec = e_i
-            for nm in reversed(words):
-                vec = rep.mat(nm).apply_column(vec)
-            return vec
+        def put(n, m, coeff, *word):
+            """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
+            if coeff:
+                vec = rep.apply_word([(nm, 1) for nm in word], {i: sc.ONE})
+                for r, v in vec.items():
+                    accumulate(out, (n, m, r), coeff * v)
 
-        if g == "E12":
-            put(N + 1, M, e_i, c)
+        if g in _K_WEIGHTS:
+            a, b = _K_WEIGHTS[g]
+            put(N, M, c * sc.q_power(a * N + b * M), g)
+        elif g == "E12":
+            put(N + 1, M, c)
         elif g == "E13":
             if M == 0:
-                put(N, 1, e_i, c * sc.q_power(-N))
+                put(N, 1, c * sc.q_power(-N))
         elif g == "E23":
             if N > 0 and M == 0:
-                put(N - 1, 1, e_i, -(c * sc.Q * sc.q_integer(N)))
+                put(N - 1, 1, -(c * sc.Q * sc.q_integer(N)))
             sgn = -sc.ONE if M else sc.ONE
-            put(N, M, phi("E23"), c * sgn * sc.q_power(N + M))
-        elif g == "K1":
-            put(N, M, phi("K1"), c * sc.q_power(N + M))
-        elif g == "K1inv":
-            put(N, M, phi("K1inv"), c * sc.q_power(-N - M))
-        elif g == "K2":
-            put(N, M, phi("K2"), c * sc.q_power(-N))
-        elif g == "K2inv":
-            put(N, M, phi("K2inv"), c * sc.q_power(N))
-        elif g == "K3":
-            put(N, M, phi("K3"), c * sc.q_power(-M))
-        elif g == "K3inv":
-            put(N, M, phi("K3inv"), c * sc.q_power(M))
+            put(N, M, c * sgn * sc.q_power(N + M), "E23")
         elif g == "E32":
             if M == 1:
-                put(N + 1, 0, phi("K2", "K3"), c * sc.QINV)
-                put(N, 1, phi("E32"), -c)
+                put(N + 1, 0, c * sc.QINV, "K2", "K3")
+                put(N, 1, -c, "E32")
             else:
-                put(N, 0, phi("E32"), c)
+                put(N, 0, c, "E32")
         elif g == "E21":
             if N > 0:
                 base = c * sc.q_integer(N) * sc.EPS_INV
-                put(N - 1, M, phi("K1", "K2inv"), -(base * sc.q_power(N + M - 1)))
-                put(N - 1, M, phi("K1inv", "K2"), base * sc.q_power(-N - M + 1))
+                put(N - 1, M, -(base * sc.q_power(N + M - 1)), "K1", "K2inv")
+                put(N - 1, M, base * sc.q_power(-N - M + 1), "K1inv", "K2")
             if M == 1:
-                put(N, 0, phi("E23", "K1inv", "K2"), c)
-            put(N, M, phi("E21"), c)
-        elif g == "E31":
+                put(N, 0, c, "E23", "K1inv", "K2")
+            put(N, M, c, "E21")
+        else:  # E31
             sgn = -sc.ONE if M else sc.ONE
             if M == 1:
                 if N > 0:
-                    put(N, 0, phi("K1", "K3"),
-                        c * sc.q_power(N - 1) * sc.q_integer(N))
+                    put(N, 0, c * sc.q_power(N - 1) * sc.q_integer(N),
+                        "K1", "K3")
                 # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
                 cartan = c * sc.QINV * sc.EPS_INV
-                put(N, 0, phi("K1", "K3"), cartan)
-                put(N, 0, phi("K1inv", "K3inv"), -cartan)
+                put(N, 0, cartan, "K1", "K3")
+                put(N, 0, -cartan, "K1inv", "K3inv")
             if N > 0:
-                put(N - 1, M, phi("K1", "K2inv", "E32"),
-                    c * sgn * sc.q_power(N + M - 2) * sc.q_integer(N))
-            put(N, M, phi("E31"), c * sgn)
-        else:
-            raise ValueError("unknown generator %r" % g)
+                put(N - 1, M,
+                    c * sgn * sc.q_power(N + M - 2) * sc.q_integer(N),
+                    "K1", "K2inv", "E32")
+            put(N, M, c * sgn, "E31")
     return InducedVector(out)
 
 
 def act_oracle(g, x, rep, single_swaps=False):
     """Action computed through the straightening engine: normal-order
     g . E12^N E13^M, then push each leftover A0 word into V."""
+    if g not in ACT_GENERATORS:
+        raise ValueError("unknown generator %r" % g)
     straighten = ua.oracle_straighten if single_swaps else ua.straighten
     out = {}
     for (N, M, i), c in x.terms.items():

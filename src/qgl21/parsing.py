@@ -244,16 +244,16 @@ def eval_w(node):
     if isinstance(node, Neg):
         return -eval_w(node.operand)
     if isinstance(node, BinOp):
-        left = eval_w(node.left)
-        right = eval_w(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return wa.w_mul(left, right)
-        if node.op == "/":
-            return wa.w_mul(left, right.inverse())
+        # a flat chain a - a - ... - a is a left spine of any length: walk it
+        # without recursion, evaluating operands in the parser's order
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = eval_w(node)
+        for op in reversed(spine):
+            acc = _binop(op.op, acc, eval_w(op.right))
+        return acc
     if isinstance(node, Pow):
         base = eval_w(node.base)
         return base ** node.exp
@@ -264,6 +264,16 @@ def eval_w(node):
         rl = wa.w_mul(right, left)
         return lr + rl if node.anti else lr - rl
     raise TypeError("unknown AST node %r" % (node,))
+
+
+def _binop(op, left, right):
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return wa.w_mul(left, right)
+    return wa.w_mul(left, right.inverse())
 
 
 def eval_scalar(node):

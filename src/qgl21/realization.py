@@ -110,9 +110,6 @@ class RealizationMap:
     mode: str
     images: dict
 
-    def image(self, name):
-        return self.images[name]
-
 
 def realization_map(mode="abstract"):
     """The generator-image table for a subalgebra mode, cached."""

@@ -35,7 +35,6 @@ from .reporting import residual_results
 from .scalars import QScalar
 
 ODD_GENERATORS = ("E23", "E32", "E13", "E31")
-A0_GENERATOR_NAMES = ("E21", "E23", "E32", "E31", "K1", "K2", "K3")
 
 # exponent of q in K_i E_jk = q^{d} E_jk K_i, per unit K power
 _K_SCALING = {
@@ -439,20 +438,20 @@ STRAIGHTENING_IDENTITIES = (
 def check_straightening_identities(nmax):
     """Compare closed-form and single-swap normalization of g . base^n for
     every identity and every n <= nmax, on formal words (no nilpotency
-    shortcuts), as a list of (name, passed, mismatch count)."""
-    results = []
+    shortcuts): one CheckResult per identity, whose residual is closed minus
+    single-swap keyed by (n, word).  The two agree by construction at n <= 1,
+    so nmax must be at least 2."""
+    if nmax < 2:
+        raise ValueError("nmax must be at least 2")
     bases_for = {"E12": ("E12", "E13"), "E13": ("E12", "E13"), "E23": ("E23",)}
-    for g, base in STRAIGHTENING_IDENTITIES:
-        mismatches = 0
-        for n in range(nmax + 1):
-            word = ((g, 1),) + ((base, 1),) * n
-            closed = normalize_word(sc.ONE, word, bases_for[base])
-            stepped = normalize_word(sc.ONE, word, bases_for[base], single=True)
-            if closed != stepped:
-                keys = set(closed) | set(stepped)
-                mismatches += sum(
-                    1 for k in keys
-                    if closed.get(k, sc.ZERO) != stepped.get(k, sc.ZERO))
-        results.append(("%s through %s^n" % (g, base), mismatches == 0,
-                        mismatches))
-    return results
+
+    def expansion(g, base, n, single):
+        word = ((g, 1),) + ((base, 1),) * n
+        terms = normalize_word(sc.ONE, word, bases_for[base], single=single)
+        return Combination({(n, w): c for w, c in terms.items()})
+
+    return residual_results(
+        ("%s through %s^n" % (g, base),
+         sum((expansion(g, base, n, False) - expansion(g, base, n, True)
+              for n in range(nmax + 1)), Combination()), None)
+        for g, base in STRAIGHTENING_IDENTITIES)

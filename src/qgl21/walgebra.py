@@ -26,7 +26,7 @@ WElements are immutable values; everything here is a pure function.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -81,32 +81,30 @@ UNIT = WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 @lru_cache(maxsize=None)
 def _a_through_creators(m):
-    """a . a+^m as dict (m', k', l') -> QScalar (raw, may mix a+ and a)."""
+    """a . a+^m = q^-m a+^m a + [m] a+^{m-1} t, as (m', k', l') -> QScalar."""
     if m == 0:
         return {(0, 0, 1): sc.ONE}
-    # a a+^m = (q^-1 a+ a + t) a+^{m-1}
-    #        = q^-1 a+ (a a+^{m-1}) + q^{m-1} a+^{m-1} t
-    out = {}
-    for (m2, k2, l2), c in _a_through_creators(m - 1).items():
-        accumulate(out, (m2 + 1, k2, l2), sc.QINV * c)
-    accumulate(out, (m - 1, 1, 0), sc.q_power(m - 1))
-    return out
+    # unrolls a a+^m = q^-1 a+ (a a+^{m-1}) + q^{m-1} a+^{m-1} t
+    return {(m, 0, 1): sc.q_power(-m), (m - 1, 1, 0): sc.q_integer(m)}
 
 
 @lru_cache(maxsize=None)
 def _annihilators_through_creators(l, m):
     """a^l . a+^m, raw normal order (a+ powers, then t, then a powers)."""
-    if l == 0 or m == 0:
-        return {(m, 0, l): sc.ONE}
-    out = {}
-    for (m1, k1, l1), c in _annihilators_through_creators(l - 1, m).items():
-        if m1 == 0:
-            # a t^{k1} = q^{k1} t^{k1} a
-            accumulate(out, (0, k1, l1 + 1), c * sc.q_power(k1))
-            continue
-        for (m2, k2, l2), c2 in _a_through_creators(m1).items():
-            # a^{l2} t^{k1} = q^{l2 k1} t^{k1} a^{l2}
-            accumulate(out, (m2, k2 + k1, l2 + l1), c * c2 * sc.q_power(l2 * k1))
+    if m == 0:
+        return {(0, 0, l): sc.ONE}
+    out = {(m, 0, 0): sc.ONE}
+    for _ in range(l):              # one more a from the left
+        prev, out = out, {}
+        for (m1, k1, l1), c in prev.items():
+            if m1 == 0:
+                # a t^{k1} = q^{k1} t^{k1} a
+                accumulate(out, (0, k1, l1 + 1), c * sc.q_power(k1))
+                continue
+            for (m2, k2, l2), c2 in _a_through_creators(m1).items():
+                # a^{l2} t^{k1} = q^{l2 k1} t^{k1} a^{l2}
+                accumulate(out, (m2, k2 + k1, l2 + l1),
+                           c * c2 * sc.q_power(l2 * k1))
     return out
 
 
@@ -425,18 +423,11 @@ def _fermionic_k3(be):
     return _occupation_weight(3, be, -be)
 
 
-_FERMIONIC_E23 = None
-_FERMIONIC_E32 = None
-
-
+@cache
 def _fermionic_odd():
-    global _FERMIONIC_E23, _FERMIONIC_E32
-    if _FERMIONIC_E23 is None:
-        _FERMIONIC_E23 = generator("b2+")
-        # [lambda2 + lambda3] b2 = (p2 p3 - p2^-1 p3^-1)/(q - q^-1) b2
-        c = (sc.P2 * sc.P3 - (sc.P2 * sc.P3).invert()) * sc.EPS_INV
-        _FERMIONIC_E32 = generator("b2").scale(c)
-    return _FERMIONIC_E23, _FERMIONIC_E32
+    # [lambda2 + lambda3] b2 = (p2 p3 - p2^-1 p3^-1)/(q - q^-1) b2
+    c = (sc.P2 * sc.P3 - (sc.P2 * sc.P3).invert()) * sc.EPS_INV
+    return generator("b2+"), generator("b2").scale(c)
 
 
 def substitute_gl11(x, realization):

@@ -46,7 +46,7 @@ def test_criterion_1_symbolic_relation_verification():
 
 def test_criterion_2_straightening_identities_at_desk_scale():
     results = check_straightening_identities(6)
-    ok = all(passed for _name, passed, _bad in results) and len(results) == 9
+    ok = all_passed(results) and len(results) == 9
     report("criterion 2: all nine straightening identities match the "
            "single-swap oracle for n = 0..6", ok)
 

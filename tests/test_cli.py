@@ -5,9 +5,10 @@ import pytest
 
 import qgl21.scalars as sc
 from qgl21 import cli
-from qgl21.parsing import parse_scalar
+from qgl21.parsing import parse_scalar, parse_w
 from qgl21.realization import fock_matrix, rho
 from qgl21.reporting import CheckResult
+from qgl21.walgebra import w_mul
 
 
 def run(capsys, *argv):
@@ -69,6 +70,42 @@ def test_normal_order_division_by_zero(capsys, expr):
     assert code == 2
     assert out == ""
     assert err == "error: division by zero\n"
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("a" + " - a" * 2999, "-2998*a"),
+    ("*".join(["a"] * 3000), "a^3000"),
+])
+def test_normal_order_long_flat_chains(capsys, expr, value):
+    assert run(capsys, "normal-order", expr) == (0, value + "\n", "")
+
+
+M = 1200
+
+
+@pytest.mark.parametrize("expr, swapped, t_term", [
+    # a a+^m = q^-m a+^m a + [m] a+^(m-1) t
+    # a^m a+ = q^-m a+ a^m + [m] t a^(m-1)
+    ("a * a+^%d" % M, ("a+^%d" % M, "a"), ("a+^%d" % (M - 1), "t")),
+    ("a^%d * a+" % M, ("a+", "a^%d" % M), ("t", "a^%d" % (M - 1))),
+])
+def test_normal_order_high_boson_powers(capsys, expr, swapped, t_term):
+    code, out, err = run(capsys, "normal-order", expr)
+    assert (code, err) == (0, "")
+    expected = w_mul(*map(parse_w, swapped)).scale(sc.q_power(-M)) \
+        + w_mul(*map(parse_w, t_term)).scale(sc.q_integer(M))
+    assert parse_w(out) == expected
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "a" + ")" * 400,
+    "comm[" * 300 + "a" + ", a]" * 300,
+    "a+^1100 * a^1100",
+])
+def test_normal_order_too_deep_exits_2(capsys, expr):
+    code, out, err = run(capsys, "normal-order", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_lemma1(capsys):

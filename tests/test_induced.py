@@ -53,9 +53,9 @@ def test_corrupted_rep_is_detected():
     mats["k2"] = mats["k2"].scale(sc.Q)
     bad = Gl11Rep(dim=2, mats=mats, parity=base.parity)
     report = {r.name: r.passed for r in validate_gl11_rep(bad)}
-    assert not report["k2 k2^-1 = 1"]
-    assert not report["{e23, e32} = cartan"]
-    assert report["k2 e23 = q e23 k2"]      # a global scale cancels here
+    assert not report["K2 K2^-1 = 1"]
+    assert not report["{E23, E32} = (K2 K3 - K2^-1 K3^-1)/(q - q^-1)"]
+    assert report["K2 E23 = q^+1 E23 K2"]   # a global scale cancels here
     with pytest.raises(RepresentationError):
         highest_weight_a0rep(bad)
 
@@ -226,3 +226,11 @@ def test_e31_follows_replaced_e21_and_e32(fermionic_rep):
     assert e31.nnz() == 1
     assert e31 == -(e21 * e32) + (e32 * e21).scale(sc.QINV)
     assert fermionic_rep.mat("E31").nnz() == 0
+
+
+@pytest.mark.parametrize("x", [InducedVector.zero(), state(0, 0),
+                               state(2, 1, 1)])
+def test_unknown_generator_is_rejected(fermionic_rep, x):
+    for action in (act, act_oracle):
+        with pytest.raises(ValueError, match="unknown generator 'bogus'"):
+            action("bogus", x, fermionic_rep)

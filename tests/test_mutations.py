@@ -5,8 +5,10 @@ it breaks, so a route that passes vacuously would be caught here."""
 import dataclasses
 
 import qgl21.scalars as sc
+from qgl21 import cli
 from qgl21 import induced as ind
 from qgl21 import realization as rz
+from qgl21 import superalgebra as ua
 
 
 def _failed(results):
@@ -95,3 +97,35 @@ def test_module_truncation_hides_no_fault(monkeypatch):
     results = ind.check_relations_on_module(rep, 4)
     assert {r.name: r.residuals for r in results if not r.passed} \
         == E12_BY_TWO_BREAKS
+
+
+# -- E23 through E12^n with the E13 term of its closed form scaled by q ----------
+
+def test_lemma1_catches_scaled_e13_term(monkeypatch, capsys):
+    # the single-swap oracle only uses n = 1, so the fault shows at n = 2, 3, 4
+    cross = ua._cross
+
+    def scaled(x, base, n):
+        out = cross(x, base, n)
+        if x[0] == "E23" and base == "E12" and n >= 2:
+            out = [(c * sc.Q if repl[-1] == ("E13", 1) else c, repl)
+                   for c, repl in out]
+        return out
+
+    monkeypatch.setattr(ua, "_cross", scaled)
+    assert cli.main(["verify", "lemma1", "--nmax", "4"]) == 1
+    failed = [line.split() for line in capsys.readouterr().out.splitlines()
+              if "FAIL" in line]
+    assert failed == [["E23", "through", "E12^n", "FAIL", "residuals=3"]]
+
+
+# -- the fermionic plug-in with both states even --------------------------------
+
+def test_parity_checks_catch_an_even_fermion():
+    gl11 = dataclasses.replace(ind.fermionic_gl11_rep(), parity=(0, 0))
+    a0 = dataclasses.replace(
+        ind.highest_weight_a0rep(ind.fermionic_gl11_rep()), parity=(0, 0))
+    for results in (ind.validate_gl11_rep(gl11), ind.validate_a0rep(a0)):
+        # names compared case-insensitively: e23 and E23 are the same letter
+        assert {r.name.lower(): r.residuals for r in results if not r.passed} \
+            == {"e23 flips parity": 1, "e32 flips parity": 1}

@@ -10,7 +10,9 @@ from qgl21.parsing import (
     AbstractSymbolError, BinOp, Bracket, ParseError, Sym,
     eval_w, parse, parse_scalar, parse_w,
 )
-from qgl21.walgebra import generator, one, render_element, w_mul
+from qgl21.walgebra import (
+    UNIT, WElement, generator, one, render_element, w_mul,
+)
 
 g = generator
 
@@ -129,3 +131,10 @@ def test_parser_is_total(text):
         parse(text)
     except ParseError as err:
         assert err.pos >= 0
+
+
+def test_long_rendering_parses_back():
+    # 1,500 terms: a flat sum longer than the interpreter's recursion limit
+    x = WElement({UNIT._replace(m=m, k=k): sc.q_power(m - k)
+                  for m in range(30) for k in range(-25, 25)})
+    assert parse_w(render_element(x)) == x

@@ -134,8 +134,8 @@ def test_straighten_parity_conservation(g, M):
 
 
 def test_nine_identities_closed_vs_single():
-    for name, ok, bad in check_straightening_identities(4):
-        assert ok, (name, bad)
+    for r in check_straightening_identities(4):
+        assert r.passed, (r.name, r.residuals)
     assert len(STRAIGHTENING_IDENTITIES) == 9
 
 
@@ -189,3 +189,11 @@ def test_e31_definition_shape():
     el = e31_definition()
     assert el == -W(("E21", 1), ("E32", 1)) \
         + W(("E32", 1), ("E21", 1)).scale(sc.QINV)
+
+
+@pytest.mark.parametrize("nmax", [-1, 0, 1])
+def test_straightening_check_rejects_nmax_below_two(nmax):
+    # at n <= 1 the closed and single-swap rules coincide, so such a check
+    # could never fail
+    with pytest.raises(ValueError, match="at least 2"):
+        check_straightening_identities(nmax)
