@@ -81,8 +81,8 @@ def _cmd_normal_order(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: the expression is nested too deeply, or its powers "
-              "are too large, to evaluate", file=sys.stderr)
+        print("error: the expression is nested too deeply to evaluate",
+              file=sys.stderr)
         return 2
     try:
         text = wa.render_element(element)

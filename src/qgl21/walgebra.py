@@ -18,15 +18,21 @@ rewritten into the ordered monomial basis
     a+^m t^k a^l . b1+ b1 . b2+ b2 . e32 k2^al k3^be e23
 
 with m*l = 0 (a+ a contractions are resolved into t), which is forced by
-the pair of twin boson relations above.  Signs are collected one odd
-transposition at a time during the sort, never from per-rule tables.
+the pair of twin boson relations above.  With t = q^x and
+[x+s] = (q^s t - q^-s t^-1)/(q - q^-1), the contractions are the ladders
+
+    a+^i a^i = [x][x-1]...[x-i+1]        a^j a+^j = [x+j][x+j-1]...[x+1]
+
+and a product that would contract more than MAX_LADDER = 1000 a+ a pairs
+raises SubstitutionError.  Signs are collected one odd transposition at a
+time during the sort, never from per-rule tables.
 
 WElements are immutable values; everything here is a pure function.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -79,62 +85,49 @@ UNIT = WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 # boson sector
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _a_through_creators(m):
-    """a . a+^m = q^-m a+^m a + [m] a+^{m-1} t, as (m', k', l') -> QScalar."""
-    if m == 0:
-        return {(0, 0, 1): sc.ONE}
-    # unrolls a a+^m = q^-1 a+ (a a+^{m-1}) + q^{m-1} a+^{m-1} t
-    return {(m, 0, 1): sc.q_power(-m), (m - 1, 1, 0): sc.q_integer(m)}
+MAX_LADDER = 1000       # most a+ a pairs one product may contract
 
 
-@lru_cache(maxsize=None)
-def _annihilators_through_creators(l, m):
-    """a^l . a+^m, raw normal order (a+ powers, then t, then a powers)."""
-    if m == 0:
-        return {(0, 0, l): sc.ONE}
-    out = {(m, 0, 0): sc.ONE}
-    for _ in range(l):              # one more a from the left
-        prev, out = out, {}
-        for (m1, k1, l1), c in prev.items():
-            if m1 == 0:
-                # a t^{k1} = q^{k1} t^{k1} a
-                accumulate(out, (0, k1, l1 + 1), c * sc.q_power(k1))
-                continue
-            for (m2, k2, l2), c2 in _a_through_creators(m1).items():
-                # a^{l2} t^{k1} = q^{l2 k1} t^{k1} a^{l2}
-                accumulate(out, (m2, k2 + k1, l2 + l1),
-                           c * c2 * sc.q_power(l2 * k1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _contract(m, k, l):
-    """Resolve mixed monomials: a+^m t^k a^l with m, l > 0 collapses via
-    a+ a = (t - t^-1)/(q - q^-1) into pure raising or lowering monomials."""
-    if m == 0 or l == 0:
-        return {(m, k, l): sc.ONE}
-    # a+^m t^k a^l = q^-k a+^{m-1} (a+ a) t^k a^{l-1}
-    #             = q^-k/(q-q^-1) (a+^{m-1} t^{k+1} a^{l-1} - a+^{m-1} t^{k-1} a^{l-1})
-    c = sc.q_power(-k) * sc.EPS_INV
-    out = {}
-    for key, c2 in _contract(m - 1, k + 1, l - 1).items():
-        accumulate(out, key, c * c2)
-    for key, c2 in _contract(m - 1, k - 1, l - 1).items():
-        accumulate(out, key, -(c * c2))
-    return out
+@cache
+def _ladder(c, j):
+    """[x+c][x+c-1]...[x+c-j+1] as {t power: QScalar}, where
+    [x+s] = (q^s t - q^-s t^-1)/(q - q^-1)."""
+    if j > MAX_LADDER:
+        raise SubstitutionError(
+            "contracting %d a+ a pairs exceeds the limit of %d"
+            % (j, MAX_LADDER))
+    num = {(0, 0): 1}       # numerator, (t power, q power) -> int
+    for s in range(c - j + 1, c + 1):
+        nxt = {}
+        for (tp, qp), v in num.items():
+            nxt[tp + 1, qp + s] = nxt.get((tp + 1, qp + s), 0) + v
+            nxt[tp - 1, qp - s] = nxt.get((tp - 1, qp - s), 0) - v
+        num = nxt
+    by_t = {}
+    for (tp, qp), v in num.items():
+        if v:
+            by_t.setdefault(tp, {})[qp, 0, 0, 0] = v
+    scale = sc.EPS_INV ** j
+    return {tp: QScalar.from_laurent(terms) * scale
+            for tp, terms in by_t.items()}
 
 
 def _bos_mul(x, y):
-    """(m1,k1,l1) times (m2,k2,l2), fully contracted."""
+    """(m1,k1,l1) times (m2,k2,l2), fully contracted: a^j a+^j between the
+    factors is _ladder(j, j), and the a+^i a^i left over is _ladder(0, i)."""
     m1, k1, l1 = x
     m2, k2, l2 = y
+    j = min(l1, m2)
+    m, l = m1 + m2 - j, l1 + l2 - j
+    i = min(m, l)
     out = {}
-    for (m, k, l), c in _annihilators_through_creators(l1, m2).items():
-        # a+^{m1} t^{k1} (a+^m t^k a^l) t^{k2} a^{l2}
-        coeff = c * sc.q_power(k1 * m + l * k2)
-        for key, c2 in _contract(m1 + m, k1 + k + k2, l + l2).items():
-            accumulate(out, key, coeff * c2)
+    for k, c in _ladder(j, j).items():
+        # t^k passes a^(l1-j) leftward and a+^(m2-j) rightward, then t^kk
+        # passes a+^i leftward
+        kk = k1 + k + k2
+        c = c * sc.q_power((l1 - j) * (k + k2) + (k1 + k) * (m2 - j) - kk * i)
+        for k3, c3 in _ladder(0, i).items():
+            accumulate(out, (m - i, kk + k3, l - i), c * c3)
     return out
 
 
@@ -144,6 +137,11 @@ def _bos_mul(x, y):
 # a part is the tuple (i1, j1, i2, j2, eps, al, be, de); products are formed
 # by inserting one generator at a time from the right operand, sorting it
 # leftward into its slot and counting odd transpositions as it goes.
+
+_FG_SLOTS = ("b1+", "b1", "b2+", "b2", "e32", "k2", "k3", "e23")
+_FERMION_OFFSET = {"b1+": 0, "b1": 0, "b2+": 2, "b2": 2}
+_SIGN = (sc.ONE, -sc.ONE)
+
 
 def _fg_insert(part, kind, exp):
     i1, j1, i2, j2, eps, al, be, de = part
@@ -170,67 +168,29 @@ def _fg_insert(part, kind, exp):
                 c = -c
             out.append(((i1, j1, i2, j2, 1, al, be, de), c))
         return out
-    sgn_gl = -1 if (eps + de) & 1 else 1
-    if kind == "b2+":
-        out = []
-        if j2:
-            # b2 b2+ = 1 - b2+ b2
-            out.append(((i1, j1, i2, 0, eps, al, be, de), _sgn(sgn_gl)))
-            if not i2:
-                out.append(((i1, j1, 1, 1, eps, al, be, de), _sgn(-sgn_gl)))
-        elif not i2:
-            out.append(((i1, j1, 1, 0, eps, al, be, de), _sgn(sgn_gl)))
-        return out
-    if kind == "b2":
-        if j2:
-            return []
-        return [((i1, j1, i2, 1, eps, al, be, de), _sgn(sgn_gl))]
-    sgn1 = -1 if (eps + de + i2 + j2) & 1 else 1
-    if kind == "b1+":
-        out = []
-        if j1:
-            out.append(((i1, 0, i2, j2, eps, al, be, de), _sgn(sgn1)))
-            if not i1:
-                out.append(((1, 1, i2, j2, eps, al, be, de), _sgn(-sgn1)))
-        elif not i1:
-            out.append(((1, 0, i2, j2, eps, al, be, de), _sgn(sgn1)))
-        return out
-    if kind == "b1":
-        if j1:
-            return []
-        return [((i1, 1, i2, j2, eps, al, be, de), _sgn(sgn1))]
-    raise SubstitutionError("unknown generator kind %r" % kind)
-
-
-def _sgn(s):
-    return sc.ONE if s > 0 else -sc.ONE
-
-
-def _fg_atoms(part):
-    i1, j1, i2, j2, eps, al, be, de = part
-    atoms = []
-    if i1:
-        atoms.append(("b1+", 0))
-    if j1:
-        atoms.append(("b1", 0))
-    if i2:
-        atoms.append(("b2+", 0))
-    if j2:
-        atoms.append(("b2", 0))
-    if eps:
-        atoms.append(("e32", 0))
-    if al:
-        atoms.append(("k2", al))
-    if be:
-        atoms.append(("k3", be))
-    if de:
-        atoms.append(("e23", 0))
-    return atoms
+    off = _FERMION_OFFSET.get(kind)
+    if off is None:
+        raise SubstitutionError("unknown generator kind %r" % kind)
+    # a fermion of mode 1 also passes the mode-2 slots
+    c = _SIGN[(eps + de + (i2 + j2 if off == 0 else 0)) & 1]
+    i, j = part[off], part[off + 1]
+    head, tail = part[:off], part[off + 2:]
+    if kind[-1] != "+":
+        return [] if j else [(head + (i, 1) + tail, c)]
+    if not j:
+        return [] if i else [(head + (1, 0) + tail, c)]
+    # b+^i b b+ = b+^i (1 - b+ b)
+    out = [(head + (i, 0) + tail, c)]
+    if not i:
+        out.append((head + (1, 1) + tail, -c))
+    return out
 
 
 def _fg_mul(px, py):
     cur = {px: sc.ONE}
-    for kind, exp in _fg_atoms(py):
+    for kind, exp in zip(_FG_SLOTS, py):
+        if not exp:
+            continue
         nxt = {}
         for part, c in cur.items():
             for part2, c2 in _fg_insert(part, kind, exp):
@@ -415,14 +375,6 @@ def _occupation_weight(p_index, power, qexp):
     return WElement(terms)
 
 
-def _fermionic_k2(al):
-    return _occupation_weight(2, al, al)
-
-
-def _fermionic_k3(be):
-    return _occupation_weight(3, be, -be)
-
-
 @cache
 def _fermionic_odd():
     # [lambda2 + lambda3] b2 = (p2 p3 - p2^-1 p3^-1)/(q - q^-1) b2
@@ -456,9 +408,9 @@ def substitute_gl11(x, realization):
         if mon.eps:
             acc = w_mul(acc, img_e32)
         if mon.al:
-            acc = w_mul(acc, _fermionic_k2(mon.al))
+            acc = w_mul(acc, _occupation_weight(2, mon.al, mon.al))
         if mon.be:
-            acc = w_mul(acc, _fermionic_k3(mon.be))
+            acc = w_mul(acc, _occupation_weight(3, mon.be, -mon.be))
         if mon.de:
             acc = w_mul(acc, img_e23)
         out = out + acc

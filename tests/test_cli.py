@@ -101,6 +101,7 @@ def test_normal_order_high_boson_powers(capsys, expr, swapped, t_term):
     "(" * 400 + "a" + ")" * 400,
     "comm[" * 300 + "a" + ", a]" * 300,
     "a+^1100 * a^1100",
+    "a^1100 * a+^1100",
 ])
 def test_normal_order_too_deep_exits_2(capsys, expr):
     code, out, err = run(capsys, "normal-order", expr)

@@ -9,6 +9,7 @@ from qgl21 import cli
 from qgl21 import induced as ind
 from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
+from qgl21 import walgebra as wa
 
 
 def _failed(results):
@@ -129,3 +130,50 @@ def test_parity_checks_catch_an_even_fermion():
         # names compared case-insensitively: e23 and E23 are the same letter
         assert {r.name.lower(): r.residuals for r in results if not r.passed} \
             == {"e23 flips parity": 1, "e32 flips parity": 1}
+
+
+# -- the W normal-ordering rules, each with one term wrong -----------------------
+
+def _mutate_w_rule(monkeypatch, name, mutant):
+    # the images are built first, so the mutant reaches only the products the
+    # relation check forms from them
+    rz.realization_map("fermionic")
+    monkeypatch.setattr(wa, name, mutant(getattr(wa, name)))
+    return {r.name: r.residuals
+            for r in rz.verify_realization("fermionic") if not r.passed}
+
+
+def test_w_route_catches_scaled_boson_contraction(monkeypatch):
+    def scale_contracted_terms(bos_mul):
+        def mutant(x, y):
+            kk = x[1] + y[1]
+            return {key: c * sc.Q if key[1] != kk else c
+                    for key, c in bos_mul(x, y).items()}
+        return mutant
+
+    assert _mutate_w_rule(monkeypatch, "_bos_mul", scale_contracted_terms) == {
+        "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)": 8,
+        CARTAN_23: 4,
+        "E13 = E12 E23 - q^-1 E23 E12": 1,
+        "E31 = -E21 E32 + q^-1 E32 E21": 4,
+    }
+
+
+def test_w_route_catches_mode1_sign_ignoring_mode2(monkeypatch):
+    def negate_b1_past_odd_mode2(fg_insert):
+        def mutant(part, kind, exp):
+            out = fg_insert(part, kind, exp)
+            if kind in ("b1+", "b1") and (part[2] + part[3]) & 1:
+                return [(p, -c) for p, c in out]
+            return out
+        return mutant
+
+    assert _mutate_w_rule(monkeypatch, "_fg_insert",
+                          negate_b1_past_odd_mode2) == {
+        "[E21, E23] = 0": 2,
+        CARTAN_23: 2,
+        "E23^2 = 0": 1,
+        "E32^2 = 0": 1,
+        "E21 E31 = q E31 E21": 2,
+        "E31 = -E21 E32 + q^-1 E32 E21": 2,
+    }

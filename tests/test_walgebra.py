@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -134,6 +135,27 @@ def test_associativity_seeded_batch():
         y = elem(random_monomial(rng))
         z = elem(random_monomial(rng))
         assert w_mul(w_mul(x, y), z) == w_mul(x, w_mul(y, z))
+
+
+def _letters(m, k, l):
+    return ["a+"] * m + ["t" if k > 0 else "tinv"] * abs(k) + ["a"] * l
+
+
+def _fold(x, letters):
+    for name in letters:
+        x = w_mul(x, g(name))
+    return x
+
+
+@pytest.mark.parametrize("k1, k2", [(-1, 2), (1, -2), (0, 0)])
+def test_boson_products_match_letter_by_letter_folds(k1, k2):
+    # reference: y's letters multiplied onto x one at a time, so each step
+    # contracts at most one a+ a pair
+    for m1, l1, m2, l2 in itertools.product(range(4), repeat=4):
+        x = _fold(one(), _letters(m1, k1, l1))
+        y_letters = _letters(m2, k2, l2)
+        assert w_mul(x, _fold(one(), y_letters)) == _fold(x, y_letters), \
+            (m1, k1, l1, m2, k2, l2)
 
 
 # -- gl(1/1) substitution ----------------------------------------------------
