@@ -11,10 +11,13 @@ script imports qgl21 from the src/ of the checkout it sits in.
 The battery: the seven verify suites at their defaults, induced and lemma1
 at --nmax 12, fock --dim 32 symbolic and --numeric, matrix --dim 8 for each
 of the 12 abstract generators in both modes, symbolic and --numeric,
-scripts/verify_all.py, and normal-order on every expression of
-tests/data/normal_order_golden.json.  Each command leaves <name>.txt with
-its command line, exit code, stdout and stderr; a matrix command also
-leaves its export, <name>.json.
+scripts/verify_all.py, normal-order on every expression of
+tests/data/normal_order_golden.json, and normal-order on the w-normal-order
+benchmark corpus at seeds 1 and 2 (the inputs bench/workloads.py makes,
+imported from there).  Each command leaves <name>.txt with its command
+line, exit code, stdout and stderr; a matrix command also leaves its
+export, <name>.json; each corpus leaves one normal-order-corpus-seed<n>.txt
+with the records of all its expressions.
 """
 
 import contextlib
@@ -27,9 +30,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 from qgl21 import cli  # noqa: E402
 from qgl21.realization import GENERATOR_IMAGE_NAMES  # noqa: E402
+from workloads import make_inputs  # noqa: E402
+
+CORPUS_SEEDS = (1, 2)
 
 
 def cli_commands():
@@ -53,10 +60,18 @@ def cli_commands():
         yield "normal-order-%02d" % k, ["normal-order", expression]
 
 
-def record(outdir, name, argv, code, out, err):
-    (outdir / (name + ".txt")).write_text(
-        "$ %s\nexit %d\n--- stdout\n%s--- stderr\n%s"
-        % (" ".join(argv), code, out, err))
+def run_cli(argv):
+    """One command's record: command line, exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return format_record(["qgl21", *argv], code, out.getvalue(),
+                         err.getvalue())
+
+
+def format_record(argv, code, out, err):
+    return "$ %s\nexit %d\n--- stdout\n%s--- stderr\n%s" % (
+        " ".join(argv), code, out, err)
 
 
 def main():
@@ -69,15 +84,16 @@ def main():
     proc = subprocess.run([sys.executable, script], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True)
-    record(outdir, "verify_all", [script], proc.returncode, proc.stdout,
-           proc.stderr)
+    (outdir / "verify_all.txt").write_text(format_record(
+        [script], proc.returncode, proc.stdout, proc.stderr))
     os.chdir(outdir)
     for name, argv in cli_commands():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        record(outdir, name, ["qgl21", *argv], code, out.getvalue(),
-               err.getvalue())
+        (outdir / (name + ".txt")).write_text(run_cli(argv))
+    for seed in CORPUS_SEEDS:
+        corpus = make_inputs("w-normal-order", seed)["corpus"]
+        (outdir / ("normal-order-corpus-seed%d.txt" % seed)).write_text(
+            "".join(run_cli(["normal-order", expression])
+                    for expression in corpus))
     return 0
 
 

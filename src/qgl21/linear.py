@@ -48,14 +48,16 @@ class Combination:
             return type(self)({self.UNIT: c} if c else {})
         return NotImplemented
 
-    def __add__(self, other):
+    def __iadd__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
         for key, c in other.terms.items():
-            accumulate(out, key, c)
-        return type(self)(out)
+            accumulate(self.terms, key, c)
+        return self
+
+    def __add__(self, other):
+        return type(self)(dict(self.terms)).__iadd__(other)
 
     __radd__ = __add__
 

@@ -61,11 +61,15 @@ class QMatrix:
         cols = set(cols)
         return sum(1 for _, j, _v in self.iter_entries() if j in cols)
 
+    def __iadd__(self, other):
+        for i, j, v in other.iter_entries():
+            self.add_entry(i, j, v)
+        return self
+
     def __add__(self, other):
         out = QMatrix(self.nrows, self.ncols,
                       {i: dict(r) for i, r in self.rows.items()})
-        for i, j, v in other.iter_entries():
-            out.add_entry(i, j, v)
+        out += other
         return out
 
     def __sub__(self, other):

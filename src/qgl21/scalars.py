@@ -2,56 +2,60 @@
 
 Every coefficient in the engine lives here.  q is the deformation parameter
 and p1, p2, p3 stand for the weight factors q^{lambda_i}, so all exponents
-stay integral.  A QScalar is a reduced fraction _n/_d of polynomials with
-integer coefficients ({exponent 4-tuple: int}); inverse powers are ordinary
-fractions (q^-1 is 1/q).  The canonical form has three invariants:
+stay integral.  Polynomials are dicts {exponent 4-tuple: int}.
 
-  * _n and _d are coprime in Q[q, p1, p2, p3];
-  * they are jointly primitive: the gcd of all their coefficients is 1;
-  * the leading coefficient of _d under lex order on (q, p1, p2, p3)
-    exponent vectors is positive.
+A QScalar stores N / (c * (q - 1)^i * (q + 1)^j * F):
 
-The form is unique, so equality and hashing are purely structural (a
-constant scalar hashes like the rational it equals, so sc.ONE and 1 are one
-dict key).  This is what makes the rewriting engines' "residual is exactly
-zero" checks meaningful.  Fraction appears only at the boundaries:
-from_rational, from_laurent, the public constructor, evaluate, and the
-monic views and rendering below.
+  * N (_N) is a Laurent polynomial: the monomial of the denominator lives in
+    its negative exponents, so it never needs a gcd;
+  * c (_c) is a positive integer and i, j (_i, _j) are >= 0;
+  * F (_F) is None or a primitive polynomial with a positive leading
+    coefficient, free of monomial content and prime to q - 1 and q + 1.
 
-Gcds are taken over Z: the gcd of the integer contents times the primitive
-gcd (primitive pseudo-remainder sequences, Collins 1967 / Brown 1971, which
-strip the integer content at every step), with a positive leading
-coefficient.  Reduction follows Henrici (1956): both operands of * and + are
-already canonical, so the gcds are taken of their small factors, never of
-the full products.  a/b * c/d cancels gcd(a, d) and gcd(c, b); a/b + c/d
-with g = gcd(b, d) forms t = a*(d/g) + c*(b/g) and cancels only gcd(t, g).
-Over Z these gcds also carry the integer content, so the results come out
-coprime, jointly primitive (a prime dividing both would divide a cancelled
-gcd, or both halves of an operand) and with a positive leading denominator
-coefficient (a product of positive ones), with no final normalization pass.
-invert takes no gcd either: it swaps _n and _d and negates both only when
-the new denominator leads with a negative coefficient.  The full reduction
-_reduce runs only in the public constructor, which accepts Laurent
-polynomials with int or Fraction coefficients and clears their
-denominators and negative exponents first.  A rational constant on either
-side of * cancels only integers, and 1 returns the other operand.
+q - 1, q + 1 and F are a gcd-free basis of the denominator (Bach, Driscoll
+and Shallit, "Factor refinement", 1993).  Every denominator the engine builds
+on its own routes (W, induced module, Fock, Dyson) is a product of q, q - 1,
+q + 1 and the p_i, so there F is None.  F holds what comes from outside that
+basis, such as the parsed 1/(q + 2) or 1/(q*p1 + 1); it is kept as one
+factor, so the basis never needs refining beyond splitting off q -+ 1.
 
-Every denominator the engine itself builds, on the W, induced-module, Fock
-and Dyson routes alike, is a product of q, q - 1, q + 1 and the p_i: the
-closed denominator basis.  Once _p_gcd has shifted out the monomial content,
-such a denominator is c * (q - 1)^i * (q + 1)^j, and a gcd with one argument
-of that form needs no PRS.  Synthetic division by q - 1 and by q + 1
-(Horner at q = +-1 on one dense q-row per monomial in the p_i, linear in
-the size of the row) gives the multiplicities v- and v+ of q -+ 1 in the
-other argument, and the gcd is gcd(c, its integer content) *
-(q - 1)^min(i, v-) * (q + 1)^min(j, v+).  The PRS still runs when neither
-argument has that form after the shift: for input from outside the engine,
-such as the parsed 1/(q + 2) or 1/(q*p1 + 1), and for factors like
-p1*q + p2.
+N is prime to c (their integer contents), to q - 1 when i > 0, to q + 1
+when j > 0, and to F.  The stored form is then unique, so == compares it
+field by field, and hash uses N, c, i and j (a constant hashes like the
+rational it equals, so sc.ONE and 1 are one dict key).  This is what makes
+the rewriting engines' "residual is exactly zero" checks meaningful.
 
-num and den are read-only views of the monic form (denominator leading
-coefficient 1, Fraction values), derived from _n/_d when read; rendering
-uses them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
+Reduction follows Henrici (1956): both operands are reduced, so only cross
+terms can cancel.  a * b cancels N_a against the denominator of b and N_b
+against that of a: the integer contents with math.gcd, q -+ 1 by synthetic
+division (Horner at q = +-1 on one dense q-row per monomial in the p_i, up
+to the other operand's exponent, with the quotient rows kept), and F by
+_p_gcd.  a + b brings both sides to lcm(c), to the larger exponents of
+q -+ 1 and to F_a * F_b / gcd(F_a, F_b); the sum can share with that
+denominator only the integer content, the q -+ 1 whose exponents were
+equal, and gcd(F_a, F_b), so only those are divided out.  Most numerators
+are ruled out by their value at q = +-1, p_i = 1 before a row is built.
+invert splits N over the same basis, and the public constructor (_reduce)
+accepts Laurent polynomials with int or Fraction coefficients, clears the
+coefficient denominators, splits the denominator and cancels.  So no gcd
+of polynomials is taken unless an F is present, and only there does the
+PRS run.
+
+Gcds over Z, for F and for _p_gcd itself, are the gcd of the integer
+contents times the primitive gcd (primitive pseudo-remainder sequences,
+Collins 1967 / Brown 1971), with a positive leading coefficient; a gcd with
+one argument of the form c * (q - 1)^i * (q + 1)^j is read off by synthetic
+division without a PRS.
+
+_n and _d are the reduced fraction of polynomials that the stored form
+stands for, derived when first read and then cached: coprime in
+Q[q, p1, p2, p3], jointly primitive (the gcd of all their coefficients is 1)
+and with a positive leading coefficient of _d under lex order on
+(q, p1, p2, p3) exponent vectors.  num and den are its monic views
+(denominator leading coefficient 1, Fraction values); rendering and
+evaluate use them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
+Fraction appears only at these boundaries and in from_rational,
+from_laurent and the public constructor.
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -84,6 +88,10 @@ def _mono_mul(a, b):
 def _mono_div(a, b):
     m = (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
     return m if min(m) >= 0 else None
+
+
+def _mono_div_signed(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
 
 def _p_add(a, b):
@@ -169,9 +177,10 @@ def _p_mono_content(a):
 
 
 def _p_shift_down(a, mono):
+    """a divided by the monomial mono; either may have negative exponents."""
     if mono == _UNIT_MONO:
         return a
-    return {_mono_div(m, mono): c for m, c in a.items()}
+    return {_mono_div_signed(m, mono): c for m, c in a.items()}
 
 
 _ONE_POLY = {_UNIT_MONO: 1}
@@ -248,19 +257,25 @@ def _u_prem(A, B):
 # the closed denominator basis: c * (q - 1)^i * (q + 1)^j
 
 def _q_rows(a):
-    """a as dense coefficient lists in q (constant term first), one for each
-    monomial in the p_i."""
+    """a as dense coefficient rows in q, one for each monomial in the p_i:
+    ({p-monomial: row}, lo) with row[k] the coefficient of q^(lo + k)."""
+    lo = min(m[0] for m in a)
     rows = {}
     for mono, c in a.items():
         rest = mono[1:]
         row = rows.get(rest)
         if row is None:
             row = rows[rest] = []
-        e = mono[0]
+        e = mono[0] - lo
         if e >= len(row):
             row.extend([0] * (e + 1 - len(row)))
         row[e] = c
-    return list(rows.values())
+    return rows, lo
+
+
+def _from_q_rows(rows, lo):
+    return {(lo + e,) + rest: c for rest, row in rows.items()
+            for e, c in enumerate(row) if c}
 
 
 def _q_divide(row, r):
@@ -277,36 +292,56 @@ def _q_multiplicity(rows, r, cap):
     """(k, quotient rows): q - r divides every row k times, k <= cap."""
     k = 0
     while k < cap:
-        quos = []
-        for row in rows:
+        quos = {}
+        for rest, row in rows.items():
             quo, rem = _q_divide(row, r)
             if rem:
                 return k, rows
-            quos.append(quo)
+            quos[rest] = quo
         rows = quos
         k += 1
     return k, rows
+
+
+def _closed_divide(a, i, j):
+    """(a / ((q - 1)^k * (q + 1)^l), k, l) for the largest k <= i and
+    l <= j, a a Laurent polynomial.  The value of a at q = +-1, p_i = 1
+    rules most a out before any row is built."""
+    if i and sum(a.values()):
+        i = 0
+    if j and sum(-c if m[0] & 1 else c for m, c in a.items()):
+        j = 0
+    if not (i or j):
+        return a, 0, 0
+    rows, lo = _q_rows(a)
+    k, rows = _q_multiplicity(rows, 1, i)
+    l, rows = _q_multiplicity(rows, -1, j)
+    if k or l:
+        a = _from_q_rows(rows, lo)
+    return a, k, l
+
+
+@cache
+def _closed_poly(i, j):
+    """(q - 1)^i * (q + 1)^j."""
+    row = [1]
+    for r in (1,) * i + (-1,) * j:
+        row = [lo - r * hi for lo, hi in zip([0] + row, row + [0])]
+    return {(e, 0, 0, 0): c for e, c in enumerate(row) if c}
 
 
 def _closed_form(a):
     """(c, i, j) if a == c * (q - 1)^i * (q + 1)^j, else None."""
     if any(m[1] or m[2] or m[3] for m in a):
         return None
-    (row,) = _q_rows(a)
+    rows, _ = _q_rows(a)
+    (row,) = rows.values()
     if abs(row[0]) != abs(row[-1]):
         return None
-    i, (row,) = _q_multiplicity([row], 1, len(row))
-    j, (row,) = _q_multiplicity([row], -1, len(row))
+    i, rows = _q_multiplicity(rows, 1, len(row))
+    j, rows = _q_multiplicity(rows, -1, len(row))
+    (row,) = rows.values()
     return (row[0], i, j) if len(row) == 1 else None
-
-
-@cache
-def _closed_row(i, j):
-    """Dense q-row of (q - 1)^i * (q + 1)^j."""
-    row = [1]
-    for r in (1,) * i + (-1,) * j:
-        row = [lo - r * hi for lo, hi in zip([0] + row, row + [0])]
-    return row
 
 
 def _closed_gcd(a, b):
@@ -319,11 +354,10 @@ def _closed_gcd(a, b):
         form = _closed_form(x)
         if form is not None:
             c, i, j = form
-            vm, rows = _q_multiplicity(_q_rows(y), 1, i)
+            vm, rows = _q_multiplicity(_q_rows(y)[0], 1, i)
             vp, _ = _q_multiplicity(rows, -1, j)
             g = gcd(c, *y.values())
-            return {(e, 0, 0, 0): g * k for e, k in
-                    enumerate(_closed_row(vm, vp)) if k}
+            return {m: g * k for m, k in _closed_poly(vm, vp).items()}
     return None
 
 
@@ -377,28 +411,98 @@ def _p_cancel(a, b):
     return _p_div_exact(a, g), _p_div_exact(b, g), g
 
 
+# ---------------------------------------------------------------------------
+# the stored form: N over c * (q - 1)^i * (q + 1)^j * F
+# ---------------------------------------------------------------------------
+
+def _cancel_content(a, c):
+    """(a/g, c/g) for g the gcd of the integer c and a's coefficients."""
+    if c == 1:
+        return a, c
+    g = gcd(c, *a.values())
+    if g == 1:
+        return a, c
+    return {m: k // g for m, k in a.items()}, c // g
+
+
+def _cancel_outside(a, f):
+    """(a/h, f/h) for h = gcd(a, f), a Laurent, f None (for 1) or free of
+    monomial content: the one step that takes a PRS gcd."""
+    if f is None:
+        return a, f
+    s = _p_mono_content(a)
+    a, f, _ = _p_cancel(_p_shift_down(a, s), f)
+    return _p_shift_down(a, tuple(-e for e in s)), \
+        None if _p_is_one(f) else f
+
+
+def _cancel(a, c, i, j, f):
+    """a over c * (q - 1)^i * (q + 1)^j * f, every common factor cancelled:
+    (a', c', i', j', f')."""
+    a, c = _cancel_content(a, c)
+    a, k, l = _closed_divide(a, i, j)
+    a, f = _cancel_outside(a, f)
+    return a, c, i - k, j - l, f
+
+
+def _lift(a, s, i, j, f):
+    """a * s * (q - 1)^i * (q + 1)^j * f, for f None (for 1) or a
+    polynomial."""
+    if s != 1:
+        a = {m: c * s for m, c in a.items()}
+    if i or j:
+        a = _p_mul(a, _closed_poly(i, j))
+    if f is not None:
+        a = _p_mul(a, f)
+    return a
+
+
+def _split(d):
+    """(s, m, i, j, f) with d == s * m * (q - 1)^i * (q + 1)^j * f for a
+    nonzero Laurent polynomial d: s a nonzero integer, m a monomial and f
+    as in the stored form."""
+    m = _p_mono_content(d)
+    d = _p_shift_down(d, m)
+    s = gcd(*d.values())
+    if s != 1:
+        d = {e: c // s for e, c in d.items()}
+    deg = max(e[0] for e in d)
+    d, i, j = _closed_divide(d, deg, deg)
+    if d[max(d)] < 0:
+        s, d = -s, _p_neg(d)
+    return s, m, i, j, None if _p_is_const(d) else d
+
+
 def _reduce(num, den):
-    """Canonical (_n, _d) of num/den, Laurent polynomials with int or
-    Fraction coefficients: drop zero coefficients, multiply both by one
-    integer and one monomial that clear the coefficient denominators and
-    the negative exponents, cancel the gcd over Z and make the leading
-    denominator coefficient positive."""
+    """The stored form (N, c, i, j, F) of num/den, Laurent polynomials with
+    int or Fraction coefficients: drop zero coefficients, multiply both by
+    the integer that clears the coefficient denominators, split den over
+    the basis and cancel."""
     num = {m: c for m, c in num.items() if c}
     den = {m: c for m, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, _ONE_POLY
+        return {}, 1, 0, 0, None
     scale = lcm(*(c.denominator for c in num.values()),
                 *(c.denominator for c in den.values()))
-    shift = tuple(max(0, -min(ea, eb)) for ea, eb in
-                  zip(_p_mono_content(num), _p_mono_content(den)))
-    num = {_mono_mul(m, shift): int(c * scale) for m, c in num.items()}
-    den = {_mono_mul(m, shift): int(c * scale) for m, c in den.items()}
-    num, den, _ = _p_cancel(num, den)
-    if den[max(den)] < 0:
-        num, den = _p_neg(num), _p_neg(den)
-    return num, den
+    s, m, i, j, f = _split({e: int(c * scale) for e, c in den.items()})
+    if s < 0:
+        scale, s = -scale, -s
+    num = {_mono_div_signed(e, m): int(c * scale) for e, c in num.items()}
+    return _cancel(num, s, i, j, f)
+
+
+def _new(n, c, i, j, f):
+    x = object.__new__(QScalar)
+    x._N = n
+    x._c = c
+    x._i = i
+    x._j = j
+    x._F = f
+    x._hash = None
+    x._nd = None
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -406,43 +510,66 @@ def _reduce(num, den):
 # ---------------------------------------------------------------------------
 
 class QScalar:
-    """An element of Q(q, p1, p2, p3) in canonical reduced form."""
+    """An element of Q(q, p1, p2, p3), stored as N over
+    c * (q - 1)^i * (q + 1)^j * F (see the module docstring)."""
 
-    __slots__ = ("_n", "_d", "_hash")
+    __slots__ = ("_N", "_c", "_i", "_j", "_F", "_hash", "_nd")
 
-    def __init__(self, num, den=None, _reduced=False):
-        if den is None:
-            den = _ONE_POLY
-        if not _reduced:
-            num, den = _reduce(num, den)
-        self._n = num
-        self._d = den
+    def __init__(self, num, den=None):
+        self._N, self._c, self._i, self._j, self._F = _reduce(
+            num, _ONE_POLY if den is None else den)
         self._hash = None
+        self._nd = None
 
     @classmethod
     def from_rational(cls, value):
         c = Fraction(value)
-        num = {_UNIT_MONO: c.numerator} if c else {}
-        return cls(num, {_UNIT_MONO: c.denominator}, _reduced=True)
+        return _new({_UNIT_MONO: c.numerator} if c else {}, c.denominator,
+                    0, 0, None)
 
     @classmethod
     def from_laurent(cls, terms):
         """Build from a Laurent term dict {exponent 4-tuple: coefficient}."""
         return cls({m: Fraction(c) for m, c in terms.items()})
 
-    # -- monic views ----------------------------------------------------------
+    # -- the reduced fraction and its monic views -----------------------------
+
+    def _fraction(self):
+        if self._nd is None:
+            n = self._N
+            if not n:
+                self._nd = n, _ONE_POLY
+            else:
+                # the monomial of the denominator: N's negative exponents
+                m = tuple(min(0, e) for e in _p_mono_content(n))
+                self._nd = (_p_shift_down(n, m),
+                            _lift({_mono_div_signed(_UNIT_MONO, m): self._c},
+                                  1, self._i, self._j, self._F))
+        return self._nd
+
+    @property
+    def _n(self):
+        """Numerator of the reduced fraction, {exponent 4-tuple: int}."""
+        return self._fraction()[0]
+
+    @property
+    def _d(self):
+        """Denominator of the reduced fraction, {exponent 4-tuple: int}."""
+        return self._fraction()[1]
 
     @property
     def num(self):
         """Numerator of the monic form, {exponent 4-tuple: Fraction}."""
-        lc = self._d[max(self._d)]
-        return {m: Fraction(c, lc) for m, c in self._n.items()}
+        n, d = self._fraction()
+        lc = d[max(d)]
+        return {m: Fraction(c, lc) for m, c in n.items()}
 
     @property
     def den(self):
         """Denominator of the monic form (leading coefficient 1)."""
-        lc = self._d[max(self._d)]
-        return {m: Fraction(c, lc) for m, c in self._d.items()}
+        d = self._fraction()[1]
+        lc = d[max(d)]
+        return {m: Fraction(c, lc) for m, c in d.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -450,31 +577,39 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._n:
+        if not self._N:
             return other
-        if not other._n:
+        if not other._N:
             return self
-        if self._d == other._d:
-            t = _p_add(self._n, other._n)
-            if not t:
-                return ZERO
-            t, den, _ = _p_cancel(t, self._d)
-            return QScalar(t, den, _reduced=True)
-        # t is coprime to b/g and d/g, so only gcd(t, g) can cancel
-        b, d, g = _p_cancel(self._d, other._d)
-        t = _p_add(_p_mul(self._n, d), _p_mul(other._n, b))
+        a, b = self, other
+        c = lcm(a._c, b._c)
+        i = max(a._i, b._i)
+        j = max(a._j, b._j)
+        fa, fb, g = a._F, b._F, None
+        if fa is not None and fb is not None:
+            fa, fb, g = _p_cancel(fa, fb)
+            fa = None if _p_is_const(fa) else fa
+            fb = None if _p_is_const(fb) else fb
+            g = None if _p_is_one(g) else g
+        t = _p_add(_lift(a._N, c // a._c, i - a._i, j - a._j, fb),
+                   _lift(b._N, c // b._c, i - b._i, j - b._j, fa))
         if not t:
             return ZERO
-        t, g, _ = _p_cancel(t, g)
-        den = _p_mul(b, d)
-        if not _p_is_one(g):
-            den = _p_mul(den, g)
-        return QScalar(t, den, _reduced=True)
+        # t is prime to every other factor of the denominator
+        t, c = _cancel_content(t, c)
+        t, k, l = _closed_divide(t, i if a._i == b._i else 0,
+                                 j if a._j == b._j else 0)
+        t, g = _cancel_outside(t, g)
+        f = g
+        for h in (fa, fb):
+            if h is not None:
+                f = h if f is None else _p_mul(f, h)
+        return _new(t, c, i - k, j - l, f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(_p_neg(self._n), self._d, _reduced=True)
+        return _new(_p_neg(self._N), self._c, self._i, self._j, self._F)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -489,33 +624,34 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._n or not other._n:
+        na, nb = self._N, other._N
+        if not na or not nb:
             return ZERO
-        if _p_is_const(other._n) and _p_is_const(other._d):
-            self, other = other, self
-        if _p_is_const(self._n) and _p_is_const(self._d):
-            # the rational r = n0/d0 times other: only integers cancel
-            n0, d0 = self._n[_UNIT_MONO], self._d[_UNIT_MONO]
-            if n0 == 1 and d0 == 1:
-                return other
-            g = gcd(n0, *other._d.values())
-            h = gcd(d0, *other._n.values())
-            n0, d0 = n0 // g, d0 // h
-            return QScalar({m: c // h * n0 for m, c in other._n.items()},
-                           {m: c // g * d0 for m, c in other._d.items()},
-                           _reduced=True)
-        a, d, _ = _p_cancel(self._n, other._d)
-        c, b, _ = _p_cancel(other._n, self._d)
-        return QScalar(_p_mul(a, c), _p_mul(b, d), _reduced=True)
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        ca, ia, ja, fa = self._c, self._i, self._j, self._F
+        cb, ib, jb, fb = other._c, other._i, other._j, other._F
+        # each numerator is prime to its own denominator, so only the cross
+        # pairs can cancel
+        if cb != 1 or ib or jb or fb is not None:
+            na, cb, ib, jb, fb = _cancel(na, cb, ib, jb, fb)
+        if ca != 1 or ia or ja or fa is not None:
+            nb, ca, ia, ja, fa = _cancel(nb, ca, ia, ja, fa)
+        f = fa if fb is None else fb if fa is None else _p_mul(fa, fb)
+        return _new(_p_mul(na, nb), ca * cb, ia + ib, ja + jb, f)
 
     __rmul__ = __mul__
 
     def invert(self):
-        if not self._n:
+        if not self._N:
             raise ZeroDivisionError("cannot invert the zero scalar")
-        if self._n[max(self._n)] < 0:
-            return QScalar(_p_neg(self._d), _p_neg(self._n), _reduced=True)
-        return QScalar(self._d, self._n, _reduced=True)
+        s, m, i, j, f = _split(self._N)
+        c = -self._c if s < 0 else self._c
+        n = _lift({_mono_div_signed(_UNIT_MONO, m): c}, 1,
+                  self._i, self._j, self._F)
+        return _new(n, abs(s), i, j, f)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -544,32 +680,40 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return (self._c == other._c and self._i == other._i
+                and self._j == other._j and self._N == other._N
+                and self._F == other._F)
 
     def __hash__(self):
         if self._hash is None:
-            if _p_is_const(self._d) and (
-                    not self._n or _p_is_const(self._n)):
+            n = self._N
+            if self._i == self._j == 0 and self._F is None and (
+                    not n or _p_is_const(n)):
                 # agree with == under coercion: hash(from_rational(c)) == hash(c)
-                self._hash = hash(Fraction(self._n.get(_UNIT_MONO, 0),
-                                           self._d[_UNIT_MONO]))
+                self._hash = hash(Fraction(n.get(_UNIT_MONO, 0), self._c))
             else:
-                self._hash = hash((tuple(sorted(self._n.items())),
-                                   tuple(sorted(self._d.items()))))
+                # hash the exponents shifted to be >= 0, as in _n: CPython
+                # hashes -1 like -2, so q^-1 and q^-2 would collide
+                s = tuple(max(0, -e) for e in _p_mono_content(n))
+                self._hash = hash((
+                    frozenset((_mono_mul(m, s), k) for m, k in n.items()),
+                    s, self._c, self._i, self._j))
         return self._hash
 
     def __bool__(self):
-        return bool(self._n)
+        return bool(self._N)
 
     # -- queries ------------------------------------------------------------
 
     def is_one(self):
-        return _p_is_one(self._n) and _p_is_one(self._d)
+        n = self._N
+        return (len(n) == 1 and n.get(_UNIT_MONO) == 1 and self._c == 1
+                and not self._i and not self._j and self._F is None)
 
     def variables(self):
         """Names of the symbols that actually occur."""
         used = set()
-        for poly in (self._n, self._d):
+        for poly in self._fraction():
             for mono in poly:
                 for v in range(NVARS):
                     if mono[v]:
@@ -600,23 +744,23 @@ class QScalar:
                 total += term
             return total
 
-        d = ev(self._d)
+        n, d = self._fraction()
+        d = ev(d)
         if d == 0:
             raise PoleError("denominator vanishes at the assignment")
-        return ev(self._n) / d
+        return ev(n) / d
 
     # -- rendering ----------------------------------------------------------
 
     def render(self):
-        if not self._n:
+        if not self._N:
             return "0"
-        if len(self._d) == 1:
-            ((dm, dc),) = self._d.items()
-            terms = {_mono_div_signed(m, dm): Fraction(c, dc)
-                     for m, c in self._n.items()}
-            return _render_terms(terms)
+        if not (self._i or self._j) and self._F is None:
+            # the denominator is c times a monomial: a Laurent polynomial
+            return _render_terms({m: Fraction(k, self._c)
+                                  for m, k in self._N.items()})
         num_s = _render_terms(self.num)
-        if len(self._n) > 1:
+        if len(self._N) > 1:
             num_s = "(" + num_s + ")"
         return num_s + "/(" + _render_terms(self.den) + ")"
 
@@ -624,10 +768,6 @@ class QScalar:
 
     def __repr__(self):
         return self.render()
-
-
-def _mono_div_signed(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
 
 def _render_terms(terms):
@@ -664,7 +804,7 @@ def _coerce(x):
 # constants and standard constructors
 # ---------------------------------------------------------------------------
 
-ZERO = QScalar({}, _ONE_POLY, _reduced=True)
+ZERO = QScalar.from_rational(0)
 ONE = QScalar.from_rational(1)
 
 

@@ -109,7 +109,8 @@ def evaluate(el, apply, start):
     """Sum over the words of el of coeff * (word applied to start).  Each
     word acts right to left through acc = apply(g, acc), one letter at a
     time, with g the generator name for a positive power and name + "inv"
-    for a negative one; apply must be linear in acc."""
+    for a negative one; apply must be linear in acc.  total is a fresh
+    zero, so the words are summed into it in place."""
     total = start.scale(sc.ZERO)
     for word, c in el.terms.items():
         acc = start
@@ -117,7 +118,7 @@ def evaluate(el, apply, start):
             g = nm if e > 0 else nm + "inv"
             for _ in range(abs(e)):
                 acc = apply(g, acc)
-        total = total + (acc if c.is_one() else acc.scale(c))
+        total += acc if c.is_one() else acc.scale(c)
     return total
 
 

@@ -3,6 +3,9 @@ representation matrix must show up as nonzero residuals on the relations
 it breaks, so a route that passes vacuously would be caught here."""
 
 import dataclasses
+from fractions import Fraction
+
+import pytest
 
 import qgl21.scalars as sc
 from qgl21 import cli
@@ -10,6 +13,7 @@ from qgl21 import induced as ind
 from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
 from qgl21 import walgebra as wa
+from conftest import assert_canonical
 
 
 def _failed(results):
@@ -177,3 +181,48 @@ def test_w_route_catches_mode1_sign_ignoring_mode2(monkeypatch):
         "E21 E31 = q E31 E21": 2,
         "E31 = -E21 E32 + q^-1 E32 E21": 2,
     }
+
+
+# -- the cancellation steps of QScalar * and + -------------------------------------
+
+# A value that equals the canonical one but is not stored in canonical form
+# leaves every residual exactly zero, so no relation route can see it (ROADMAP
+# item 5): these mutants are caught only by the storage-invariant check
+# conftest.assert_canonical and by == against the canonical value.  The
+# operands are built before the mutant is installed, so it acts only in the
+# operator under test.
+
+def _assert_only_the_canonical_check_fails(results, expected):
+    for got, want in zip(results, expected):
+        assert got != want
+        with pytest.raises(AssertionError):
+            assert_canonical(got)
+    assert not _failed(rz.check_relations_on_fock("fermionic", 6))
+
+
+def test_canonical_check_catches_mul_without_closed_division(monkeypatch):
+    # q - q^-1 times q/(q^2 - 1), and (q + 1)/(q - 1) times (q - 1)/q
+    pairs = [(sc.EPS, sc.EPS_INV),
+             ((sc.Q + 1) / (sc.Q - 1), (sc.Q - 1) * sc.QINV)]
+    expected = [sc.ONE, (sc.Q + 1) * sc.QINV]
+    rz.realization_map("fermionic")
+
+    def without_closed_division(a, c, i, j, f):
+        a, c = sc._cancel_content(a, c)
+        a, f = sc._cancel_outside(a, f)
+        return a, c, i, j, f
+
+    monkeypatch.setattr(sc, "_cancel", without_closed_division)
+    _assert_only_the_canonical_check_fails([x * y for x, y in pairs],
+                                           expected)
+
+
+def test_canonical_check_catches_add_without_content_cancel(monkeypatch):
+    half = sc.QScalar.from_rational(Fraction(1, 2))
+    third = sc.EPS_INV / 3
+    pairs = [(half, half), (third, third + third)]
+    expected = [sc.ONE, sc.EPS_INV]
+    rz.realization_map("fermionic")
+    monkeypatch.setattr(sc, "_cancel_content", lambda a, c: (a, c))
+    _assert_only_the_canonical_check_fails([x + y for x, y in pairs],
+                                           expected)

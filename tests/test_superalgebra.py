@@ -1,9 +1,11 @@
 import pytest
 
 import qgl21.scalars as sc
+from qgl21 import walgebra as wa
+from qgl21.qmatrix import QMatrix
 from qgl21.superalgebra import (
     ODD_GENERATORS, STRAIGHTENING_IDENTITIES, STRAIGHTEN_GENERATORS, UElement,
-    check_straightening_identities, e13_definition, e31_definition,
+    check_straightening_identities, e13_definition, e31_definition, evaluate,
     oracle_straighten, relation_families, relation_set, straighten,
 )
 
@@ -197,3 +199,42 @@ def test_straightening_check_rejects_nmax_below_two(nmax):
     # could never fail
     with pytest.raises(ValueError, match="at least 2"):
         check_straightening_identities(nmax)
+
+
+# -- evaluate sums its words in place -------------------------------------------
+
+def _contents(x):
+    if isinstance(x, QMatrix):
+        return {i: dict(row) for i, row in x.rows.items()}
+    return dict(x.terms)
+
+
+def _matrix_gens():
+    return {"E12": QMatrix.from_entries(2, 2, [(0, 1, sc.ONE)]),
+            "E21": QMatrix.from_entries(2, 2, [(1, 0, sc.Q), (0, 1, sc.ONE)])}
+
+
+def _w_gens():
+    return {"E12": wa.generator("a+") + wa.generator("t"),
+            "E21": wa.generator("a") + wa.generator("t")}
+
+
+@pytest.mark.parametrize("gens, start", [
+    (_matrix_gens(), QMatrix.identity(2)),
+    (_w_gens(), wa.one()),
+])
+def test_evaluate_leaves_start_and_generators_unchanged(gens, start):
+    # as in check_relations, a one-letter word on the unit evaluates to the
+    # generator itself, so the sum would reach into a shared generator if it
+    # added into anything but its own fresh zero
+    def apply(g, acc):
+        return gens[g] if acc is start else gens[g] * acc
+
+    before = {g: _contents(x) for g, x in gens.items()}
+    start_before = _contents(start)
+    el = W(("E12", 1)) + W(("E21", 1)) + W(("E12", 1), ("E21", 1), coeff=sc.Q)
+    total = evaluate(el, apply, start)
+    expected = gens["E12"] + gens["E21"] + (gens["E12"] * gens["E21"]).scale(sc.Q)
+    assert total == expected
+    assert {g: _contents(x) for g, x in gens.items()} == before
+    assert _contents(start) == start_before
