@@ -11,6 +11,8 @@ script imports qgl21 from the src/ of the checkout it sits in.
 The battery: the seven verify suites at their defaults, induced and lemma1
 at --nmax 12, fock --dim 32 symbolic and --numeric, matrix --dim 8 for each
 of the 12 abstract generators in both modes, symbolic and --numeric,
+matrix --dim 4 for every W generator name, symbolic and --numeric (the
+fermion modes come from the element; the gl(1/1) names exit 2),
 scripts/verify_all.py, normal-order on every expression of
 tests/data/normal_order_golden.json, and normal-order on the w-normal-order
 benchmark corpus at seeds 1 and 2 (the inputs bench/workloads.py makes,
@@ -34,6 +36,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from qgl21 import cli  # noqa: E402
 from qgl21.realization import GENERATOR_IMAGE_NAMES  # noqa: E402
+from qgl21.walgebra import GENERATOR_NAMES  # noqa: E402
 from workloads import make_inputs  # noqa: E402
 
 CORPUS_SEEDS = (1, 2)
@@ -55,6 +58,11 @@ def cli_commands():
                 # a relative --out keeps OUTDIR out of the printed text
                 yield tag, ["matrix", name, "--dim", "8", "--mode", mode,
                             *flags, "--out", tag + ".json"]
+    for name in GENERATOR_NAMES:
+        for flags in ([], ["--numeric"]):
+            tag = "matrix-w-%s%s" % (name, "".join(flags))
+            yield tag, ["matrix", name, "--dim", "4", *flags,
+                        "--out", tag + ".json"]
     golden = ROOT / "tests" / "data" / "normal_order_golden.json"
     for k, (expression, _) in enumerate(json.loads(golden.read_text())):
         yield "normal-order-%02d" % k, ["normal-order", expression]

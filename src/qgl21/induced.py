@@ -191,10 +191,7 @@ class InducedVector(Combination):
         return " + ".join(bits)
 
 
-ACT_GENERATORS = (
-    "E12", "E13", "E23", "E21", "E32", "E31",
-    "K1", "K1inv", "K2", "K2inv", "K3", "K3inv",
-)
+ACT_GENERATORS = ua.GENERATORS
 
 
 # q-exponent per (N, M) of each K on |N,M> (x) v, times its matrix on v

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from . import scalars as sc
+from . import superalgebra as ua
 from . import walgebra as wa
 from .scalars import QScalar
 
@@ -36,10 +37,7 @@ class AbstractSymbolError(ValueError):
     """An abstract-algebra symbol reached a W-only evaluator."""
 
 
-ABSTRACT_SYMBOLS = frozenset(
-    ["E12", "E21", "E23", "E32", "E13", "E31"]
-    + ["K%d" % i for i in (1, 2, 3)]
-    + ["K%dinv" % i for i in (1, 2, 3)])
+ABSTRACT_SYMBOLS = frozenset(ua.GENERATORS)
 
 _PLUS_SYMBOLS = frozenset(["a+", "b+", "b1+", "b2+"])
 

@@ -21,14 +21,18 @@ directly and then machine-verified.  Verification is dual-route:
   reduced in W; the residual must be exactly zero.
 * check_relations_on_fock -- generator images are rendered as matrices on a
   truncated Fock space and the relations are re-checked by exact matrix
-  arithmetic on the truncation-safe columns.
+  arithmetic on the truncation-safe columns.  fock_matrix fills a matrix
+  one monomial at a time: each monomial moves a fixed set of fermion
+  occupations and a run of boson levels.
 
 Both are calls to superalgebra.check_relations, the one relation checker
 of all four routes, with the generator images (on the W identity) or their
 matrices (on the identity matrix) acting from the left.  The numeric Fock
 route evaluates first: each relation coefficient, each image coefficient
 and each boson factor is evaluated once at the assignment, and matrix
-entries are products of rationals (see fock_matrix for why this is exact).
+entries are products of rationals (see fock_matrix for why this is exact,
+and for the one case, a pole cancelling between monomials, where the
+symbolic entries are evaluated instead).
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import scalars as sc
 from . import superalgebra as ua
@@ -49,10 +54,7 @@ from .walgebra import generator, substitute_gl11, w_mul
 
 SUBALGEBRA_MODES = ("abstract", "trivial", "fermionic")
 
-GENERATOR_IMAGE_NAMES = (
-    "E12", "E13", "E23", "E21", "E32", "E31",
-    "K1", "K1inv", "K2", "K2inv", "K3", "K3inv",
-)
+GENERATOR_IMAGE_NAMES = ua.GENERATORS
 
 DEFAULT_ASSIGNMENT = {"q": Fraction(3, 2), "p1": Fraction(2),
                        "p2": Fraction(3), "p3": Fraction(5)}
@@ -168,29 +170,51 @@ class FockMatrix:
         return self.matrix.entry(i, j)
 
 
-def _fock_basis(D, modes):
-    occs = [()]
-    for _mode in modes:
-        occs = [o + (f,) for o in occs for f in (0, 1)]
-    return tuple((n,) + o for n in range(D) for o in occs)
+def _fermion_moves(mon, modes, occupations):
+    """(occupation index in, occupation index out, negate) for each
+    occupation of the fermion modes that the monomial does not annihilate.
+    b+^i b^j sends an occupation f to f - j + i when f >= j and the result
+    is at most 1; mode-2 operators act first and cross the mode-1
+    occupation."""
+    powers = {2: (mon.i2, mon.j2), 1: (mon.i1, mon.j1)}
+    for mode, used in powers.items():
+        if any(used) and mode not in modes:
+            raise ValueError("element uses fermion mode %d "
+                             "but the basis does not include it" % mode)
+    moves = []
+    for col, occ in enumerate(occupations):
+        row = 0
+        for mode, f in zip(modes, occ):
+            i, j = powers[mode]
+            if f < j or f - j + i > 1:
+                break
+            row = 2 * row + f - j + i
+        else:
+            f1 = dict(zip(modes, occ)).get(1, 0)
+            moves.append((col, row, bool(f1 and (mon.i2 + mon.j2) & 1)))
+    return moves
 
 
 def fock_matrix(x, D, assignment=None, modes=None):
     """Render a W element on the D-level truncated Fock space.
 
     Elements still carrying abstract gl(1/1) factors have no matrix; apply
-    substitute_gl11 first.  An entry is c * [n][n-1]...[n-l+1] q^(k(n-l)),
-    up to a fermion sign, for a monomial with coefficient c.  The boson
-    factor is built once per (l, k, n), and an entry once per (monomial,
-    n, sign), shared by the fermion occupations that give it.
+    substitute_gl11 first.  A monomial c a+^m t^k a^l (fermion operators)
+    sends |n> (x) f to c [n][n-1]...[n-l+1] q^(k(n-l)) |n-l+m> (x) f', up to
+    a fermion sign, for the levels l <= n < D - m + l and the fermion moves
+    f -> f' of _fermion_moves; the other levels are annihilated or leave
+    the space.  The boson factor is built once per (l, k, n), the only
+    cache, and an amplitude once per (monomial, n).
 
     With an assignment, entries are exact rationals (q = 0, +1, -1 are
     rejected as deformation singularities, p_i = 0 as well), and they are
-    evaluated first: the value of c, taken the first time its monomial
-    gives an entry, times the value of the boson factor.  That equals the
-    value of the product and raises the same errors, because the boson
-    factor's numerator has no rational root other than 0 and +-1, so it
-    cancels no pole of c at an accepted assignment."""
+    evaluated first: the value of c, taken once if its monomial gives an
+    entry, times the value of the boson factor.  That equals the value of
+    the product, because the boson factor's numerator has no rational root
+    other than 0 and +-1, so it cancels no pole of c at an accepted
+    assignment.  A pole of c can still cancel between monomials; then the
+    entries of the symbolic matrix are evaluated instead, and only a pole
+    that survives in a summed entry raises PoleError."""
     if D < 2:
         raise ValueError("Fock dimension must be at least 2")
     if x.has_gl11():
@@ -198,85 +222,44 @@ def fock_matrix(x, D, assignment=None, modes=None):
             "element has abstract gl(1/1) factors; substitute a realization first")
     if assignment is not None:
         assignment = _check_assignment(assignment)
-    if modes is None:
-        modes = x.fermion_modes()
-    modes = tuple(modes)
-    basis = _fock_basis(D, modes)
-    index = {lab: i for i, lab in enumerate(basis)}
-    fdim = 2 ** len(modes)
+    modes = tuple(x.fermion_modes() if modes is None else modes)
+    occupations = tuple(product((0, 1), repeat=len(modes)))
+    fdim = len(occupations)
     mat = QMatrix.zero(D * fdim)
-    raising = max(0, x.max_raising())
     boson = {}      # (l, k, n) -> [n]...[n-l+1] q^(k(n-l)), or its value
-    value = {}      # monomial -> value of its coefficient at the assignment
-    entry = {}      # (monomial, n, sign) -> entry, shared by occupations
-
-    def amplitude(mon, c, n, negate):
-        key = (mon.l, mon.k, n)
-        factor = boson.get(key)
-        if factor is None:
-            factor = sc.ONE
-            for j in range(mon.l):
-                factor = factor * sc.q_integer(n - j)
-            if mon.k:
-                factor = factor * sc.q_power(mon.k * (n - mon.l))
-            if assignment is not None:
-                factor = factor.evaluate(**assignment)
-            boson[key] = factor
-        if assignment is None:
-            return -(c * factor) if negate else c * factor
-        if mon not in value:
-            value[mon] = c.evaluate(**assignment)
-        amp = value[mon] * factor
-        return QScalar.from_rational(-amp if negate else amp)
-
-    for col, lab in enumerate(basis):
-        n = lab[0]
-        occ = dict(zip(modes, lab[1:]))
+    try:
         for mon, c in x.terms.items():
-            # mode-2 operators act first and cross the mode-1 occupation
-            f1 = occ.get(1, 0)
-            f2 = occ.get(2, 0)
-            negate = False
-            if mon.i2 or mon.j2:
-                if 2 not in occ:
-                    raise ValueError("element uses fermion mode 2 "
-                                     "but the basis does not include it")
-                if mon.j2:
-                    if f2 == 0:
-                        continue
-                    f2 = 0
-                if mon.i2:
-                    if f2 == 1:
-                        continue
-                    f2 = 1
-                negate = bool(f1 and (mon.i2 + mon.j2) & 1)
-            if mon.i1 or mon.j1:
-                if 1 not in occ:
-                    raise ValueError("element uses fermion mode 1 "
-                                     "but the basis does not include it")
-                if mon.j1:
-                    if f1 == 0:
-                        continue
-                    f1 = 0
-                if mon.i1:
-                    if f1 == 1:
-                        continue
-                    f1 = 1
-            # boson: a^l, then t^k, then a+^m
-            n2 = n - mon.l + mon.m
-            if n < mon.l or n2 >= D:
-                continue        # annihilated or truncated
-            key = (mon, n, negate)
-            amp = entry.get(key)
-            if amp is None:
-                amp = entry[key] = amplitude(mon, c, n, negate)
-            row_lab = (n2,) + tuple(
-                f1 if mode == 1 else f2 for mode in modes)
-            mat.add_entry(index[row_lab], col, amp)
-    boundary = tuple(i for i, lab in enumerate(basis)
-                     if lab[0] >= D - raising)
-    return FockMatrix(dim=D * fdim, boson_dim=D, modes=modes, matrix=mat,
-                      basis=basis, boundary_columns=boundary)
+            moves = _fermion_moves(mon, modes, occupations)
+            levels = range(mon.l, min(D, D - mon.m + mon.l))
+            if not (moves and levels):
+                continue        # annihilated or truncated on every column
+            if assignment is not None:
+                c = c.evaluate(**assignment)
+            for n in levels:
+                key = (mon.l, mon.k, n)
+                if key not in boson:
+                    factor = sc.q_power(mon.k * (n - mon.l))
+                    for j in range(mon.l):
+                        factor = factor * sc.q_integer(n - j)
+                    boson[key] = factor if assignment is None \
+                        else factor.evaluate(**assignment)
+                amp = c * boson[key]
+                if assignment is not None:
+                    amp = QScalar.from_rational(amp)
+                row, col = (n - mon.l + mon.m) * fdim, n * fdim
+                for f_in, f_out, negate in moves:
+                    mat.add_entry(row + f_out, col + f_in,
+                                  -amp if negate else amp)
+    except sc.PoleError:
+        symbolic = fock_matrix(x, D, modes=modes).matrix
+        mat = QMatrix.from_entries(mat.nrows, mat.ncols, (
+            (i, j, QScalar.from_rational(v.evaluate(**assignment)))
+            for i, j, v in symbolic.iter_entries()))
+    raising = min(D, max(0, x.max_raising()))
+    return FockMatrix(
+        dim=D * fdim, boson_dim=D, modes=modes, matrix=mat,
+        basis=tuple((n,) + occ for n in range(D) for occ in occupations),
+        boundary_columns=tuple(range((D - raising) * fdim, D * fdim)))
 
 
 def _assigned_rational(assignment, name):

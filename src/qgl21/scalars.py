@@ -344,6 +344,11 @@ def _closed_form(a):
     return (row[0], i, j) if len(row) == 1 else None
 
 
+# No engine route reaches _closed_gcd: their denominators stay in the closed
+# basis, where * and + take no gcd.  It stays because conftest.assert_canonical
+# and the gcd tests call _p_gcd on closed-basis denominators, and without it
+# each of those calls runs the PRS, which makes the test suite many times
+# slower.
 def _closed_gcd(a, b):
     """gcd(a, b) if a or b is c * (q - 1)^i * (q + 1)^j, else None: the
     multiplicities of q -+ 1 in the other come from synthetic division by

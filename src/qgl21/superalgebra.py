@@ -34,6 +34,11 @@ from .linear import Combination, accumulate, render_terms
 from .reporting import residual_results
 from .scalars import QScalar
 
+# the 12 generator names; induced, realization and parsing take them from here
+GENERATORS = (
+    "E12", "E13", "E23", "E21", "E32", "E31",
+    "K1", "K1inv", "K2", "K2inv", "K3", "K3inv",
+)
 ODD_GENERATORS = ("E23", "E32", "E13", "E31")
 
 # exponent of q in K_i E_jk = q^{d} E_jk K_i, per unit K power
@@ -423,10 +428,7 @@ def oracle_straighten(g, N, M):
     return _to_terms(normalize_word(sc.ONE, word, single=True))
 
 
-STRAIGHTEN_GENERATORS = (
-    "E12", "E13", "E23", "E32", "E21", "E31",
-    "K1", "K1inv", "K2", "K2inv", "K3", "K3inv",
-)
+STRAIGHTEN_GENERATORS = GENERATORS
 
 # the nine closed identities: (moving letter, run letter)
 STRAIGHTENING_IDENTITIES = (

@@ -159,6 +159,22 @@ def test_fock_fermion_modes_are_graded():
     assert anti == QMatrix.identity(8)
 
 
+@pytest.mark.parametrize("name, row, col", [("b2", 0, 1), ("b2+", 1, 0)])
+def test_fock_matrix_on_a_mode_2_basis(name, row, col):
+    # the default modes of a mode-2 element are (2,): no mode-1 occupation
+    # is there to cross, so every entry is +1
+    D = 3
+    fm = fock_matrix(g(name), D)
+    assert fm.modes == (2,)
+    assert fm.basis == tuple((n, f) for n in range(D) for f in (0, 1))
+    assert fm.matrix == QMatrix.from_entries(
+        2 * D, 2 * D, [(2 * n + row, 2 * n + col, sc.ONE) for n in range(D)])
+    with pytest.raises(ValueError, match="fermion mode 2 but the basis"):
+        fock_matrix(g(name), D, modes=(1,))
+    with pytest.raises(ValueError, match="fermion mode 1 but the basis"):
+        fock_matrix(g("b1"), D, modes=(2,))
+
+
 def test_fock_matrix_rejects_abstract_factors():
     with pytest.raises(ValueError):
         fock_matrix(g("e23"), 4)
@@ -310,6 +326,18 @@ def test_fock_numeric_error_parity_cases():
     assert fock_matrix(parse_w("1/(q + 2)*a^3"), 2, pole).matrix.nnz() == 0
     with pytest.raises(ValueError, match="no value assigned for p1"):
         fock_matrix(rho("K1", "fermionic"), 8, {"q": 2}, (1, 2))
+
+
+def test_fock_numeric_pole_cancelling_between_monomials():
+    # c = 1/(q + 2) has a pole at q = -2, but on a 2-level space t a and a
+    # give the same entry [1], so the symbolic matrix is zero there
+    pole = {"q": -2, "p1": 2, "p2": 3, "p3": 5}
+    x = parse_w("1/(q + 2)*t*a - 1/(q + 2)*a")
+    assert fock_matrix(x, 2).matrix.nnz() == 0
+    assert fock_matrix(x, 2, pole).matrix.nnz() == 0
+    # at n = 2 the entry is [2] (q - 1)/(q + 2): the pole survives
+    with pytest.raises(sc.PoleError):
+        fock_matrix(x, 3, pole)
 
 
 def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
