@@ -92,7 +92,7 @@ def _check_rep(mats, dim, parity):
     mats, checked on the identity; then E23 and E32 must flip parity and
     E21 preserve it (those of them that mats has)."""
     def known(word):
-        return all((nm if e > 0 else nm + "inv") in mats for nm, e in word)
+        return all(ua.letter(nm, e) in mats for nm, e in word)
 
     rels = [rel for rel in ua.relation_set()
             if all(map(known, (*rel.lhs.terms, *rel.rhs.terms)))]
@@ -131,12 +131,9 @@ class A0Rep:
         return dict(m, E31=e31)
 
     def mat(self, name, exp=1):
-        if exp < 0:
-            name = name + "inv"
-            exp = -exp
-        base = self._mats[name]
+        base = self._mats[ua.letter(name, exp)]
         out = base
-        for _ in range(exp - 1):
+        for _ in range(abs(exp) - 1):
             out = out * base
         return out
 
@@ -178,8 +175,11 @@ class InducedVector(Combination):
 
     @classmethod
     def basis_state(cls, N, M, idx=0, coeff=None):
-        if N < 0 or M not in (0, 1):
-            raise ValueError("invalid basis state (%r, %r)" % (N, M))
+        """coeff |N,M> (x) v_idx, for integers N >= 0 and idx >= 0 and M in
+        {0, 1}; act and act_oracle reject an idx outside V."""
+        if not (isinstance(N, int) and isinstance(idx, int)) \
+                or N < 0 or M not in (0, 1) or idx < 0:
+            raise ValueError("invalid basis state (%r, %r, %r)" % (N, M, idx))
         return cls({(N, M, idx): coeff if coeff is not None else sc.ONE})
 
     def __repr__(self):
@@ -194,6 +194,11 @@ class InducedVector(Combination):
 ACT_GENERATORS = ua.GENERATORS
 
 
+def _outside(i, rep):
+    return ValueError("state index %d is outside the %d-dimensional space V"
+                      % (i, rep.dim))
+
+
 # q-exponent per (N, M) of each K on |N,M> (x) v, times its matrix on v
 _K_WEIGHTS = {"K1": (1, 1), "K1inv": (-1, -1), "K2": (-1, 0),
               "K2inv": (1, 0), "K3": (0, -1), "K3inv": (0, 1)}
@@ -205,6 +210,8 @@ def act(g, x, rep):
         raise ValueError("unknown generator %r" % g)
     out = {}
     for (N, M, i), c in x.terms.items():
+        if i >= rep.dim:
+            raise _outside(i, rep)
 
         def put(n, m, coeff, *word):
             """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
@@ -266,6 +273,8 @@ def act_oracle(g, x, rep, single_swaps=False):
     straighten = ua.oracle_straighten if single_swaps else ua.straighten
     out = {}
     for (N, M, i), c in x.terms.items():
+        if i >= rep.dim:
+            raise _outside(i, rep)
         for term in straighten(g, N, M):
             vec = rep.apply_word(term.a0word, {i: sc.ONE})
             for r, v in vec.items():

@@ -39,9 +39,9 @@ class AbstractSymbolError(ValueError):
 
 ABSTRACT_SYMBOLS = frozenset(ua.GENERATORS)
 
-_PLUS_SYMBOLS = frozenset(["a+", "b+", "b1+", "b2+"])
-
 W_SYMBOLS = frozenset(wa.GENERATOR_NAMES)
+
+_PLUS_SYMBOLS = frozenset(s for s in W_SYMBOLS if s.endswith("+"))
 
 SCALAR_SYMBOLS = {"q": sc.Q, "p1": sc.P1, "p2": sc.P2, "p3": sc.P3}
 

@@ -198,12 +198,13 @@ def _fermion_moves(mon, modes, occupations):
 def fock_matrix(x, D, assignment=None, modes=None):
     """Render a W element on the D-level truncated Fock space.
 
-    Elements still carrying abstract gl(1/1) factors have no matrix; apply
-    substitute_gl11 first.  A monomial c a+^m t^k a^l (fermion operators)
-    sends |n> (x) f to c [n][n-1]...[n-l+1] q^(k(n-l)) |n-l+m> (x) f', up to
-    a fermion sign, for the levels l <= n < D - m + l and the fermion moves
-    f -> f' of _fermion_moves; the other levels are annihilated or leave
-    the space.  The boson factor is built once per (l, k, n), the only
+    modes, by default the element's own, is (), (1,), (2,) or (1, 2): the
+    fermion modes of the basis, in basis order.  Elements still carrying
+    abstract gl(1/1) factors have no matrix; apply substitute_gl11 first.
+    A monomial c a+^m t^k a^l (fermion operators) sends |n> (x) f to
+    c [n][n-1]...[n-l+1] q^(k(n-l)) |n-l+m> (x) f', up to a fermion sign,
+    for the levels l <= n < D - m + l and the fermion moves f -> f' of
+    _fermion_moves; the other levels are annihilated or leave the space.  The boson factor is built once per (l, k, n), the only
     cache, and an amplitude once per (monomial, n).
 
     With an assignment, entries are exact rationals (q = 0, +1, -1 are
@@ -223,6 +224,9 @@ def fock_matrix(x, D, assignment=None, modes=None):
     if assignment is not None:
         assignment = _check_assignment(assignment)
     modes = tuple(x.fermion_modes() if modes is None else modes)
+    if modes not in ((), (1,), (2,), (1, 2)):
+        raise ValueError("fermion modes %r are not one of (), (1,), (2,) "
+                         "and (1, 2)" % (modes,))
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
     mat = QMatrix.zero(D * fdim)
@@ -303,7 +307,7 @@ def relation_shifts(mode):
     raise_of = {nm: max(0, el.max_raising()) for nm, el in images.items()}
 
     def word_shift(word):
-        return sum(raise_of[nm if e > 0 else nm + "inv"] * abs(e)
+        return sum(raise_of[ua.letter(nm, e)] * abs(e)
                    for nm, e in word)
 
     shifts = {}

@@ -330,37 +330,22 @@ def _closed_poly(i, j):
     return {(e, 0, 0, 0): c for e, c in enumerate(row) if c}
 
 
-def _closed_form(a):
-    """(c, i, j) if a == c * (q - 1)^i * (q + 1)^j, else None."""
-    if any(m[1] or m[2] or m[3] for m in a):
-        return None
-    rows, _ = _q_rows(a)
-    (row,) = rows.values()
-    if abs(row[0]) != abs(row[-1]):
-        return None
-    i, rows = _q_multiplicity(rows, 1, len(row))
-    j, rows = _q_multiplicity(rows, -1, len(row))
-    (row,) = rows.values()
-    return (row[0], i, j) if len(row) == 1 else None
-
-
 # No engine route reaches _closed_gcd: their denominators stay in the closed
 # basis, where * and + take no gcd.  It stays because conftest.assert_canonical
 # and the gcd tests call _p_gcd on closed-basis denominators, and without it
 # each of those calls runs the PRS, which makes the test suite many times
 # slower.
 def _closed_gcd(a, b):
-    """gcd(a, b) if a or b is c * (q - 1)^i * (q + 1)^j, else None: the
-    multiplicities of q -+ 1 in the other come from synthetic division by
-    q -+ 1, one dense q-row per p-monomial, so no PRS step is taken."""
+    """gcd(a, b) if a or b is c * (q - 1)^i * (q + 1)^j, else None, for a
+    and b free of monomial content: _split gives that form, and
+    _closed_divide the multiplicities of q -+ 1 in the other, so no PRS
+    step is taken."""
     if len(a) > len(b):
         a, b = b, a
     for x, y in ((a, b), (b, a)):
-        form = _closed_form(x)
-        if form is not None:
-            c, i, j = form
-            vm, rows = _q_multiplicity(_q_rows(y)[0], 1, i)
-            vp, _ = _q_multiplicity(rows, -1, j)
+        c, _, i, j, f = _split(x)
+        if f is None:
+            _, vm, vp = _closed_divide(y, i, j)
             g = gcd(c, *y.values())
             return {m: g * k for m, k in _closed_poly(vm, vp).items()}
     return None
@@ -775,21 +760,23 @@ class QScalar:
         return self.render()
 
 
+def render_powers(factors):
+    """The (name, exponent) factors as name^e joined by "*": name alone for
+    e == 1, nothing for e == 0, "" when no factor is left."""
+    return "*".join([name if e == 1 else "%s^%d" % (name, e)
+                     for name, e in factors if e])
+
+
 def _render_terms(terms):
     parts = []
     for mono in sorted(terms, reverse=True):
         c = terms[mono]
-        factors = []
-        for v in range(NVARS):
-            e = mono[v]
-            if e == 0:
-                continue
-            name = VAR_NAMES[v]
-            factors.append(name if e == 1 else "%s^%d" % (name, e))
+        body = render_powers(zip(VAR_NAMES, mono))
         mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = "%s*%s" % (mag, body)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

@@ -5,6 +5,10 @@ arbitrary integer exponents, E letters always exponent 1.  UElement is the
 free QScalar-linear span of such words (adjacent equal K letters merge),
 which doubles as the free algebra used by the derivation-chain tests.
 
+GENERATORS is the alphabet: a letter (name, exponent) acts as the generator
+letter(name, exponent), K1 or K1inv say, and k_weight(K_i, E_jk) gives the
+q-exponent of the K-scaling relation K_i E_jk = q^d E_jk K_i.
+
 evaluate is the one evaluator of a UElement through generator images: it
 folds each word right to left, acc = apply(g, acc), and sums coeff * acc.
 check_relations, built on it, is the one relation checker of all four
@@ -41,15 +45,17 @@ GENERATORS = (
 )
 ODD_GENERATORS = ("E23", "E32", "E13", "E31")
 
-# exponent of q in K_i E_jk = q^{d} E_jk K_i, per unit K power
-_K_SCALING = {
-    ("K1", "E12"): 1, ("K2", "E12"): -1, ("K3", "E12"): 0,
-    ("K1", "E21"): -1, ("K2", "E21"): 1, ("K3", "E21"): 0,
-    ("K1", "E23"): 0, ("K2", "E23"): 1, ("K3", "E23"): -1,
-    ("K1", "E32"): 0, ("K2", "E32"): -1, ("K3", "E32"): 1,
-    ("K1", "E13"): 1, ("K2", "E13"): 0, ("K3", "E13"): -1,
-    ("K1", "E31"): -1, ("K2", "E31"): 0, ("K3", "E31"): 1,
-}
+
+def k_weight(k, e):
+    """The exponent d in K_i E_jk = q^d E_jk K_i, for k = "Ki" and
+    e = "Ejk": [i == j] - [i == k]."""
+    return (e[1] == k[1]) - (e[2] == k[1])
+
+
+def letter(name, exp):
+    """The generator name of the letter (name, exp): name for a positive
+    exponent, name + "inv" for a negative one (_gletter inverts it)."""
+    return name if exp > 0 else name + "inv"
 
 
 def _clean_word(letters):
@@ -113,14 +119,13 @@ class UElement(Combination):
 def evaluate(el, apply, start):
     """Sum over the words of el of coeff * (word applied to start).  Each
     word acts right to left through acc = apply(g, acc), one letter at a
-    time, with g the generator name for a positive power and name + "inv"
-    for a negative one; apply must be linear in acc.  total is a fresh
-    zero, so the words are summed into it in place."""
+    time, with g = letter(name, exponent); apply must be linear in acc.
+    total is a fresh zero, so the words are summed into it in place."""
     total = start.scale(sc.ZERO)
     for word, c in el.terms.items():
         acc = start
         for nm, e in reversed(word):
-            g = nm if e > 0 else nm + "inv"
+            g = letter(nm, e)
             for _ in range(abs(e)):
                 acc = apply(g, acc)
         total += acc if c.is_one() else acc.scale(c)
@@ -141,12 +146,7 @@ def check_relations(relations, gens, unit, cols=None):
 
 
 def render_word(word):
-    if not word:
-        return "1"
-    parts = []
-    for nm, e in word:
-        parts.append(nm if e == 1 else "%s^%d" % (nm, e))
-    return "*".join(parts)
+    return sc.render_powers(word) or "1"
 
 
 def render_uelement(x):
@@ -207,7 +207,7 @@ def relation_set():
 
     for i in (1, 2, 3):
         for ename in ("E12", "E21", "E23", "E32"):
-            d = _K_SCALING[("K%d" % i, ename)]
+            d = k_weight("K%d" % i, ename)
             ki = ("K%d" % i, 1)
             add("K%d %s = q^%+d %s K%d" % (i, ename, d, ename, i), "k-scaling",
                 UElement.word(ki, (ename, 1)),
@@ -280,7 +280,7 @@ def _cross(x, base, n):
     name, e = x
     run = ((base, 1),) * n
     if name[0] == "K":
-        d = _K_SCALING[(name, base)]
+        d = k_weight(name, base)
         return [(sc.q_power(e * n * d), run + (x,))]
     qn = sc.q_integer(n)
     if base == "E12":
@@ -388,6 +388,8 @@ def normalize_word(coeff, word, bases=("E12", "E13"), single=False):
 
 
 def _gletter(g):
+    """The letter (name, +-1) of a generator name, the inverse of letter;
+    a letter passes through."""
     if isinstance(g, tuple):
         return g
     if g.endswith("inv"):

@@ -27,6 +27,10 @@ and a product that would contract more than MAX_LADDER = 1000 a+ a pairs
 raises SubstitutionError.  Signs are collected one odd transposition at a
 time during the sort, never from per-rule tables.
 
+SYMBOLS spells this basis: one symbol per WMonomial field, in field order.
+The generator table, the rendering and the boson/fermion split of w_mul
+are read from it.
+
 WElements are immutable values; everything here is a pure function.
 """
 
@@ -79,6 +83,9 @@ class WMonomial(NamedTuple):
 
 
 UNIT = WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+# fields [:3] are the boson sector, [3:] the fermion and gl(1/1) sector
+SYMBOLS = ("a+", "t", "a", "b+", "b", "b2+", "b2", "e32", "k2", "k3", "e23")
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +301,14 @@ def one():
     return WElement({UNIT: sc.ONE})
 
 
+# generator name -> its monomial: the symbol's field set to the exponent
 _GEN_TABLE = {
-    "a+": WMonomial(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "a": WMonomial(0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
-    "t": WMonomial(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "tinv": WMonomial(0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "b1+": WMonomial(0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
-    "b1": WMonomial(0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    "b2+": WMonomial(0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
-    "b2": WMonomial(0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-    "e32": WMonomial(0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "k2": WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
-    "k2inv": WMonomial(0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0),
-    "k3": WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
-    "k3inv": WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0),
-    "e23": WMonomial(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    name: WMonomial(*(exp if s == symbol else 0 for s in SYMBOLS))
+    for name, symbol, exp in (
+        ("a+", "a+", 1), ("a", "a", 1), ("t", "t", 1), ("tinv", "t", -1),
+        ("b1+", "b+", 1), ("b1", "b", 1), ("b2+", "b2+", 1), ("b2", "b2", 1),
+        ("e32", "e32", 1), ("k2", "k2", 1), ("k2inv", "k2", -1),
+        ("k3", "k3", 1), ("k3inv", "k3", -1), ("e23", "e23", 1))
 }
 
 _GEN_ALIASES = {
@@ -332,13 +332,11 @@ def w_mul(x, y):
     """Product in W, rewritten to the normal-ordered canonical form."""
     out = {}
     for mx, cx in x.terms.items():
-        fx = (mx.i1, mx.j1, mx.i2, mx.j2, mx.eps, mx.al, mx.be, mx.de)
-        bx = (mx.m, mx.k, mx.l)
+        bx, fx = mx[:3], mx[3:]
         for my, cy in y.terms.items():
             c0 = cx * cy
-            bos = _bos_mul(bx, (my.m, my.k, my.l))
-            fg = _fg_mul(fx, (my.i1, my.j1, my.i2, my.j2,
-                              my.eps, my.al, my.be, my.de))
+            bos = _bos_mul(bx, my[:3])
+            fg = _fg_mul(fx, my[3:])
             for (m, k, l), cb in bos.items():
                 cbl = c0 * cb
                 for part, cf in fg.items():
@@ -421,32 +419,8 @@ def substitute_gl11(x, realization):
 # canonical text rendering (the CLI grammar; parsing lives in parsing.py)
 # ---------------------------------------------------------------------------
 
-def _factor_strings(mon):
-    parts = []
-
-    def power(name, e):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append("%s^%d" % (name, e))
-
-    power("a+", mon.m)
-    power("t", mon.k)
-    power("a", mon.l)
-    power("b+", mon.i1)
-    power("b", mon.j1)
-    power("b2+", mon.i2)
-    power("b2", mon.j2)
-    power("e32", mon.eps)
-    power("k2", mon.al)
-    power("k3", mon.be)
-    power("e23", mon.de)
-    return parts
-
-
 def render_monomial(mon):
-    parts = _factor_strings(mon)
-    return "*".join(parts) if parts else "1"
+    return sc.render_powers(zip(SYMBOLS, mon)) or "1"
 
 
 def render_element(x):

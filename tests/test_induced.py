@@ -186,6 +186,21 @@ def test_basis_state_validation():
         InducedVector.basis_state(0, 2)
 
 
+@pytest.mark.parametrize("N, idx", [(1.5, 0), (0, 0.5), (0, -1), ("1", 0)])
+def test_basis_state_requires_integer_level_and_index(N, idx):
+    with pytest.raises(ValueError):
+        InducedVector.basis_state(N, 0, idx)
+
+
+@pytest.mark.parametrize("route", [act, act_oracle])
+def test_act_rejects_an_index_outside_the_representation(route,
+                                                         fermionic_rep):
+    with pytest.raises(ValueError, match="index 2"):
+        route("K1", state(0, 0, 2), fermionic_rep)
+    with pytest.raises(ValueError, match="index 2"):
+        route("E12", state(0, 0, 0) + state(3, 1, 2), fermionic_rep)
+
+
 def test_e31_is_built_once_per_rep(monkeypatch):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     products = []

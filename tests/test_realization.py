@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,12 @@ def test_fock_matrix_on_a_mode_2_basis(name, row, col):
         fock_matrix(g(name), D, modes=(1,))
     with pytest.raises(ValueError, match="fermion mode 1 but the basis"):
         fock_matrix(g("b1"), D, modes=(2,))
+
+
+@pytest.mark.parametrize("modes", [(3,), (1, 1), (2, 1), (0,), (1, 2, 2)])
+def test_fock_matrix_rejects_invalid_modes(modes):
+    with pytest.raises(ValueError, match=re.escape("modes %r" % (modes,))):
+        fock_matrix(g("a"), 3, modes=modes)
 
 
 def test_fock_matrix_rejects_abstract_factors():

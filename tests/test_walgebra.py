@@ -7,8 +7,8 @@ from hypothesis import given, settings
 import qgl21.scalars as sc
 from conftest import random_element, random_monomial, wmonomials
 from qgl21.walgebra import (
-    ParityError, SubstitutionError, WElement, generator, one,
-    substitute_gl11, supercommutator, w_mul,
+    GENERATOR_NAMES, UNIT, ParityError, SubstitutionError, WElement,
+    generator, one, render_element, substitute_gl11, supercommutator, w_mul,
 )
 
 g = generator
@@ -29,6 +29,27 @@ def test_generator_parities():
     assert g("e23").parity() == 1
     assert g("k2").parity() == 0
     assert g("a+").parity() == 0
+
+
+# every W generator name in GENERATOR_NAMES order: (name, WMonomial field,
+# exponent, rendering)
+GENERATOR_TABLE = (
+    ("a+", "m", 1, "a+"), ("a", "l", 1, "a"), ("t", "k", 1, "t"),
+    ("tinv", "k", -1, "t^-1"), ("b1+", "i1", 1, "b+"), ("b1", "j1", 1, "b"),
+    ("b2+", "i2", 1, "b2+"), ("b2", "j2", 1, "b2"), ("e32", "eps", 1, "e32"),
+    ("k2", "al", 1, "k2"), ("k2inv", "al", -1, "k2^-1"),
+    ("k3", "be", 1, "k3"), ("k3inv", "be", -1, "k3^-1"),
+    ("e23", "de", 1, "e23"), ("b+", "i1", 1, "b+"), ("b", "j1", 1, "b"),
+    ("t^-1", "k", -1, "t^-1"), ("k2^-1", "al", -1, "k2^-1"),
+    ("k3^-1", "be", -1, "k3^-1"),
+)
+
+
+def test_generator_table():
+    assert GENERATOR_NAMES == tuple(row[0] for row in GENERATOR_TABLE)
+    for name, field, exp, text in GENERATOR_TABLE:
+        assert g(name).terms == {UNIT._replace(**{field: exp}): sc.ONE}
+        assert render_element(g(name)) == text
 
 
 def test_unknown_generator():
