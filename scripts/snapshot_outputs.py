@@ -9,10 +9,11 @@ rendered string, residual count, exit code and JSON export below.  The
 script imports qgl21 from the src/ of the checkout it sits in.
 
 The battery: the seven verify suites at their defaults, induced and lemma1
-at --nmax 12, fock --dim 32 symbolic and --numeric, matrix --dim 8 for each
-of the 12 abstract generators in both modes, symbolic and --numeric,
-matrix --dim 4 for every W generator name, symbolic and --numeric (the
-fermion modes come from the element; the gl(1/1) names exit 2),
+at --nmax 12, fock --dim 32 symbolic and --numeric, fock --dim 16 --mode
+trivial --numeric, matrix --dim 8 for each of the 12 abstract generators
+in both modes, symbolic and --numeric, matrix --dim 4 for every W
+generator name, symbolic and --numeric (the fermion modes come from the
+element; the gl(1/1) names exit 2),
 scripts/verify_all.py, normal-order on every expression of
 tests/data/normal_order_golden.json, and normal-order on the w-normal-order
 benchmark corpus at seeds 1 and 2 (the inputs bench/workloads.py makes,
@@ -51,6 +52,8 @@ def cli_commands():
     yield "verify-fock-dim32", ["verify", "fock", "--dim", "32"]
     yield "verify-fock-dim32-numeric", ["verify", "fock", "--dim", "32",
                                         "--numeric"]
+    yield "verify-fock-dim16-trivial-numeric", [
+        "verify", "fock", "--dim", "16", "--mode", "trivial", "--numeric"]
     for name in GENERATOR_IMAGE_NAMES:
         for mode in ("trivial", "fermionic"):
             for flags in ([], ["--numeric"]):

@@ -199,7 +199,7 @@ def _matrix_document(name, mode, fock, assignment):
         "assignment": {k: str(Fraction(v)) for k, v in assignment.items()}
         if assignment else None,
         "entries": sorted(
-            [[i, j, v.render()] for i, j, v in fock.matrix.iter_entries()],
+            [[i, j, str(v)] for i, j, v in fock.matrix.iter_entries()],
             key=lambda e: (e[0], e[1])),
     }
 

@@ -131,6 +131,8 @@ class A0Rep:
         return dict(m, E31=e31)
 
     def mat(self, name, exp=1):
+        if not exp:
+            return QMatrix.identity(self.dim)
         base = self._mats[ua.letter(name, exp)]
         out = base
         for _ in range(abs(exp) - 1):
@@ -210,7 +212,7 @@ def act(g, x, rep):
         raise ValueError("unknown generator %r" % g)
     out = {}
     for (N, M, i), c in x.terms.items():
-        if i >= rep.dim:
+        if not 0 <= i < rep.dim:
             raise _outside(i, rep)
 
         def put(n, m, coeff, *word):
@@ -273,7 +275,7 @@ def act_oracle(g, x, rep, single_swaps=False):
     straighten = ua.oracle_straighten if single_swaps else ua.straighten
     out = {}
     for (N, M, i), c in x.terms.items():
-        if i >= rep.dim:
+        if not 0 <= i < rep.dim:
             raise _outside(i, rep)
         for term in straighten(g, N, M):
             vec = rep.apply_word(term.a0word, {i: sc.ONE})

@@ -39,7 +39,8 @@ class AbstractSymbolError(ValueError):
 
 ABSTRACT_SYMBOLS = frozenset(ua.GENERATORS)
 
-W_SYMBOLS = frozenset(wa.GENERATOR_NAMES)
+# the lexer's names hold no "^": t^-1 is t to the power -1, not an alias
+W_SYMBOLS = frozenset(s for s in wa.GENERATOR_NAMES if "^" not in s)
 
 _PLUS_SYMBOLS = frozenset(s for s in W_SYMBOLS if s.endswith("+"))
 

@@ -1,4 +1,5 @@
-"""Sparse exact matrices over QScalar, stored as dict-of-rows.
+"""Sparse exact matrices, stored as dict-of-rows, of QScalars, or of
+Fractions on the numeric Fock route.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
@@ -31,7 +32,7 @@ class QMatrix:
 
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
-        """entries: iterable of (row, col, QScalar)."""
+        """entries: iterable of (row, col, entry)."""
         m = cls(nrows, ncols)
         for i, j, v in entries:
             m.add_entry(i, j, v)

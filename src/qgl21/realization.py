@@ -28,9 +28,9 @@ directly and then machine-verified.  Verification is dual-route:
 Both are calls to superalgebra.check_relations, the one relation checker
 of all four routes, with the generator images (on the W identity) or their
 matrices (on the identity matrix) acting from the left.  The numeric Fock
-route evaluates first: each relation coefficient, each image coefficient
-and each boson factor is evaluated once at the assignment, and matrix
-entries are products of rationals (see fock_matrix for why this is exact,
+route computes in Q: each relation coefficient and each image coefficient
+is evaluated once at the assignment, each boson factor is computed from q,
+and matrix entries are Fractions (see fock_matrix for why this is exact,
 and for the one case, a pole cancelling between monomials, where the
 symbolic entries are evaluated instead).
 
@@ -204,13 +204,15 @@ def fock_matrix(x, D, assignment=None, modes=None):
     A monomial c a+^m t^k a^l (fermion operators) sends |n> (x) f to
     c [n][n-1]...[n-l+1] q^(k(n-l)) |n-l+m> (x) f', up to a fermion sign,
     for the levels l <= n < D - m + l and the fermion moves f -> f' of
-    _fermion_moves; the other levels are annihilated or leave the space.  The boson factor is built once per (l, k, n), the only
-    cache, and an amplitude once per (monomial, n).
+    _fermion_moves; the other levels are annihilated or leave the space.
+    The boson factor is built once per (l, k, n), the only cache, and an
+    amplitude once per (monomial, n).
 
-    With an assignment, entries are exact rationals (q = 0, +1, -1 are
-    rejected as deformation singularities, p_i = 0 as well), and they are
-    evaluated first: the value of c, taken once if its monomial gives an
-    entry, times the value of the boson factor.  That equals the value of
+    With an assignment, entries are Fractions (q = 0, +1, -1 are rejected
+    as deformation singularities, p_i = 0 as well), and they are evaluated
+    first: the value of c, taken once if its monomial gives an entry, times
+    the value of the boson factor, computed from q alone with
+    [m] = (q^m - q^-m)/(q - q^-1).  That equals the value of
     the product, because the boson factor's numerator has no rational root
     other than 0 and +-1, so it cancels no pole of c at an accepted
     assignment.  A pole of c can still cancel between monomials; then the
@@ -231,6 +233,14 @@ def fock_matrix(x, D, assignment=None, modes=None):
     fdim = len(occupations)
     mat = QMatrix.zero(D * fdim)
     boson = {}      # (l, k, n) -> [n]...[n-l+1] q^(k(n-l)), or its value
+    if assignment is None:
+        q_power, q_integer = sc.q_power, sc.q_integer
+    else:
+        q = assignment["q"]
+        q_power = q.__pow__
+
+        def q_integer(m):       # [m] = (q^m - q^-m)/(q - q^-1)
+            return (q ** m - q ** -m) / (q - 1 / q)
     try:
         for mon, c in x.terms.items():
             moves = _fermion_moves(mon, modes, occupations)
@@ -242,14 +252,11 @@ def fock_matrix(x, D, assignment=None, modes=None):
             for n in levels:
                 key = (mon.l, mon.k, n)
                 if key not in boson:
-                    factor = sc.q_power(mon.k * (n - mon.l))
+                    factor = q_power(mon.k * (n - mon.l))
                     for j in range(mon.l):
-                        factor = factor * sc.q_integer(n - j)
-                    boson[key] = factor if assignment is None \
-                        else factor.evaluate(**assignment)
+                        factor = factor * q_integer(n - j)
+                    boson[key] = factor
                 amp = c * boson[key]
-                if assignment is not None:
-                    amp = QScalar.from_rational(amp)
                 row, col = (n - mon.l + mon.m) * fdim, n * fdim
                 for f_in, f_out, negate in moves:
                     mat.add_entry(row + f_out, col + f_in,
@@ -257,7 +264,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
     except sc.PoleError:
         symbolic = fock_matrix(x, D, modes=modes).matrix
         mat = QMatrix.from_entries(mat.nrows, mat.ncols, (
-            (i, j, QScalar.from_rational(v.evaluate(**assignment)))
+            (i, j, v.evaluate(**assignment))
             for i, j, v in symbolic.iter_entries()))
     raising = min(D, max(0, x.max_raising()))
     return FockMatrix(
@@ -330,13 +337,14 @@ def check_relations_on_fock(mode, D, assignment=None):
     mats = {nm: fock_matrix(el, D, assignment, modes).matrix
             for nm, el in realization_map(mode).images.items()}
     shifts = relation_shifts(mode)
-    rels = ua.relation_set()
+    rels, one = ua.relation_set(), sc.ONE
     if assignment is not None:
         rels = [rel._replace(lhs=_evaluated(rel.lhs, assignment),
                              rhs=_evaluated(rel.rhs, assignment))
                 for rel in rels]
+        one = Fraction(1)
     results = ua.check_relations(
-        rels, mats, QMatrix.identity(D * fdim),
+        rels, mats, QMatrix.identity(D * fdim, one),
         lambda rel: range(fdim * (D - shifts[rel.name])))
     for r in results:
         r.detail = "%d boundary columns excluded" % (fdim * shifts[r.name])
@@ -344,7 +352,7 @@ def check_relations_on_fock(mode, D, assignment=None):
 
 
 def _evaluated(el, assignment):
-    return ua.UElement({w: QScalar.from_rational(c.evaluate(**assignment))
+    return ua.UElement({w: c.evaluate(**assignment)
                         for w, c in el.terms.items()})
 
 

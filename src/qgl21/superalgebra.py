@@ -128,7 +128,7 @@ def evaluate(el, apply, start):
             g = letter(nm, e)
             for _ in range(abs(e)):
                 acc = apply(g, acc)
-        total += acc if c.is_one() else acc.scale(c)
+        total += acc if c == 1 else acc.scale(c)
     return total
 
 

@@ -201,6 +201,19 @@ def test_act_rejects_an_index_outside_the_representation(route,
         route("E12", state(0, 0, 0) + state(3, 1, 2), fermionic_rep)
 
 
+@pytest.mark.parametrize("route", [act, act_oracle])
+def test_act_rejects_a_negative_index(route, fermionic_rep):
+    # basis_state refuses idx < 0, so build the vector by hand
+    with pytest.raises(ValueError, match="index -1"):
+        route("K2", InducedVector({(0, 0, -1): sc.ONE}), fermionic_rep)
+
+
+def test_a0rep_power_zero_is_the_identity(fermionic_rep):
+    for name in ("K2", "E32", "E31"):
+        assert fermionic_rep.mat(name, 0) \
+            == QMatrix.identity(fermionic_rep.dim)
+
+
 def test_e31_is_built_once_per_rep(monkeypatch):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     products = []

@@ -46,6 +46,12 @@ def test_fock_route_catches_flipped_e23(monkeypatch):
         == E23_SIGN_BREAKS
 
 
+def test_numeric_fock_route_catches_flipped_e23(monkeypatch):
+    _flip_e23_image(monkeypatch)
+    assert _failed(rz.check_relations_on_fock(
+        "fermionic", 6, rz.DEFAULT_ASSIGNMENT)) == E23_SIGN_BREAKS
+
+
 def test_flipped_e23_is_undone_after_the_test():
     assert not _failed(rz.verify_realization("fermionic"))
 

@@ -96,6 +96,13 @@ def test_abstract_symbols_parse_but_do_not_evaluate():
         eval_w(ast)
 
 
+@pytest.mark.parametrize("text, name", [
+    ("t^-1", "tinv"), ("k2^-1", "k2inv"), ("k3^-1", "k3inv")])
+def test_inverse_powers_are_the_inverse_generators(text, name):
+    assert parse_w(text) == g(name)
+    assert render_element(parse_w(text)) == text
+
+
 def test_inverse_of_noninvertible_rejected():
     from qgl21.walgebra import SubstitutionError
     with pytest.raises(SubstitutionError):

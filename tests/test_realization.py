@@ -347,6 +347,19 @@ def test_fock_numeric_pole_cancelling_between_monomials():
         fock_matrix(x, 3, pole)
 
 
+def test_fock_numeric_entries_are_fractions():
+    fock = fock_matrix(rho("E21", "fermionic"), 8, DEFAULT_ASSIGNMENT)
+    assert fock.matrix.nnz() > 0
+    assert all(type(v) is Fraction for _, _, v in fock.matrix.iter_entries())
+    # the pole of 1/(q + 2) cancels between t a and a, so the symbolic
+    # entries are evaluated instead; only a+ leaves an entry
+    pole = {"q": -2, "p1": 2, "p2": 3, "p3": 5}
+    x = parse_w("1/(q + 2)*t*a - 1/(q + 2)*a + a+")
+    entries = list(fock_matrix(x, 2, pole).matrix.iter_entries())
+    assert entries == [(1, 0, 1)]
+    assert type(entries[0][2]) is Fraction
+
+
 def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
         monkeypatch):
     # evaluation first: once per monomial and once per (l, k, n), never
