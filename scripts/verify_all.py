@@ -27,6 +27,8 @@ def main():
         ["verify", "induced", "--nmax", str(args.induced_nmax)],
         ["verify", "fock", "--dim", str(args.dim), "--mode", "trivial"],
         ["verify", "fock", "--dim", str(args.dim), "--mode", "fermionic"],
+        ["verify", "fock", "--dim", str(args.dim), "--mode", "trivial",
+         "--numeric"],
         ["verify", "fock", "--dim", str(args.dim), "--mode", "fermionic",
          "--numeric"],
         ["verify", "dyson", "--dim", "6"],

@@ -1,5 +1,5 @@
 """Sparse exact matrices, stored as dict-of-rows, of QScalars, or of
-Fractions on the numeric Fock route.
+Fractions or ints on the numeric Fock route.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
@@ -13,12 +13,23 @@ from .linear import accumulate
 
 
 class QMatrix:
-    __slots__ = ("nrows", "ncols", "rows")
+    """A missing entry reads as _zero, the zero of the entries' field:
+    sc.ZERO, the zero of identity's scale, or the zero the builder of a
+    matrix over Q or Z sets.  Sums, products, negatives and multiples keep
+    the left operand's."""
+
+    __slots__ = ("nrows", "ncols", "rows", "_zero")
 
     def __init__(self, nrows, ncols, rows=None):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
+        self._zero = sc.ZERO
+
+    def _like(self, rows, ncols=None):
+        out = QMatrix(self.nrows, self.ncols if ncols is None else ncols, rows)
+        out._zero = self._zero
+        return out
 
     @classmethod
     def zero(cls, nrows, ncols=None):
@@ -27,8 +38,9 @@ class QMatrix:
     @classmethod
     def identity(cls, n, scale=None):
         s = sc.ONE if scale is None else scale
-        rows = {} if not s else {i: {i: s} for i in range(n)}
-        return cls(n, n, rows)
+        m = cls(n, n, {} if not s else {i: {i: s} for i in range(n)})
+        m._zero = s - s
+        return m
 
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
@@ -47,7 +59,7 @@ class QMatrix:
             del self.rows[i]
 
     def entry(self, i, j):
-        return self.rows.get(i, {}).get(j, sc.ZERO)
+        return self.rows.get(i, {}).get(j, self._zero)
 
     def iter_entries(self):
         for i, row in self.rows.items():
@@ -68,8 +80,7 @@ class QMatrix:
         return self
 
     def __add__(self, other):
-        out = QMatrix(self.nrows, self.ncols,
-                      {i: dict(r) for i, r in self.rows.items()})
+        out = self._like({i: dict(r) for i, r in self.rows.items()})
         out += other
         return out
 
@@ -77,22 +88,19 @@ class QMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return QMatrix(self.nrows, self.ncols,
-                       {i: {j: -v for j, v in r.items()}
-                        for i, r in self.rows.items()})
+        return self._like({i: {j: -v for j, v in r.items()}
+                           for i, r in self.rows.items()})
 
     def scale(self, c):
-        if not c:
-            return QMatrix.zero(self.nrows, self.ncols)
-        return QMatrix(self.nrows, self.ncols,
-                       {i: {j: c * v for j, v in r.items()}
-                        for i, r in self.rows.items()})
+        return self._like({} if not c else
+                          {i: {j: c * v for j, v in r.items()}
+                           for i, r in self.rows.items()})
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
-            out = QMatrix(self.nrows, other.ncols)
+            out = self._like({}, other.ncols)
             for i, row in self.rows.items():
                 acc = {}
                 for k, a in row.items():

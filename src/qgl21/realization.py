@@ -28,11 +28,13 @@ directly and then machine-verified.  Verification is dual-route:
 Both are calls to superalgebra.check_relations, the one relation checker
 of all four routes, with the generator images (on the W identity) or their
 matrices (on the identity matrix) acting from the left.  The numeric Fock
-route computes in Q: each relation coefficient and each image coefficient
-is evaluated once at the assignment, each boson factor is computed from q,
-and matrix entries are Fractions (see fock_matrix for why this is exact,
-and for the one case, a pole cancelling between monomials, where the
-symbolic entries are evaluated instead).
+route builds its matrices in Q: each image coefficient is evaluated once
+at the assignment, each boson factor is computed from q, and matrix
+entries are Fractions (see fock_matrix for why this is exact, and for the
+one case, a pole cancelling between monomials, where the symbolic entries
+are evaluated instead); the matrices and the matrix exports stay in Q.
+Its relation check clears the denominators once and runs over Z (see
+_cleared for why the residual counts are those over Q).
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 from . import scalars as sc
 from . import superalgebra as ua
@@ -266,6 +269,8 @@ def fock_matrix(x, D, assignment=None, modes=None):
         mat = QMatrix.from_entries(mat.nrows, mat.ncols, (
             (i, j, v.evaluate(**assignment))
             for i, j, v in symbolic.iter_entries()))
+    if assignment is not None:
+        mat._zero = Fraction(0)
     raising = min(D, max(0, x.max_raising()))
     return FockMatrix(
         dim=D * fdim, boson_dim=D, modes=modes, matrix=mat,
@@ -327,22 +332,23 @@ def relation_shifts(mode):
 def check_relations_on_fock(mode, D, assignment=None):
     """Re-check every relation by exact matrix arithmetic on the truncated
     Fock space, on the columns of the levels n < D - s for a relation whose
-    words raise the boson number by up to s."""
+    words raise the boson number by up to s.  With an assignment the
+    matrices are built in Q, and the check runs over Z (_cleared)."""
     if mode not in ("trivial", "fermionic"):
         raise ValueError("Fock checks need a concrete subalgebra mode")
     if D < 4:
         raise ValueError("Fock dimension must be at least 4")
     modes = fock_modes(mode)
     fdim = 2 ** len(modes)
-    mats = {nm: fock_matrix(el, D, assignment, modes).matrix
-            for nm, el in realization_map(mode).images.items()}
+    mats = ((nm, fock_matrix(el, D, assignment, modes).matrix)
+            for nm, el in realization_map(mode).images.items())
     shifts = relation_shifts(mode)
     rels, one = ua.relation_set(), sc.ONE
-    if assignment is not None:
-        rels = [rel._replace(lhs=_evaluated(rel.lhs, assignment),
-                             rhs=_evaluated(rel.rhs, assignment))
-                for rel in rels]
-        one = Fraction(1)
+    if assignment is None:
+        mats = dict(mats)
+    else:
+        rels, mats = _cleared(rels, mats, assignment)
+        one = 1
     results = ua.check_relations(
         rels, mats, QMatrix.identity(D * fdim, one),
         lambda rel: range(fdim * (D - shifts[rel.name])))
@@ -351,9 +357,37 @@ def check_relations_on_fock(mode, D, assignment=None):
     return results
 
 
-def _evaluated(el, assignment):
-    return ua.UElement({w: c.evaluate(**assignment)
-                        for w, c in el.terms.items()})
+def _cleared(relations, mats, assignment):
+    """The relations at the assignment, and the Fraction matrices M_g of
+    the pairs (g, M_g) in mats, over Z; each M_g is dropped once cleared.
+    M_g becomes A_g = d_g M_g, d_g the lcm of its entry denominators, and
+    a word w of lhs - rhs with value c_w gets the int coefficient
+    L c_w / prod(d_g^|e|) over the letters g^e of w, L the lcm of the
+    denominators left.  Each residual is then L != 0 times its value over
+    Q, entry by entry: an entry is zero exactly when its rational value
+    is, so the residual counts are those over Q, with no modular or
+    floating-point step.  A witness from such a residual must be divided
+    by L to give its value in Q."""
+    def times(d, v):            # d v as an int; v's denominator divides d
+        return v.numerator * (d // v.denominator)
+
+    dens, ints = {}, {}
+    for g, m in mats:
+        d = dens[g] = lcm(*(v.denominator for _, _, v in m.iter_entries()))
+        ints[g] = a = QMatrix(m.nrows, m.ncols, {
+            i: {j: times(d, v) for j, v in r.items()}
+            for i, r in m.rows.items()})
+        a._zero = 0
+    cleared = []
+    for rel in relations:
+        coeffs = {w: c.evaluate(**assignment)
+                  / prod(dens[ua.letter(nm, e)] ** abs(e) for nm, e in w)
+                  for w, c in (rel.lhs - rel.rhs).terms.items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        cleared.append(rel._replace(
+            lhs=ua.UElement({w: times(den, c) for w, c in coeffs.items()}),
+            rhs=ua.UElement.zero()))
+    return cleared, ints
 
 
 # ---------------------------------------------------------------------------

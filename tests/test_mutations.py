@@ -52,6 +52,20 @@ def test_numeric_fock_route_catches_flipped_e23(monkeypatch):
         "fermionic", 6, rz.DEFAULT_ASSIGNMENT)) == E23_SIGN_BREAKS
 
 
+@pytest.mark.parametrize("D, broken", [(6, (20, 10)), (8, (28, 14))])
+def test_numeric_fock_residual_counts_match_the_symbolic_route(monkeypatch,
+                                                               D, broken):
+    # the numeric route counts the entries of L times the rational residual;
+    # a scaling fault that zeroed or added an entry would change a count
+    _flip_e23_image(monkeypatch)
+    expected = {rel.name: 0 for rel in ua.relation_set()}
+    expected.update(zip(("{E23, E32} = (K2 K3 - K2^-1 K3^-1)/(q - q^-1)",
+                         "E13 = E12 E23 - q^-1 E23 E12"), broken))
+    for assignment in (None, rz.DEFAULT_ASSIGNMENT):
+        results = rz.check_relations_on_fock("fermionic", D, assignment)
+        assert {r.name: r.residuals for r in results} == expected
+
+
 def test_flipped_e23_is_undone_after_the_test():
     assert not _failed(rz.verify_realization("fermionic"))
 

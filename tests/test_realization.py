@@ -8,13 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
+import qgl21.superalgebra as ua
 from conftest import substitute_monomial
 from qgl21.parsing import parse_w
 from qgl21.qmatrix import QMatrix
 from qgl21.realization import (
-    DEFAULT_ASSIGNMENT, GENERATOR_IMAGE_NAMES, check_relations_on_fock,
-    dyson_check, fock_matrix, fock_modes, image_of_uelement, realization_map,
-    relation_shifts, rho, verify_realization,
+    DEFAULT_ASSIGNMENT, GENERATOR_IMAGE_NAMES, _cleared,
+    check_relations_on_fock, dyson_check, fock_matrix, fock_modes,
+    image_of_uelement, realization_map, relation_shifts, rho,
+    verify_realization,
 )
 from qgl21.reporting import all_passed
 from qgl21.superalgebra import relation_set
@@ -358,6 +360,62 @@ def test_fock_numeric_entries_are_fractions():
     entries = list(fock_matrix(x, 2, pole).matrix.iter_entries())
     assert entries == [(1, 0, 1)]
     assert type(entries[0][2]) is Fraction
+
+
+def test_fock_numeric_missing_entry_is_a_fraction_zero():
+    numeric = fock_matrix(g("a"), 4, DEFAULT_ASSIGNMENT)
+    assert numeric.entry(0, 1) == 1
+    m = numeric.matrix
+    for x in (numeric, m * m, m + m, -m, m.scale(Fraction(2)), m.scale(0)):
+        assert type(x.entry(0, 0)) is Fraction and x.entry(0, 0) == 0
+    # the PoleError fallback builds its matrix again
+    pole = {"q": -2, "p1": 2, "p2": 3, "p3": 5}
+    x = parse_w("1/(q + 2)*t*a - 1/(q + 2)*a + a+")
+    assert type(fock_matrix(x, 2, pole).entry(0, 0)) is Fraction
+    symbolic = fock_matrix(g("a"), 4).entry(0, 0)
+    assert type(symbolic) is sc.QScalar and symbolic == sc.ZERO
+
+
+@pytest.mark.parametrize("assignment", [
+    {"q": Fraction(-7, 3), "p1": 2, "p2": 3, "p3": 5},
+    {"q": Fraction(97, 89), "p1": Fraction(101, 7), "p2": Fraction(13, 17),
+     "p3": Fraction(-19, 23)},
+])
+def test_fock_numeric_relation_check_runs_over_z(monkeypatch, assignment):
+    seen = []
+    check = ua.check_relations
+
+    def capturing(relations, gens, unit, cols=None):
+        seen.append((relations, gens, unit))
+        return check(relations, gens, unit, cols)
+
+    monkeypatch.setattr(ua, "check_relations", capturing)
+    for mode in ("trivial", "fermionic"):
+        results = check_relations_on_fock(mode, 8, assignment)
+        assert len(results) == 37 and all_passed(results)
+    assert len(seen) == 2
+    for relations, gens, unit in seen:
+        assert all(type(v) is int for m in (*gens.values(), unit)
+                   for _, _, v in m.iter_entries())
+        assert all(type(c) is int for rel in relations
+                   for el in (rel.lhs, rel.rhs) for c in el.terms.values())
+
+
+def test_fock_numeric_relation_check_clears_each_power_of_a_letter():
+    # no defining relation has a letter with |exponent| > 1, so these two
+    # pin the d_g^|e| of _cleared: K1^e and the |e| letters K1^sign(e) are
+    # different words with the same value
+    word = ua.UElement.word
+    rels = [ua.Relation("K1^%d" % e, "powers", word(("K1", e)),
+                        word(*[("K1", e // abs(e))] * abs(e)))
+            for e in (2, -3)]
+    mats = ((name, fock_matrix(rho(name, "fermionic"), 6, DEFAULT_ASSIGNMENT,
+                               (1, 2)).matrix)
+            for name in GENERATOR_IMAGE_NAMES)
+    cleared, ints = _cleared(rels, mats, DEFAULT_ASSIGNMENT)
+    assert all(len(rel.lhs.terms) == 2 for rel in cleared)
+    assert all_passed(ua.check_relations(cleared, ints,
+                                         QMatrix.identity(24, 1)))
 
 
 def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
