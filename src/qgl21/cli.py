@@ -1,7 +1,8 @@
 """Command-line surface.
 
     normal-order <expr>            rewrite a W expression to canonical form
-    verify <suite> [flags]         run a verification suite, exit 1 on failure
+    verify <suite> [flags]         run a verification suite, exit 1 on failure;
+                                   a flag the suite does not read exits 2
     matrix <generator> --dim D     export a truncated Fock matrix as JSON
 
 Exit statuses: 0 all checks pass, 1 verification failure, 2 usage or parse
@@ -29,6 +30,10 @@ VERIFY_SUITES = (
     "lemma1", "induced", "fock", "dyson",
 )
 
+# the verify flags each suite reads; any other flag given is a usage error
+_SUITE_FLAGS = {"lemma1": ("nmax",), "induced": ("nmax",),
+               "fock": ("dim", "mode", "numeric"), "dyson": ("dim",)}
+
 
 def _use_color(stream):
     return stream.isatty() and not os.environ.get("NO_COLOR")
@@ -51,9 +56,9 @@ def _build_parser():
     p_ver.add_argument("--dim", type=int, default=None,
                        help="Fock dimension for fock/dyson (4..32)")
     p_ver.add_argument("--mode", choices=("trivial", "fermionic"),
-                       default="fermionic",
-                       help="subalgebra realization for the fock suite")
-    p_ver.add_argument("--numeric", action="store_true",
+                       help="subalgebra realization for the fock suite "
+                            "(default fermionic)")
+    p_ver.add_argument("--numeric", action="store_true", default=None,
                        help="fock suite: evaluate at the default rational "
                             "assignment instead of symbolically")
 
@@ -109,6 +114,12 @@ def _range_check(value, lo, hi, flag):
 
 def _cmd_verify(args):
     suite = args.suite
+    for flag in ("nmax", "dim", "mode", "numeric"):
+        if getattr(args, flag) is not None \
+                and flag not in _SUITE_FLAGS.get(suite, ()):
+            print("error: verify %s does not read --%s" % (suite, flag),
+                  file=sys.stderr)
+            return 2
     if suite in ("relations-abstract", "relations-trivial",
                  "relations-fermionic"):
         mode = suite.split("-", 1)[1]
@@ -136,10 +147,11 @@ def _cmd_verify(args):
         dim = 8 if args.dim is None else args.dim
         if not _range_check(dim, 4, 32, "--dim"):
             return 2
+        mode = args.mode or "fermionic"
         assignment = rz.DEFAULT_ASSIGNMENT if args.numeric else None
-        results = rz.check_relations_on_fock(args.mode, dim, assignment)
+        results = rz.check_relations_on_fock(mode, dim, assignment)
         title = "defining relations on the %d-level Fock space (%s mode%s)" \
-            % (dim, args.mode, ", numeric" if args.numeric else "")
+            % (dim, mode, ", numeric" if args.numeric else "")
     elif suite == "dyson":
         dim = 6 if args.dim is None else args.dim
         if not _range_check(dim, 4, 32, "--dim"):

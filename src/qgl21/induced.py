@@ -32,7 +32,7 @@ from . import scalars as sc
 from . import superalgebra as ua
 from .linear import Combination, accumulate
 from .qmatrix import QMatrix
-from .reporting import CheckResult, residual_results
+from .reporting import CheckResult, check_size
 
 
 class RepresentationError(ValueError):
@@ -133,11 +133,7 @@ class A0Rep:
     def mat(self, name, exp=1):
         if not exp:
             return QMatrix.identity(self.dim)
-        base = self._mats[ua.letter(name, exp)]
-        out = base
-        for _ in range(abs(exp) - 1):
-            out = out * base
-        return out
+        return sc.power(self._mats[ua.letter(name, exp)], abs(exp))
 
     def apply_word(self, word, vec):
         """A0 word applied to a sparse column vector over V."""
@@ -177,10 +173,11 @@ class InducedVector(Combination):
 
     @classmethod
     def basis_state(cls, N, M, idx=0, coeff=None):
-        """coeff |N,M> (x) v_idx, for integers N >= 0 and idx >= 0 and M in
-        {0, 1}; act and act_oracle reject an idx outside V."""
-        if not (isinstance(N, int) and isinstance(idx, int)) \
-                or N < 0 or M not in (0, 1) or idx < 0:
+        """coeff |N,M> (x) v_idx, for an int idx >= 0 and N, M as
+        superalgebra.check_state requires; act and act_oracle check each
+        term by the same rule and reject an idx outside V."""
+        ua.check_state(N, M)
+        if not isinstance(idx, int) or idx < 0:
             raise ValueError("invalid basis state (%r, %r, %r)" % (N, M, idx))
         return cls({(N, M, idx): coeff if coeff is not None else sc.ONE})
 
@@ -196,9 +193,12 @@ class InducedVector(Combination):
 ACT_GENERATORS = ua.GENERATORS
 
 
-def _outside(i, rep):
-    return ValueError("state index %d is outside the %d-dimensional space V"
-                      % (i, rep.dim))
+def _check_term(N, M, i, rep):
+    """The state of a term follows the basis_state rule, with i inside V."""
+    ua.check_state(N, M)
+    if not (isinstance(i, int) and 0 <= i < rep.dim):
+        raise ValueError("state index %r is outside the %d-dimensional "
+                         "space V" % (i, rep.dim))
 
 
 # q-exponent per (N, M) of each K on |N,M> (x) v, times its matrix on v
@@ -208,12 +208,10 @@ _K_WEIGHTS = {"K1": (1, 1), "K1inv": (-1, -1), "K2": (-1, 0),
 
 def act(g, x, rep):
     """Closed-form action of a generator on an induced-module vector."""
-    if g not in ACT_GENERATORS:
-        raise ValueError("unknown generator %r" % g)
+    ua.check_generator(g)
     out = {}
     for (N, M, i), c in x.terms.items():
-        if not 0 <= i < rep.dim:
-            raise _outside(i, rep)
+        _check_term(N, M, i, rep)
 
         def put(n, m, coeff, *word):
             """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
@@ -270,13 +268,11 @@ def act(g, x, rep):
 def act_oracle(g, x, rep, single_swaps=False):
     """Action computed through the straightening engine: normal-order
     g . E12^N E13^M, then push each leftover A0 word into V."""
-    if g not in ACT_GENERATORS:
-        raise ValueError("unknown generator %r" % g)
+    ua.check_generator(g)
     straighten = ua.oracle_straighten if single_swaps else ua.straighten
     out = {}
     for (N, M, i), c in x.terms.items():
-        if not 0 <= i < rep.dim:
-            raise _outside(i, rep)
+        _check_term(N, M, i, rep)
         for term in straighten(g, N, M):
             vec = rep.apply_word(term.a0word, {i: sc.ONE})
             for r, v in vec.items():
@@ -293,8 +289,7 @@ def check_relations_on_module(rep, nmax):
     """Check every defining relation on the basis states N <= nmax - 2, with
     the generators as matrices on the states N <= nmax: one act call per
     generator and state (see the module docstring for why this is exact)."""
-    if nmax < 2:
-        raise ValueError("nmax must be at least 2")
+    check_size(nmax, 2, "nmax")
     states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
               for i in range(rep.dim)]
     index = {state: k for k, state in enumerate(states)}

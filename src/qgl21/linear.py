@@ -4,13 +4,13 @@ words) and induced-module vectors (basis states).
 
 A combination maps basis keys to nonzero QScalars; accumulate is the one
 add-and-drop-zeros step every sparse sum in the engine goes through, and
-render_terms the one signed-sum renderer for coefficients times basis
-strings.
+render_terms the one renderer of coefficients times basis strings (joined
+by scalars.signed_sum, as the terms of a scalar are).
 """
 
 from __future__ import annotations
 
-from .scalars import QScalar
+from .scalars import QScalar, signed_sum
 
 
 def accumulate(d, key, val):
@@ -123,8 +123,5 @@ def render_terms(pairs):
             body = mstr
         else:
             body = cstr + "*" + mstr
-        if not pieces:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces) or "0"
+        pieces.append((neg, body))
+    return signed_sum(pieces) or "0"

@@ -51,7 +51,7 @@ from . import scalars as sc
 from . import superalgebra as ua
 from . import walgebra as wa
 from .qmatrix import QMatrix
-from .reporting import residual_results
+from .reporting import check_size, residual_results
 from .scalars import QScalar
 from .walgebra import generator, substitute_gl11, w_mul
 
@@ -221,8 +221,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
     assignment.  A pole of c can still cancel between monomials; then the
     entries of the symbolic matrix are evaluated instead, and only a pole
     that survives in a summed entry raises PoleError."""
-    if D < 2:
-        raise ValueError("Fock dimension must be at least 2")
+    check_size(D, 2, "Fock dimension")
     if x.has_gl11():
         raise ValueError(
             "element has abstract gl(1/1) factors; substitute a realization first")
@@ -284,7 +283,7 @@ def _assigned_rational(assignment, name):
         return None
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError("%s = %r is not a rational number" % (name, value)) \
             from None
 
@@ -336,8 +335,7 @@ def check_relations_on_fock(mode, D, assignment=None):
     matrices are built in Q, and the check runs over Z (_cleared)."""
     if mode not in ("trivial", "fermionic"):
         raise ValueError("Fock checks need a concrete subalgebra mode")
-    if D < 4:
-        raise ValueError("Fock dimension must be at least 4")
+    check_size(D, 4, "Fock dimension")
     modes = fock_modes(mode)
     fdim = 2 ** len(modes)
     mats = ((nm, fock_matrix(el, D, assignment, modes).matrix)
@@ -398,8 +396,7 @@ def dyson_check(D):
     """Build A+, A, N with A|n> = n|n-1>, substitute a+ = A+,
     a = ([N+1]/(N+1)) A, q^x = q^N, and verify the q-boson relations and
     the Fock matrices entry for entry."""
-    if D < 4:
-        raise ValueError("Fock dimension must be at least 4")
+    check_size(D, 4, "Fock dimension")
     aplus = QMatrix.from_entries(
         D, D, [(n + 1, n, sc.ONE) for n in range(D - 1)])
     a_ord = QMatrix.from_entries(

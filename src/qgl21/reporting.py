@@ -23,6 +23,14 @@ def residual_results(checks):
     return results
 
 
+def check_size(value, least, what):
+    """A ValueError unless value, the size what, is an int >= least."""
+    if not isinstance(value, int):
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    if value < least:
+        raise ValueError("%s must be at least %d" % (what, least))
+
+
 def all_passed(results):
     return all(r.passed for r in results)
 

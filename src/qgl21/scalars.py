@@ -47,15 +47,17 @@ Collins 1967 / Brown 1971), with a positive leading coefficient; a gcd with
 one argument of the form c * (q - 1)^i * (q + 1)^j is read off by synthetic
 division without a PRS.
 
-_n and _d are the reduced fraction of polynomials that the stored form
-stands for, derived when first read and then cached: coprime in
-Q[q, p1, p2, p3], jointly primitive (the gcd of all their coefficients is 1)
-and with a positive leading coefficient of _d under lex order on
-(q, p1, p2, p3) exponent vectors.  num and den are its monic views
+_fraction() gives the reduced fraction of polynomials, (numerator,
+denominator), that the stored form stands for, derived when first read and
+then cached: coprime in Q[q, p1, p2, p3], jointly primitive (the gcd of all
+their coefficients is 1) and with a positive leading coefficient of the
+denominator under lex order on (q, p1, p2, p3) exponent vectors; tests
+read it to check these invariants.  num and den are its monic views
 (denominator leading coefficient 1, Fraction values); rendering and
 evaluate use them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
 Fraction appears only at these boundaries and in from_rational,
-from_laurent and the public constructor.
+from_laurent and the public constructor, which, like monomial, q_power
+and p_power, refuses an exponent that is not an int (a ValueError).
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -65,7 +67,7 @@ q_power and q_integer are memoized.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 
 NVARS = 4
@@ -467,9 +469,12 @@ def _reduce(num, den):
     """The stored form (N, c, i, j, F) of num/den, Laurent polynomials with
     int or Fraction coefficients: drop zero coefficients, multiply both by
     the integer that clears the coefficient denominators, split den over
-    the basis and cancel."""
+    the basis and cancel.  A non-integer exponent is a ValueError."""
     num = {m: c for m, c in num.items() if c}
     den = {m: c for m, c in den.items() if c}
+    for m in (*num, *den):
+        if not all(isinstance(e, int) for e in m):
+            raise ValueError("exponent vector %r is not all integers" % (m,))
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
@@ -536,16 +541,6 @@ class QScalar:
                             _lift({_mono_div_signed(_UNIT_MONO, m): self._c},
                                   1, self._i, self._j, self._F))
         return self._nd
-
-    @property
-    def _n(self):
-        """Numerator of the reduced fraction, {exponent 4-tuple: int}."""
-        return self._fraction()[0]
-
-    @property
-    def _d(self):
-        """Denominator of the reduced fraction, {exponent 4-tuple: int}."""
-        return self._fraction()[1]
 
     @property
     def num(self):
@@ -655,16 +650,7 @@ class QScalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.invert() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self.invert() if n < 0 else self, abs(n), ONE)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -682,8 +668,8 @@ class QScalar:
                 # agree with == under coercion: hash(from_rational(c)) == hash(c)
                 self._hash = hash(Fraction(n.get(_UNIT_MONO, 0), self._c))
             else:
-                # hash the exponents shifted to be >= 0, as in _n: CPython
-                # hashes -1 like -2, so q^-1 and q^-2 would collide
+                # hash the exponents shifted to be >= 0, as in _fraction:
+                # CPython hashes -1 like -2, so q^-1 and q^-2 would collide
                 s = tuple(max(0, -e) for e in _p_mono_content(n))
                 self._hash = hash((
                     frozenset((_mono_mul(m, s), k) for m, k in n.items()),
@@ -767,8 +753,35 @@ def render_powers(factors):
                      for name, e in factors if e])
 
 
-def _render_terms(terms):
+def signed_sum(pieces):
+    """The (negative, body) pairs joined as a signed sum: "-" before a
+    negative first body, " + " or " - " before each later one, "" for
+    none."""
     parts = []
+    for neg, body in pieces:
+        if parts:
+            parts.append(" - " if neg else " + ")
+        elif neg:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts)
+
+
+def power(x, n, one=None):
+    """x ** n for an int n >= 0 by square and multiply with x's own *:
+    one for n == 0 and x itself for n == 1."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if out is None else out
+
+
+def _render_terms(terms):
+    pieces = []
     for mono in sorted(terms, reverse=True):
         c = terms[mono]
         body = render_powers(zip(VAR_NAMES, mono))
@@ -777,11 +790,8 @@ def _render_terms(terms):
             body = str(mag)
         elif mag != 1:
             body = "%s*%s" % (mag, body)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
+        pieces.append((c < 0, body))
+    return signed_sum(pieces)
 
 
 def _coerce(x):
@@ -804,16 +814,16 @@ def monomial(coeff, eq=0, e1=0, e2=0, e3=0):
     return QScalar.from_laurent({(eq, e1, e2, e3): Fraction(coeff)})
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)    # typed: q_power(1.0) is refused
 def q_power(n):
     return monomial(1, eq=n)
 
 
 def p_power(i, n):
     """p_i^n for i in 1..3."""
-    exps = [0, 0, 0, 0]
-    exps[i] = n
-    return QScalar.from_laurent({tuple(exps): Fraction(1)})
+    if i not in (1, 2, 3):
+        raise ValueError("p_power index %r is not 1, 2 or 3" % (i,))
+    return monomial(1, *(n if v == i else 0 for v in range(NVARS)))
 
 
 Q = q_power(1)

@@ -2,8 +2,9 @@
 
 Words are sequences of generator letters (name, exponent); K letters carry
 arbitrary integer exponents, E letters always exponent 1.  UElement is the
-free QScalar-linear span of such words (adjacent equal K letters merge),
-which doubles as the free algebra used by the derivation-chain tests.
+free QScalar-linear span of such words, which doubles as the free algebra
+used by the derivation-chain tests: its words stay free, so adjacent equal
+K letters are kept apart (only straightening output merges them).
 
 GENERATORS is the alphabet: a letter (name, exponent) acts as the generator
 letter(name, exponent), K1 or K1inv say, and k_weight(K_i, E_jk) gives the
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 from . import scalars as sc
 from .linear import Combination, accumulate, render_terms
-from .reporting import residual_results
+from .reporting import check_size, residual_results
 from .scalars import QScalar
 
 # the 12 generator names; induced, realization and parsing take them from here
@@ -64,11 +65,10 @@ def _clean_word(letters):
 
 def _merge_adjacent_k(letters):
     """Collapse adjacent powers of the same K (used only to canonicalize
-    straightening output; UElement words stay free)."""
+    straightening output, whose letters have exponents +-1; UElement words
+    stay free)."""
     out = []
     for nm, e in letters:
-        if e == 0:
-            continue
         if out and nm[0] == "K" and out[-1][0] == nm:
             ne = out[-1][1] + e
             out.pop()
@@ -388,10 +388,7 @@ def normalize_word(coeff, word, bases=("E12", "E13"), single=False):
 
 
 def _gletter(g):
-    """The letter (name, +-1) of a generator name, the inverse of letter;
-    a letter passes through."""
-    if isinstance(g, tuple):
-        return g
+    """The letter (name, +-1) of a generator name, the inverse of letter."""
     if g.endswith("inv"):
         return (g[:-3], -1)
     return (g, 1)
@@ -408,26 +405,40 @@ def _to_terms(word_dict):
             m += 1
         if m >= 2:
             continue                       # E13^2 = 0 in the algebra
-        rest = _merge_adjacent_k(w[n + m:])
-        if any(rest[i][0] == rest[i + 1][0] and rest[i][0] in ODD_GENERATORS
-               for i in range(len(rest) - 1)):
-            continue                       # adjacent odd square
-        accumulate(terms, (n, m, rest), c)
+        accumulate(terms, (n, m, _merge_adjacent_k(w[n + m:])), c)
     out = [StraightenTerm(c, n, m, rest) for (n, m, rest), c in terms.items()]
     out.sort(key=lambda t: (-t.n, -t.m, t.a0word))
     return out
 
 
+def check_generator(g):
+    """A ValueError unless g is one of GENERATORS."""
+    if g not in GENERATORS:
+        raise ValueError("unknown generator %r" % (g,))
+
+
+def check_state(N, M):
+    """The rule for a basis state E12^N E13^M, in straightening and in the
+    induced module: N is an int >= 0 and M is 0 or 1; else a ValueError."""
+    if not isinstance(N, int) or N < 0 or M not in (0, 1):
+        raise ValueError("invalid basis state (%r, %r)" % (N, M))
+
+
+def _straighten(g, N, M, single):
+    check_generator(g)
+    check_state(N, M)
+    word = (_gletter(g),) + (("E12", 1),) * N + (("E13", 1),) * M
+    return _to_terms(normalize_word(sc.ONE, word, single=single))
+
+
 def straighten(g, N, M):
     """Closed-form expansion of g . E12^N . E13^M over the PBW basis."""
-    word = (_gletter(g),) + (("E12", 1),) * N + (("E13", 1),) * M
-    return _to_terms(normalize_word(sc.ONE, word))
+    return _straighten(g, N, M, False)
 
 
 def oracle_straighten(g, N, M):
     """Same contract as straighten, computed only from n = 1 swaps."""
-    word = (_gletter(g),) + (("E12", 1),) * N + (("E13", 1),) * M
-    return _to_terms(normalize_word(sc.ONE, word, single=True))
+    return _straighten(g, N, M, True)
 
 
 STRAIGHTEN_GENERATORS = GENERATORS
@@ -446,8 +457,7 @@ def check_straightening_identities(nmax):
     shortcuts): one CheckResult per identity, whose residual is closed minus
     single-swap keyed by (n, word).  The two agree by construction at n <= 1,
     so nmax must be at least 2."""
-    if nmax < 2:
-        raise ValueError("nmax must be at least 2")
+    check_size(nmax, 2, "nmax")
     bases_for = {"E12": ("E12", "E13"), "E13": ("E12", "E13"), "E23": ("E23",)}
 
     def expansion(g, base, n, single):

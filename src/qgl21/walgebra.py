@@ -238,17 +238,7 @@ class WElement(Combination):
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = None          # square and multiply, one() only for n == 0
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else w_mul(out, base)
-            n >>= 1
-            if n:
-                base = w_mul(base, base)
-        return one() if out is None else out
+        return sc.power(self.inverse() if n < 0 else self, abs(n), one())
 
     def inverse(self):
         """Inverse of a scalar multiple of an invertible monomial

@@ -109,11 +109,12 @@ rational_functions = st.builds(
 
 def assert_canonical(z):
     """The storage invariants of the integer canonical form."""
-    for poly in (z._n, z._d):
+    n, d = z._fraction()
+    for poly in (n, d):
         assert all(type(c) is int for c in poly.values())
-    assert sc._p_gcd(z._n, z._d) == sc._ONE_POLY
-    assert math.gcd(*z._n.values(), *z._d.values()) == 1
-    assert z._d[max(z._d)] > 0
+    assert sc._p_gcd(n, d) == sc._ONE_POLY
+    assert math.gcd(*n.values(), *d.values()) == 1
+    assert d[max(d)] > 0
     assert sc.QScalar(dict(z.num), dict(z.den)) == z
 
 

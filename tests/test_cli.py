@@ -144,6 +144,27 @@ def test_verify_flag_ranges(capsys):
     assert "--dim" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["dyson", "--numeric"], "--numeric"),
+    (["lemma1", "--dim", "5"], "--dim"),
+    (["induced", "--mode", "trivial"], "--mode"),
+    (["fock", "--nmax", "4"], "--nmax"),
+    (["dyson", "--mode", "fermionic"], "--mode"),
+    (["relations-abstract", "--nmax", "0"], "--nmax"),
+    (["relations-trivial", "--numeric"], "--numeric"),
+])
+def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: verify %s does not read %s\n" % (argv[0], flag)
+
+
+def test_verify_fock_mode_defaults_to_fermionic(capsys):
+    code, out, _ = run(capsys, "verify", "fock", "--dim", "4")
+    assert code == 0
+    assert "(fermionic mode)" in out
+
+
 def test_verify_unknown_suite(capsys):
     code, _out, _err = run(capsys, "verify", "everything")
     assert code == 2

@@ -179,6 +179,12 @@ def test_check_relations_rejects_small_nmax(trivial_rep):
         check_relations_on_module(trivial_rep, 1)
 
 
+@pytest.mark.parametrize("nmax", [3.5, 4.0, None])
+def test_check_relations_rejects_a_non_integer_nmax(trivial_rep, nmax):
+    with pytest.raises(ValueError, match="nmax must be an integer"):
+        check_relations_on_module(trivial_rep, nmax)
+
+
 def test_basis_state_validation():
     with pytest.raises(ValueError):
         InducedVector.basis_state(-1, 0)
@@ -202,6 +208,22 @@ def test_act_rejects_an_index_outside_the_representation(route,
 
 
 @pytest.mark.parametrize("route", [act, act_oracle])
+@pytest.mark.parametrize("N, M", [(0.5, 0), (-1, 0), (0, 2), (1, -1)])
+def test_act_rejects_a_term_outside_the_basis(route, fermionic_rep, N, M):
+    # basis_state refuses these, so build the vector by hand
+    x = InducedVector({(N, M, 0): sc.ONE})
+    with pytest.raises(ValueError,
+                       match=r"invalid basis state \(%s, %s\)" % (N, M)):
+        route("E12", x, fermionic_rep)
+
+
+@pytest.mark.parametrize("route", [act, act_oracle])
+def test_act_rejects_a_non_integer_index(route, fermionic_rep):
+    with pytest.raises(ValueError, match="index 0.5"):
+        route("K2", InducedVector({(0, 0, 0.5): sc.ONE}), fermionic_rep)
+
+
+@pytest.mark.parametrize("route", [act, act_oracle])
 def test_act_rejects_a_negative_index(route, fermionic_rep):
     # basis_state refuses idx < 0, so build the vector by hand
     with pytest.raises(ValueError, match="index -1"):
@@ -212,6 +234,15 @@ def test_a0rep_power_zero_is_the_identity(fermionic_rep):
     for name in ("K2", "E32", "E31"):
         assert fermionic_rep.mat(name, 0) \
             == QMatrix.identity(fermionic_rep.dim)
+
+
+def test_a0rep_powers_share_the_letter_matrices(fermionic_rep):
+    rep = fermionic_rep
+    assert rep.mat("K2", 1) is rep._mats["K2"]
+    assert rep.mat("K2", -1) is rep._mats["K2inv"]
+    k3 = rep._mats["K3"]
+    assert rep.mat("K3", 5) == k3 * k3 * k3 * k3 * k3
+    assert rep.mat("K3", -2) == rep._mats["K3inv"] * rep._mats["K3inv"]
 
 
 def test_e31_is_built_once_per_rep(monkeypatch):

@@ -191,6 +191,12 @@ def test_fock_matrix_rejects_abstract_factors():
         fock_matrix(rho("K2", "abstract"), 4)
 
 
+@pytest.mark.parametrize("D", [2.5, 4.0, None])
+def test_fock_matrix_rejects_a_non_integer_dimension(D):
+    with pytest.raises(ValueError, match="Fock dimension must be an integer"):
+        fock_matrix(g("a"), D)
+
+
 def test_fock_matrix_rejects_singular_assignment():
     with pytest.raises(ValueError):
         fock_matrix(g("a"), 4, assignment={"q": 1})
@@ -207,6 +213,8 @@ def test_fock_matrix_rejects_singular_assignment():
     ({"q": "1/0", "p1": 2}, "q"),
     ({"q": 2, "p1": "1/0"}, "p1"),
     ({"q": 2, "p4": 1}, "p4"),
+    ({"q": float("inf"), "p1": 2}, "q"),
+    ({"q": 2, "p1": float("-inf")}, "p1"),
 ])
 def test_fock_matrix_rejects_bad_assignment_by_name(assignment, name):
     with pytest.raises(ValueError, match=r"\b%s\b" % name):
@@ -503,6 +511,12 @@ def test_fock_requires_concrete_mode_and_min_dim():
         check_relations_on_fock("trivial", 3)
 
 
+@pytest.mark.parametrize("D", [4.0, 6.5, None])
+def test_fock_check_rejects_a_non_integer_dimension(D):
+    with pytest.raises(ValueError, match="Fock dimension must be an integer"):
+        check_relations_on_fock("fermionic", D)
+
+
 # -- Dyson substitution -------------------------------------------------------
 
 def test_dyson_all_checks_pass():
@@ -519,6 +533,12 @@ def test_dyson_reproduces_q_boson_matrices():
 def test_dyson_minimum_dimension():
     with pytest.raises(ValueError):
         dyson_check(3)
+
+
+@pytest.mark.parametrize("D", [4.0, 6.5, None])
+def test_dyson_rejects_a_non_integer_dimension(D):
+    with pytest.raises(ValueError, match="Fock dimension must be an integer"):
+        dyson_check(D)
 
 
 def test_image_of_uelement_consistency():

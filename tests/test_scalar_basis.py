@@ -51,11 +51,10 @@ def test_closed_basis_products_and_sums_take_no_gcd(x, y):
     with mock.patch.object(sc, "_p_gcd", _no_gcd), \
             mock.patch.object(sc, "_u_prem", _no_gcd):
         results = {"mul": x * y, "add": x + y, "sub": x - y}
-    assert results["mul"] == sc.QScalar(sc._p_mul(x._n, y._n),
-                                        sc._p_mul(x._d, y._d))
-    cross = (sc._p_mul(x._n, y._d), sc._p_mul(y._n, x._d))
-    assert results["add"] == sc.QScalar(sc._p_add(*cross),
-                                        sc._p_mul(x._d, y._d))
+    (xn, xd), (yn, yd) = x._fraction(), y._fraction()
+    assert results["mul"] == sc.QScalar(sc._p_mul(xn, yn), sc._p_mul(xd, yd))
+    cross = (sc._p_mul(xn, yd), sc._p_mul(yn, xd))
+    assert results["add"] == sc.QScalar(sc._p_add(*cross), sc._p_mul(xd, yd))
     for z in results.values():
         assert z._F is None
         assert_canonical(z)

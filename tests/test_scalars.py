@@ -219,9 +219,10 @@ def test_multivariate_gcd_strips_integer_content():
     x = sc.QScalar(num, den)
     q2 = (2, 0, 0, 0)
     # num and den over Z are 4*num and 4*den, jointly primitive
-    assert x._n == {sc._mono_div(m, q2): int(4 * c) for m, c in num.items()}
-    assert x._d == {sc._mono_div(m, q2): int(4 * c) for m, c in den.items()}
-    assert sc._p_gcd(x._n, x._d) == sc._ONE_POLY
+    xn, xd = x._fraction()
+    assert xn == {sc._mono_div(m, q2): int(4 * c) for m, c in num.items()}
+    assert xd == {sc._mono_div(m, q2): int(4 * c) for m, c in den.items()}
+    assert sc._p_gcd(xn, xd) == sc._ONE_POLY
     assert x * sc.q_power(2) == sc.QScalar(num, {sc._mono_div(m, q2): c
                                                  for m, c in den.items()})
 
@@ -243,7 +244,7 @@ def test_storage_invariants_on_laurent_scalars(x, y):
 
 
 # x = p3^-1 and y = 1 + q^-1, whose Laurent input once stayed stored with a
-# negative exponent (_n = {1, q^-1}, _d = 1), so y != 1 + QINV
+# negative exponent (numerator {1, q^-1}, denominator 1), so y != 1 + QINV
 @settings(max_examples=100, deadline=None)
 @given(rational_functions, rational_functions)
 @example(_rational_function({(0, 0, 0, 0): 1}, {(0, 0, 0, 0): 1},
@@ -268,8 +269,8 @@ def test_constructor_clears_negative_exponents():
     y = sc.QScalar({(-1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0): 1},
                    {(0, 0, -2, 0): 1})
     assert y == (ONE + QINV / 2) * sc.P2 ** 2
-    assert y._n == {(1, 0, 2, 0): 2, (0, 0, 2, 0): 1}
-    assert y._d == {(1, 0, 0, 0): 2}
+    assert y._fraction() == ({(1, 0, 2, 0): 2, (0, 0, 2, 0): 1},
+                             {(1, 0, 0, 0): 2})
 
 
 @pytest.mark.parametrize("x, y", itertools.product(P_FACTOR_SCALARS,
@@ -346,3 +347,29 @@ def test_gcd_outside_the_closed_basis_falls_back_to_the_prs(monkeypatch):
         assert sc._p_gcd(a, product) == P1Q_PLUS_P2
         assert sc._p_gcd(product, a) == P1Q_PLUS_P2
     assert calls
+
+
+# -- exponents are integers -------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.q_power(1.5),
+    lambda: sc.q_power(1.0),
+    lambda: sc.p_power(2, Fraction(1, 2)),
+    lambda: sc.monomial(1, 0, 0.5),
+    lambda: sc.QScalar.from_laurent({(1.5, 0, 0, 0): 1}),
+    lambda: sc.QScalar({(0, 0, 0, 0): 1}, {(0, 0, 0, 2.5): 1}),
+])
+def test_constructors_reject_a_non_integer_exponent(build):
+    with pytest.raises(ValueError, match="not all integers"):
+        build()
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_p_power_rejects_an_index_outside_one_to_three(i):
+    with pytest.raises(ValueError, match="index"):
+        sc.p_power(i, 1)
+
+
+def test_p_power_builds_through_monomial():
+    assert sc.p_power(3, -2) == sc.monomial(1, 0, 0, 0, -2) == sc.P3 ** -2
+    assert sc.q_power(1) is sc.Q

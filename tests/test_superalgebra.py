@@ -238,3 +238,42 @@ def test_evaluate_leaves_start_and_generators_unchanged(gens, start):
     assert total == expected
     assert {g: _contents(x) for g, x in gens.items()} == before
     assert _contents(start) == start_before
+
+
+# -- straightening output and input rules ----------------------------------------
+
+@pytest.mark.parametrize("route", [straighten, oracle_straighten])
+def test_straightened_a0_words_hold_no_odd_square(route):
+    # each term's A0 word holds at most one odd letter, so none holds two
+    # adjacent ones (an odd square, zero in the algebra): straightening
+    # needs no odd-square rule of its own
+    words = 0
+    for g in STRAIGHTEN_GENERATORS:
+        for N in range(13):
+            for M in (0, 1):
+                for t in route(g, N, M):
+                    w = t.a0word
+                    assert sum(nm in ODD_GENERATORS for nm, _e in w) <= 1
+                    assert not any(w[i][0] == w[i + 1][0] in ODD_GENERATORS
+                                   for i in range(len(w) - 1))
+                    words += 1
+    assert words == 435
+
+
+@pytest.mark.parametrize("route", [straighten, oracle_straighten])
+@pytest.mark.parametrize("g, N, M, match", [
+    ("X", 0, 0, "unknown generator 'X'"),
+    (("E21", 1), 0, 0, "unknown generator"),
+    ("E21", -1, 0, r"invalid basis state \(-1, 0\)"),
+    ("E12", 0.5, 0, r"invalid basis state \(0.5, 0\)"),
+    ("E12", 1, 2, r"invalid basis state \(1, 2\)"),
+])
+def test_straighten_rejects_a_bad_generator_or_state(route, g, N, M, match):
+    with pytest.raises(ValueError, match=match):
+        route(g, N, M)
+
+
+@pytest.mark.parametrize("nmax", [2.5, 4.0, None])
+def test_straightening_check_rejects_a_non_integer_nmax(nmax):
+    with pytest.raises(ValueError, match="nmax must be an integer"):
+        check_straightening_identities(nmax)
