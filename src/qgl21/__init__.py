@@ -24,9 +24,8 @@ from .induced import (
     RepresentationError,
 )
 from .realization import (
-    RealizationMap, FockMatrix, realization_map, rho, image_of_uelement,
-    verify_realization, fock_matrix, check_relations_on_fock, dyson_check,
-    relation_shifts,
+    FockMatrix, realization_map, rho, image_of_uelement, verify_realization,
+    fock_matrix, check_relations_on_fock, dyson_check, relation_shifts,
 )
 from .parsing import parse, parse_w, parse_scalar, ParseError
 from .qmatrix import QMatrix

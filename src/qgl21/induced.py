@@ -131,9 +131,16 @@ class A0Rep:
         return dict(m, E31=e31)
 
     def mat(self, name, exp=1):
+        """The matrix of the letter (name, exp); a ValueError names a letter
+        whose exponent is not an int or that has no matrix here (checked by
+        the name alone for exp 0)."""
+        m = self._mats.get(ua.letter(name, exp or 1)) \
+            if isinstance(exp, int) else None
+        if m is None:
+            raise ValueError("no matrix for the letter (%r, %r)" % (name, exp))
         if not exp:
             return QMatrix.identity(self.dim)
-        return sc.power(self._mats[ua.letter(name, exp)], abs(exp))
+        return sc.power(m, abs(exp))
 
     def apply_word(self, word, vec):
         """A0 word applied to a sparse column vector over V."""
@@ -179,7 +186,7 @@ class InducedVector(Combination):
         ua.check_state(N, M)
         if not isinstance(idx, int) or idx < 0:
             raise ValueError("invalid basis state (%r, %r, %r)" % (N, M, idx))
-        return cls({(N, M, idx): coeff if coeff is not None else sc.ONE})
+        return cls.term((N, M, idx), coeff)
 
     def __repr__(self):
         if not self.terms:

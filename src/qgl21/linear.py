@@ -2,15 +2,17 @@
 computes in: W elements (normal-ordered monomials), U elements (generator
 words) and induced-module vectors (basis states).
 
-A combination maps basis keys to nonzero QScalars; accumulate is the one
-add-and-drop-zeros step every sparse sum in the engine goes through, and
-render_terms the one renderer of coefficients times basis strings (joined
-by scalars.signed_sum, as the terms of a scalar are).
+A combination maps basis keys to nonzero QScalars, each lifted by the rule
+of scalars._coerce.  term is the one single-term constructor and * the one
+scalar multiple; accumulate is the one add-and-drop-zeros step every sparse
+sum in the engine goes through, and render_terms the one renderer of
+coefficients times basis strings (joined by scalars.signed_sum, as the
+terms of a scalar are).
 """
 
 from __future__ import annotations
 
-from .scalars import QScalar, signed_sum
+from .scalars import ONE, _coerce, signed_sum
 
 
 def accumulate(d, key, val):
@@ -26,9 +28,8 @@ def accumulate(d, key, val):
 class Combination:
     """Sparse linear combination: terms maps basis keys to nonzero QScalars.
 
-    Subclasses set UNIT to the basis key of the identity, so that ints and
-    QScalars coerce to multiples of it in +, - and ==; with UNIT None
-    scalars do not coerce."""
+    Subclasses set UNIT to the basis key of the identity, so that scalars
+    coerce to multiples of it in +, - and ==; with UNIT None they do not."""
 
     __slots__ = ("terms",)
     UNIT = None
@@ -40,13 +41,19 @@ class Combination:
     def zero(cls):
         return cls({})
 
+    @classmethod
+    def term(cls, key, coeff=None):
+        """coeff times the basis key, coeff None meaning 1: the zero
+        combination for a zero coeff, a TypeError for one that is not a
+        scalar."""
+        c = ONE if coeff is None else _coerce(coeff, strict=True)
+        return cls({key: c} if c else {})
+
     def _coerce(self, other):
         if isinstance(other, type(self)):
             return other
-        if self.UNIT is not None and isinstance(other, (int, QScalar)):
-            c = other if isinstance(other, QScalar) else QScalar.from_rational(other)
-            return type(self)({self.UNIT: c} if c else {})
-        return NotImplemented
+        c = NotImplemented if self.UNIT is None else _coerce(other)
+        return c if c is NotImplemented else self.term(self.UNIT, c)
 
     def __iadd__(self, other):
         other = self._coerce(other)
@@ -76,16 +83,19 @@ class Combination:
             return NotImplemented
         return other - self
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other):
+        """The scalar multiple, where subclass products hand scalars on."""
+        c = _coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return type(self)({k: c * v for k, v in self.terms.items()} if c
+                          else {})
+
+    __rmul__ = __mul__
 
     def scale(self, c):
-        c = c if isinstance(c, QScalar) else QScalar.from_rational(c)
-        if not c:
-            return self.zero()
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        """c * self; a TypeError for a c that is not a scalar."""
+        return Combination.__mul__(self, _coerce(c, strict=True))
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm, prod
 
@@ -107,47 +108,39 @@ def _abstract_images():
     return images
 
 
-_IMAGE_CACHE = {}
-
-
-@dataclass(frozen=True, eq=False)
-class RealizationMap:
-    mode: str
-    images: dict
-
-
 def realization_map(mode="abstract"):
-    """The generator-image table for a subalgebra mode, cached."""
+    """The generator -> W image dict of a subalgebra mode, built once."""
     if mode not in SUBALGEBRA_MODES:
         raise ValueError("unknown subalgebra mode %r" % mode)
-    if mode not in _IMAGE_CACHE:
-        if "abstract" not in _IMAGE_CACHE:
-            _IMAGE_CACHE["abstract"] = RealizationMap(
-                "abstract", _abstract_images())
-        if mode != "abstract":
-            _IMAGE_CACHE[mode] = RealizationMap(mode, {
-                name: substitute_gl11(el, mode)
-                for name, el in _IMAGE_CACHE["abstract"].images.items()})
-    return _IMAGE_CACHE[mode]
+    return _images(mode)
+
+
+@cache
+def _images(mode):
+    if mode == "abstract":
+        return _abstract_images()
+    return {name: substitute_gl11(el, mode)
+            for name, el in _images("abstract").items()}
 
 
 def rho(g, mode="abstract"):
     """Image of an abstract generator under the realization map."""
-    images = realization_map(mode).images
+    images = realization_map(mode)
     if g not in images:
         raise ValueError("unknown generator %r" % g)
     return images[g]
 
 
 def image_of_uelement(el, mode="abstract"):
-    images = realization_map(mode).images
-    return ua.evaluate(el, lambda g, acc: w_mul(images[g], acc), wa.one())
+    """The W image of a UElement, its letters looked up by rho (so a letter
+    outside the 12 generators is a ValueError)."""
+    return ua.evaluate(el, lambda g, acc: w_mul(rho(g, mode), acc), wa.one())
 
 
 def verify_realization(mode="abstract"):
     """Map every defining relation through rho and reduce in W; the report
     lists the exact residual term count for each relation."""
-    return ua.check_relations(ua.relation_set(), realization_map(mode).images,
+    return ua.check_relations(ua.relation_set(), realization_map(mode),
                               wa.one())
 
 
@@ -314,7 +307,7 @@ def fock_modes(mode):
 def relation_shifts(mode):
     """Worst-case boson-number raise for each relation, computed from the
     maximal raising degree of the generator images."""
-    images = realization_map(mode).images
+    images = realization_map(mode)
     raise_of = {nm: max(0, el.max_raising()) for nm, el in images.items()}
 
     def word_shift(word):
@@ -339,7 +332,7 @@ def check_relations_on_fock(mode, D, assignment=None):
     modes = fock_modes(mode)
     fdim = 2 ** len(modes)
     mats = ((nm, fock_matrix(el, D, assignment, modes).matrix)
-            for nm, el in realization_map(mode).images.items())
+            for nm, el in realization_map(mode).items())
     shifts = relation_shifts(mode)
     rels, one = ua.relation_set(), sc.ONE
     if assignment is None:

@@ -55,9 +55,10 @@ denominator under lex order on (q, p1, p2, p3) exponent vectors; tests
 read it to check these invariants.  num and den are its monic views
 (denominator leading coefficient 1, Fraction values); rendering and
 evaluate use them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
-Fraction appears only at these boundaries and in from_rational,
-from_laurent and the public constructor, which, like monomial, q_power
-and p_power, refuses an exponent that is not an int (a ValueError).
+Fraction appears only at these boundaries and in from_rational and the
+public constructor, which from_laurent, monomial, q_power and p_power build
+through; it refuses an exponent that is not an int (a ValueError).  Every
+operand and every linear.py coefficient goes through the one rule _coerce.
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -469,7 +470,11 @@ def _reduce(num, den):
     """The stored form (N, c, i, j, F) of num/den, Laurent polynomials with
     int or Fraction coefficients: drop zero coefficients, multiply both by
     the integer that clears the coefficient denominators, split den over
-    the basis and cancel.  A non-integer exponent is a ValueError."""
+    the basis and cancel.  A non-integer exponent is a ValueError, and a
+    coefficient that is neither an int nor a Fraction a TypeError."""
+    for c in (*num.values(), *den.values()):
+        if not isinstance(c, _RATIONALS):
+            raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
     num = {m: c for m, c in num.items() if c}
     den = {m: c for m, c in den.items() if c}
     for m in (*num, *den):
@@ -525,7 +530,7 @@ class QScalar:
     @classmethod
     def from_laurent(cls, terms):
         """Build from a Laurent term dict {exponent 4-tuple: coefficient}."""
-        return cls({m: Fraction(c) for m, c in terms.items()})
+        return cls(terms)
 
     # -- the reduced fraction and its monic views -----------------------------
 
@@ -603,7 +608,10 @@ class QScalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -645,7 +653,10 @@ class QScalar:
         return self * other.invert()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.invert()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.invert()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -794,11 +805,20 @@ def _render_terms(terms):
     return signed_sum(pieces)
 
 
-def _coerce(x):
+_RATIONALS = (int, Fraction)
+
+
+def _coerce(x, strict=False):
+    """The one coefficient rule: x as a QScalar, for x a QScalar, an int or
+    a Fraction.  Anything else is NotImplemented, for an operator to hand
+    on, or with strict a TypeError that names it, for a constructor."""
     if isinstance(x, QScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _RATIONALS):
         return QScalar.from_rational(x)
+    if strict:
+        raise TypeError("coefficient %r is not an int, a Fraction or a "
+                        "QScalar" % (x,))
     return NotImplemented
 
 
@@ -811,7 +831,7 @@ ONE = QScalar.from_rational(1)
 
 
 def monomial(coeff, eq=0, e1=0, e2=0, e3=0):
-    return QScalar.from_laurent({(eq, e1, e2, e3): Fraction(coeff)})
+    return QScalar({(eq, e1, e2, e3): coeff})
 
 
 @lru_cache(maxsize=None, typed=True)    # typed: q_power(1.0) is refused
@@ -844,4 +864,4 @@ def q_integer(n):
     if n < 0:
         return -q_integer(-n)
     return QScalar.from_laurent(
-        {(n - 1 - 2 * j, 0, 0, 0): Fraction(1) for j in range(n)})
+        {(n - 1 - 2 * j, 0, 0, 0): 1 for j in range(n)})

@@ -87,28 +87,32 @@ class UElement(Combination):
 
     @classmethod
     def one(cls):
-        return cls({(): sc.ONE})
+        return cls.term(())
 
     @classmethod
     def word(cls, *letters, coeff=None):
-        c = sc.ONE if coeff is None else coeff
-        w = _clean_word(letters)
-        return cls({w: c} if c else {})
+        """coeff times the word of the letters (name, exp); an exp that is
+        not an int is a ValueError.  The names are free (the free algebra
+        of the module docstring): image_of_uelement and apply_uelement
+        check them."""
+        for name, exp in letters:
+            if not isinstance(exp, int):
+                raise ValueError("letter (%r, %r) has an exponent that is "
+                                 "not an int" % (name, exp))
+        return cls.term(_clean_word(letters), coeff)
 
     @classmethod
     def gen(cls, name, exp=1):
         return cls.word((name, exp))
 
     def __mul__(self, other):
-        if isinstance(other, UElement):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    accumulate(out, _clean_word(w1 + w2), c1 * c2)
-            return UElement(out)
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, UElement):
+            return Combination.__mul__(self, other)
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                accumulate(out, _clean_word(w1 + w2), c1 * c2)
+        return UElement(out)
 
     def __repr__(self):
         return render_uelement(self)

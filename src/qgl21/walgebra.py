@@ -220,20 +220,16 @@ class WElement(Combination):
 
     @classmethod
     def from_scalar(cls, c):
-        c = c if isinstance(c, QScalar) else QScalar.from_rational(c)
-        return cls({UNIT: c} if c else {})
+        return cls.term(UNIT, c)
 
     @classmethod
     def from_monomial(cls, mon, coeff=None):
-        c = sc.ONE if coeff is None else coeff
-        return cls({mon: c} if c else {})
+        return cls.term(mon, coeff)
 
     def __mul__(self, other):
         if isinstance(other, WElement):
             return w_mul(self, other)
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        return NotImplemented
+        return Combination.__mul__(self, other)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -283,12 +279,8 @@ class WElement(Combination):
     __str__ = __repr__
 
 
-def zero():
-    return WElement.zero()
-
-
 def one():
-    return WElement({UNIT: sc.ONE})
+    return WElement.term(UNIT)
 
 
 # generator name -> its monomial: the symbol's field set to the exponent
@@ -315,7 +307,7 @@ def generator(name):
     mon = _GEN_TABLE.get(key)
     if mon is None:
         raise SubstitutionError("unknown W generator %r" % name)
-    return WElement({mon: sc.ONE})
+    return WElement.term(mon)
 
 
 def w_mul(x, y):
@@ -356,11 +348,8 @@ _P2MON = WMonomial(0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0)   # b2+ b2
 def _occupation_weight(p_index, power, qexp):
     """p^power (b2 b2+ + q^qexp b2+ b2) = p^power (1 + (q^qexp - 1) b2+ b2)."""
     p = sc.p_power(p_index, power)
-    terms = {UNIT: p}
-    c = p * (sc.q_power(qexp) - sc.ONE)
-    if c:
-        terms[_P2MON] = c
-    return WElement(terms)
+    return WElement.term(UNIT, p) \
+        + WElement.term(_P2MON, p * (sc.q_power(qexp) - sc.ONE))
 
 
 @cache

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -293,3 +295,35 @@ def test_unknown_generator_is_rejected(fermionic_rep, x):
     for action in (act, act_oracle):
         with pytest.raises(ValueError, match="unknown generator 'bogus'"):
             action("bogus", x, fermionic_rep)
+
+
+# -- A0Rep.mat checks its letter ----------------------------------------------------
+
+@pytest.mark.parametrize("name, exp", [
+    ("E12", 1), ("E13", 1), ("E99", 1), ("E21", -1), ("E12", 0),
+    ("K2", 1.0), ("K2", Fraction(1)), ("K1", "1"),
+])
+def test_a0_matrix_of_an_unknown_letter_is_a_value_error(fermionic_rep,
+                                                        name, exp):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        fermionic_rep.mat(name, exp)
+    with pytest.raises(ValueError, match="no matrix for the letter"):
+        fermionic_rep.apply_word(((name, exp),), {0: sc.ONE})
+
+
+def test_a0_matrices_of_known_letters(fermionic_rep):
+    mats = fermionic_rep._mats
+    assert fermionic_rep.mat("K2", 2) == mats["K2"] * mats["K2"]
+    assert fermionic_rep.mat("K2", -1) == mats["K2inv"]
+    assert fermionic_rep.mat("E31") == mats["E31"]
+    assert fermionic_rep.mat("K3", 0) == QMatrix.identity(2)
+
+
+# -- the rendering of induced-module vectors -----------------------------------------
+
+def test_induced_vector_rendering_is_unchanged(fermionic_rep):
+    assert repr(InducedVector.zero()) == "0"
+    assert repr(state(0, 1, 1)) == "(1)|0,1;1>"
+    assert repr(act("E21", state(2, 1, 0), fermionic_rep)) == (
+        "((-q^6*p1^2 - q^4*p1^2 + q^2*p2^2 + p2^2)/(q^4*p1*p2 - q^2*p1*p2))"
+        "|1,1;0> + (p1^-1*p2)|2,0;1>")

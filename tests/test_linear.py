@@ -1,6 +1,8 @@
 """The shared linear-space type, the one UElement evaluator and the one
 relation checker built on it."""
 
+from fractions import Fraction
+
 import pytest
 
 import qgl21.scalars as sc
@@ -10,7 +12,7 @@ from qgl21.linear import accumulate
 from qgl21.qmatrix import QMatrix
 from qgl21.realization import rho
 from qgl21.superalgebra import Relation, UElement, check_relations, evaluate
-from qgl21.walgebra import WElement, generator, one, w_mul
+from qgl21.walgebra import UNIT, WElement, generator, one, w_mul
 
 W = UElement.word
 
@@ -157,3 +159,67 @@ def test_check_relations_on_w_counts_residual_terms():
     [result] = check_relations([rel], gens, one())
     assert not result.passed
     assert result.residuals == len(residual.terms) > 0
+
+
+# -- the one coefficient rule: scalars._coerce, Combination.term and * ------------
+
+def test_a_fraction_is_a_scalar_in_every_operator():
+    assert one() + Fraction(1, 2) == Fraction(3, 2)
+    assert Fraction(1, 2) + one() == Fraction(3, 2)
+    assert Fraction(1, 2) * one() == one() * Fraction(1, 2) \
+        == WElement.from_scalar(Fraction(1, 2))
+    assert Fraction(1, 2) - UElement.one() == Fraction(-1, 2)
+    assert (Fraction(2, 3) * W(("K1", 1))).terms \
+        == {(("K1", 1),): sc.QScalar.from_rational(Fraction(2, 3))}
+
+
+def test_int_coefficients_are_lifted_by_the_single_term_constructors():
+    assert repr(WElement.from_monomial(UNIT, 2)) == "2"
+    assert repr(W(("E12", 1), coeff=2)) == "2*E12"
+    assert InducedVector.basis_state(0, 0, 0, coeff=3).terms \
+        == {(0, 0, 0): sc.QScalar.from_rational(3)}
+    for el in (WElement.from_scalar(Fraction(1, 2)), 3 * generator("t"),
+               W(("K1", 1), coeff=-1), UElement.term((), Fraction(1, 3))):
+        assert all(isinstance(c, sc.QScalar) for c in el.terms.values())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InducedVector.basis_state(0, 0, 0, coeff=sc.ZERO),
+    lambda: WElement.from_monomial(UNIT, 0),
+    lambda: WElement.from_scalar(Fraction(0)),
+    lambda: W(("E12", 1), coeff=0),
+    lambda: generator("a").scale(0),
+    lambda: 0 * generator("a"),
+])
+def test_a_zero_coefficient_gives_the_zero_combination(build):
+    el = build()
+    assert not el and el.nnz() == 0 and el.terms == {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: one().scale(2.5),
+    lambda: WElement.from_scalar("1/2"),
+    lambda: WElement.from_monomial(UNIT, 0.5),
+    lambda: W(("E12", 1), coeff="2"),
+    lambda: InducedVector.basis_state(0, 0, 0, coeff=1.0),
+    lambda: UElement.term((), [1]),
+])
+def test_a_coefficient_that_is_not_a_scalar_is_a_type_error(build):
+    with pytest.raises(TypeError, match="coefficient"):
+        build()
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x * 2.5, lambda x: 2.5 * x, lambda x: x + 2.5,
+    lambda x: 2.5 - x, lambda x: x - 1j,
+])
+def test_an_operand_that_is_not_a_scalar_is_unsupported(op):
+    for x in (one(), UElement.one(), InducedVector.basis_state(0, 0)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(x)
+
+
+def test_a_combination_times_a_scalar_is_its_scalar_multiple():
+    v = InducedVector.basis_state(1, 0)
+    assert v * 2 == 2 * v == v.scale(2) == v + v
+    assert generator("t") * sc.Q == sc.Q * generator("t")

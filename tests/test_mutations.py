@@ -29,10 +29,11 @@ E23_SIGN_BREAKS = {
 
 
 def _flip_e23_image(monkeypatch):
-    images = dict(rz.realization_map("fermionic").images)
+    images = dict(rz.realization_map("fermionic"))
     images["E23"] = -images["E23"]
-    monkeypatch.setitem(rz._IMAGE_CACHE, "fermionic",
-                        rz.RealizationMap("fermionic", images))
+    cached = rz._images
+    monkeypatch.setattr(rz, "_images", lambda mode: images
+                        if mode == "fermionic" else cached(mode))
 
 
 def test_w_route_catches_flipped_e23(monkeypatch):

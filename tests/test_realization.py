@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qgl21.induced as ind
 import qgl21.scalars as sc
 import qgl21.superalgebra as ua
 from conftest import substitute_monomial
@@ -598,6 +599,19 @@ def test_e32_e23_rule_consistent_with_realization():
 
 def test_realization_map_caching():
     assert realization_map("trivial") is realization_map("trivial")
-    assert realization_map().mode == "abstract"
+    assert realization_map() is realization_map("abstract")
     with pytest.raises(ValueError):
         realization_map("dyson")
+
+
+def test_words_outside_the_generators_are_value_errors():
+    fermionic = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
+    with pytest.raises(ValueError, match="unknown generator 'E99'"):
+        image_of_uelement(ua.UElement.word(("E99", 1)))
+    with pytest.raises(ValueError, match="unknown generator 'E12inv'"):
+        image_of_uelement(ua.UElement({(("E12", -1),): sc.ONE}))
+    for route in (image_of_uelement,
+                  lambda el: ind.apply_uelement(
+                      el, ind.InducedVector.basis_state(0, 0), fermionic)):
+        with pytest.raises(ValueError, match="not an int"):
+            route(ua.UElement.word(("K1", 1.5)))

@@ -373,3 +373,40 @@ def test_p_power_rejects_an_index_outside_one_to_three(i):
 def test_p_power_builds_through_monomial():
     assert sc.p_power(3, -2) == sc.monomial(1, 0, 0, 0, -2) == sc.P3 ** -2
     assert sc.q_power(1) is sc.Q
+
+
+# -- the one coefficient rule -------------------------------------------------------
+
+@pytest.mark.parametrize("op", [
+    lambda: 2.5 - Q, lambda: 2.5 / Q, lambda: 2.5 + Q, lambda: 2.5 * Q,
+    lambda: Q - 2.5, lambda: Q / 2.5, lambda: "1" - Q, lambda: "1" / ZERO,
+])
+def test_an_operand_that_is_not_a_scalar_is_unsupported(op):
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        op()
+
+
+def test_ints_and_fractions_are_scalars_on_either_side():
+    assert 2 - Q == -(Q - 2)
+    assert Fraction(1, 2) - Q == sc.QScalar.from_rational(Fraction(1, 2)) - Q
+    assert 3 / Q == 3 * QINV
+    assert Fraction(3, 2) / Q == sc.monomial(Fraction(3, 2), -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.QScalar({(0, 0, 0, 0): 2.5}),
+    lambda: sc.QScalar({(0, 0, 0, 0): 1}, {(1, 0, 0, 0): 2.5}),
+    lambda: sc.QScalar.from_laurent({(1, 0, 0, 0): 2.5}),
+    lambda: sc.QScalar.from_laurent({(1, 0, 0, 0): "1/2"}),
+    lambda: sc.monomial(0.1, 1),
+])
+def test_the_constructor_rejects_a_coefficient_that_is_not_rational(build):
+    with pytest.raises(TypeError, match="coefficient .* is not an int or a "
+                                        "Fraction"):
+        build()
+
+
+def test_int_and_fraction_coefficients_build_the_same_scalar():
+    assert sc.monomial(2, 1) == sc.monomial(Fraction(2), 1) == 2 * Q
+    assert sc.QScalar.from_laurent({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}) \
+        == sc.QScalar({(1, 0, 0, 0): Fraction(2, 2), (0, 0, 0, 0): 1}) == Q + 1

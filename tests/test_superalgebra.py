@@ -6,7 +6,8 @@ from qgl21.qmatrix import QMatrix
 from qgl21.superalgebra import (
     ODD_GENERATORS, STRAIGHTENING_IDENTITIES, STRAIGHTEN_GENERATORS, UElement,
     check_straightening_identities, e13_definition, e31_definition, evaluate,
-    oracle_straighten, relation_families, relation_set, straighten,
+    oracle_straighten, relation_families, relation_set, render_uelement,
+    render_word, straighten,
 )
 
 W = UElement.word
@@ -277,3 +278,32 @@ def test_straighten_rejects_a_bad_generator_or_state(route, g, N, M, match):
 def test_straightening_check_rejects_a_non_integer_nmax(nmax):
     with pytest.raises(ValueError, match="nmax must be an integer"):
         check_straightening_identities(nmax)
+
+
+# -- UElement.word checks its exponents ---------------------------------------------
+
+@pytest.mark.parametrize("exp", [1.5, 1.0, "1", None])
+def test_a_word_letter_needs_an_int_exponent(exp):
+    with pytest.raises(ValueError, match="not an int"):
+        W(("K1", exp))
+    with pytest.raises(ValueError, match="not an int"):
+        UElement.gen("E12", exp)
+
+
+def test_zero_exponent_letters_are_dropped():
+    assert W(("K1", 0), ("E12", 1), ("K2", 0)) == W(("E12", 1))
+
+
+# -- the rendering of U elements ----------------------------------------------------
+
+def test_uelement_rendering_is_unchanged():
+    assert repr(e13_definition()) == "E12*E23 - q^-1*E23*E12"
+    assert str(e31_definition()) == "-E21*E32 + q^-1*E32*E21"
+    assert repr(UElement.zero()) == "0"
+    assert repr(UElement.one()) == "1"
+    assert repr(W(("K1", -2), ("E12", 1)) + 2 - W(("K2", 3))) \
+        == "2 - K2^3 + K1^-2*E12"
+    assert render_word(()) == "1"
+    assert render_word((("K1", -1), ("E12", 1), ("K3", 2))) == "K1^-1*E12*K3^2"
+    assert render_uelement(W(("E23", 1), coeff=sc.EPS_INV)) \
+        == "(q/(q^2 - 1))*E23"
