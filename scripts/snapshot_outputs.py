@@ -9,12 +9,13 @@ rendered string, residual count, exit code and JSON export below.  The
 script imports qgl21 from the src/ of the checkout it sits in.
 
 The battery: the seven verify suites at their defaults, induced and lemma1
-at --nmax 12, fock --dim 32 symbolic and --numeric, fock --dim 16 --mode
-trivial --numeric, matrix --dim 8 for each of the 12 abstract generators
-in both modes, symbolic and --numeric, matrix --dim 4 for every W
-generator name, symbolic and --numeric (the fermion modes come from the
-element; the gl(1/1) names exit 2),
-scripts/verify_all.py, normal-order on every expression of
+at --nmax 12, fock --dim 16 (symbolic, fermionic: the fock-symbolic
+benchmark's command), fock --dim 32 symbolic and --numeric, fock --dim 32
+--mode trivial (symbolic), fock --dim 16 --mode trivial --numeric, matrix
+--dim 8 for each of the 12 abstract generators in both modes, symbolic and
+--numeric, matrix --dim 4 for every W generator name, symbolic and
+--numeric (the fermion modes come from the element; the gl(1/1) names exit
+2), scripts/verify_all.py, normal-order on every expression of
 tests/data/normal_order_golden.json, and normal-order on the w-normal-order
 benchmark corpus at seeds 1 and 2 (the inputs bench/workloads.py makes,
 imported from there).  Each command leaves <name>.txt with its command
@@ -49,7 +50,10 @@ def cli_commands():
         yield "verify-" + suite, ["verify", suite]
     for suite in ("induced", "lemma1"):
         yield "verify-%s-nmax12" % suite, ["verify", suite, "--nmax", "12"]
+    yield "verify-fock-dim16", ["verify", "fock", "--dim", "16"]
     yield "verify-fock-dim32", ["verify", "fock", "--dim", "32"]
+    yield "verify-fock-dim32-trivial", ["verify", "fock", "--dim", "32",
+                                        "--mode", "trivial"]
     yield "verify-fock-dim32-numeric", ["verify", "fock", "--dim", "32",
                                         "--numeric"]
     yield "verify-fock-dim16-trivial-numeric", [

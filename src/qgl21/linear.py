@@ -55,16 +55,16 @@ class Combination:
         c = NotImplemented if self.UNIT is None else _coerce(other)
         return c if c is NotImplemented else self.term(self.UNIT, c)
 
-    def __iadd__(self, other):
+    # no __iadd__: x += y rebinds x to x + y, so an image or vector that
+    # someone else holds is never changed
+    def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        terms = dict(self.terms)
         for key, c in other.terms.items():
-            accumulate(self.terms, key, c)
-        return self
-
-    def __add__(self, other):
-        return type(self)(dict(self.terms)).__iadd__(other)
+            accumulate(terms, key, c)
+        return type(self)(terms)
 
     __radd__ = __add__
 

@@ -1,5 +1,6 @@
-"""Sparse exact matrices, stored as dict-of-rows, of QScalars, or of
-Fractions or ints on the numeric Fock route.
+"""Sparse exact matrices, stored as dict-of-rows, of QScalars, of Fractions
+or ints on the numeric Fock route, or of integer Laurent polynomials
+(scalars.Laurent) in the symbolic Fock check.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
@@ -13,10 +14,10 @@ from .linear import accumulate
 
 
 class QMatrix:
-    """A missing entry reads as _zero, the zero of the entries' field:
+    """A missing entry reads as _zero, the zero of the entries' ring:
     sc.ZERO, the zero of identity's scale, or the zero the builder of a
-    matrix over Q or Z sets.  Sums, products, negatives and multiples keep
-    the left operand's."""
+    matrix over Q, Z or the Laurent polynomials sets.  Sums, products,
+    negatives and multiples keep the left operand's."""
 
     __slots__ = ("nrows", "ncols", "rows", "_zero")
 

@@ -21,20 +21,26 @@ directly and then machine-verified.  Verification is dual-route:
   reduced in W; the residual must be exactly zero.
 * check_relations_on_fock -- generator images are rendered as matrices on a
   truncated Fock space and the relations are re-checked by exact matrix
-  arithmetic on the truncation-safe columns.  fock_matrix fills a matrix
-  one monomial at a time: each monomial moves a fixed set of fermion
+  arithmetic on the truncation-safe columns.  A matrix is filled one
+  monomial at a time (_fill): each monomial moves a fixed set of fermion
   occupations and a run of boson levels.
 
 Both are calls to superalgebra.check_relations, the one relation checker
 of all four routes, with the generator images (on the W identity) or their
-matrices (on the identity matrix) acting from the left.  The numeric Fock
-route builds its matrices in Q: each image coefficient is evaluated once
-at the assignment, each boson factor is computed from q, and matrix
-entries are Fractions (see fock_matrix for why this is exact, and for the
-one case, a pole cancelling between monomials, where the symbolic entries
-are evaluated instead); the matrices and the matrix exports stay in Q.
-Its relation check clears the denominators once and runs over Z (see
-_cleared for why the residual counts are those over Q).
+matrices (on the identity matrix) acting from the left.  Neither Fock
+check multiplies over a field.  The symbolic one multiplies integer
+Laurent polynomials (scalars.Laurent): each generator matrix is A_g / d_g,
+d_g = C (q - 1)^I (q + 1)^J cleared once from its coefficients, and A_g
+keeps each boson factor [n] as q^n - q^-n, never divided by q^2 - 1, so
+its entries stay short (_cleared_matrix).  The numeric one builds its
+matrices in Q: each image coefficient is evaluated once at the
+assignment, each boson factor is computed from q, and matrix entries are
+Fractions (see fock_matrix for why this is exact, and for the one case, a
+pole cancelling between monomials, where the symbolic entries are
+evaluated instead); it then clears their denominators over Z (_cleared).
+Both clear each relation word the same way (_cleared_words), so the
+residual counts are those over Q(q, p) or Q.  fock_matrix and the matrix
+exports stay canonical or in Q.
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -201,8 +207,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
     c [n][n-1]...[n-l+1] q^(k(n-l)) |n-l+m> (x) f', up to a fermion sign,
     for the levels l <= n < D - m + l and the fermion moves f -> f' of
     _fermion_moves; the other levels are annihilated or leave the space.
-    The boson factor is built once per (l, k, n), the only cache, and an
-    amplitude once per (monomial, n).
+    _fill builds the matrix.
 
     With an assignment, entries are Fractions (q = 0, +1, -1 are rejected
     as deformation singularities, p_i = 0 as well), and they are evaluated
@@ -224,50 +229,89 @@ def fock_matrix(x, D, assignment=None, modes=None):
     if modes not in ((), (1,), (2,), (1, 2)):
         raise ValueError("fermion modes %r are not one of (), (1,), (2,) "
                          "and (1, 2)" % (modes,))
-    occupations = tuple(product((0, 1), repeat=len(modes)))
-    fdim = len(occupations)
-    mat = QMatrix.zero(D * fdim)
-    boson = {}      # (l, k, n) -> [n]...[n-l+1] q^(k(n-l)), or its value
     if assignment is None:
-        q_power, q_integer = sc.q_power, sc.q_integer
+        mat = _fill(x.terms, D, modes, _same, sc.q_power, sc.q_integer,
+                    sc.ZERO)
     else:
         q = assignment["q"]
-        q_power = q.__pow__
-
-        def q_integer(m):       # [m] = (q^m - q^-m)/(q - q^-1)
-            return (q ** m - q ** -m) / (q - 1 / q)
-    try:
-        for mon, c in x.terms.items():
-            moves = _fermion_moves(mon, modes, occupations)
-            levels = range(mon.l, min(D, D - mon.m + mon.l))
-            if not (moves and levels):
-                continue        # annihilated or truncated on every column
-            if assignment is not None:
-                c = c.evaluate(**assignment)
-            for n in levels:
-                key = (mon.l, mon.k, n)
-                if key not in boson:
-                    factor = q_power(mon.k * (n - mon.l))
-                    for j in range(mon.l):
-                        factor = factor * q_integer(n - j)
-                    boson[key] = factor
-                amp = c * boson[key]
-                row, col = (n - mon.l + mon.m) * fdim, n * fdim
-                for f_in, f_out, negate in moves:
-                    mat.add_entry(row + f_out, col + f_in,
-                                  -amp if negate else amp)
-    except sc.PoleError:
-        symbolic = fock_matrix(x, D, modes=modes).matrix
-        mat = QMatrix.from_entries(mat.nrows, mat.ncols, (
-            (i, j, v.evaluate(**assignment))
-            for i, j, v in symbolic.iter_entries()))
-    if assignment is not None:
-        mat._zero = Fraction(0)
+        try:
+            mat = _fill(x.terms, D, modes,
+                        lambda c: c.evaluate(**assignment), q.__pow__,
+                        lambda m: (q ** m - q ** -m) / (q - 1 / q),
+                        Fraction(0))
+        except sc.PoleError:
+            symbolic = fock_matrix(x, D, modes=modes).matrix
+            mat = QMatrix.from_entries(symbolic.nrows, symbolic.ncols, (
+                (i, j, v.evaluate(**assignment))
+                for i, j, v in symbolic.iter_entries()))
+            mat._zero = Fraction(0)
+    occupations = tuple(product((0, 1), repeat=len(modes)))
+    fdim = len(occupations)
     raising = min(D, max(0, x.max_raising()))
     return FockMatrix(
         dim=D * fdim, boson_dim=D, modes=modes, matrix=mat,
         basis=tuple((n,) + occ for n in range(D) for occ in occupations),
         boundary_columns=tuple(range((D - raising) * fdim, D * fdim)))
+
+
+def _same(c):
+    return c
+
+
+def _fill(terms, D, modes, value, q_power, q_number, zero):
+    """The one monomial loop of the Fock matrices: the matrix, with zero
+    its zero, whose entries sum value(c) * q_power(k(n - l)) *
+    q_number(n) ... q_number(n - l + 1) over the monomials
+    c a+^m t^k a^l of terms.  value(c) is taken once if its monomial gives
+    an entry, the boson factor once per (l, k, n), the only cache, and an
+    amplitude once per (monomial, n).
+    The canonical, numeric and cleared matrices differ only in the value
+    and the boson factor they put in."""
+    occupations = tuple(product((0, 1), repeat=len(modes)))
+    fdim = len(occupations)
+    mat = QMatrix.zero(D * fdim)
+    mat._zero = zero
+    boson = {}      # (l, k, n) -> the boson factor
+    for mon, c in terms.items():
+        moves = _fermion_moves(mon, modes, occupations)
+        levels = range(mon.l, min(D, D - mon.m + mon.l))
+        if not (moves and levels):
+            continue        # annihilated or truncated on every column
+        c = value(c)
+        for n in levels:
+            key = (mon.l, mon.k, n)
+            if key not in boson:
+                factor = q_power(mon.k * (n - mon.l))
+                for j in range(mon.l):
+                    factor = factor * q_number(n - j)
+                boson[key] = factor
+            amp = c * boson[key]
+            row, col = (n - mon.l + mon.m) * fdim, n * fdim
+            for f_in, f_out, negate in moves:
+                mat.add_entry(row + f_out, col + f_in,
+                              -amp if negate else amp)
+    return mat
+
+
+def _laurent_q_power(e):
+    return sc.Laurent({(e, 0, 0, 0): 1})
+
+
+def _laurent_q_number(m):       # q^m - q^-m, [m] times q - q^-1
+    return sc.Laurent({(m, 0, 0, 0): 1, (-m, 0, 0, 0): -1})
+
+
+def _cleared_matrix(x, D, modes):
+    """(d, A) with A / d the matrix of x, A's entries Laurents: d is the
+    lcm of the denominators of the c (q - q^-1)^-l of x's monomials
+    c a+^m t^k a^l, each cleared by d, and the boson factor is
+    q^(k(n-l)) (q^n - q^-n) ... (q^(n-l+1) - q^-(n-l+1)), that is
+    [n] ... [n-l+1] q^(k(n-l)) times (q - q^-1)^l, with q^2 - 1 never
+    divided out of a numerator."""
+    d, cleared = sc.clear_denominators(c * sc.EPS_INV ** mon.l
+                                       for mon, c in x.terms.items())
+    return d, _fill(dict(zip(x.terms, cleared)), D, modes, _same,
+                    _laurent_q_power, _laurent_q_number, sc.Laurent({}))
 
 
 def _assigned_rational(assignment, name):
@@ -324,21 +368,28 @@ def relation_shifts(mode):
 def check_relations_on_fock(mode, D, assignment=None):
     """Re-check every relation by exact matrix arithmetic on the truncated
     Fock space, on the columns of the levels n < D - s for a relation whose
-    words raise the boson number by up to s.  With an assignment the
-    matrices are built in Q, and the check runs over Z (_cleared)."""
+    words raise the boson number by up to s.  Without an assignment the
+    matrices are _cleared_matrix's, over Laurent polynomials; with one they
+    are built in Q and cleared over Z (_cleared)."""
     if mode not in ("trivial", "fermionic"):
         raise ValueError("Fock checks need a concrete subalgebra mode")
     check_size(D, 4, "Fock dimension")
     modes = fock_modes(mode)
     fdim = 2 ** len(modes)
-    mats = ((nm, fock_matrix(el, D, assignment, modes).matrix)
-            for nm, el in realization_map(mode).items())
+    images = realization_map(mode)
     shifts = relation_shifts(mode)
-    rels, one = ua.relation_set(), sc.ONE
     if assignment is None:
-        mats = dict(mats)
+        dens, mats = {}, {}
+        for nm, el in images.items():
+            dens[nm], mats[nm] = _cleared_matrix(el, D, modes)
+        rels = _cleared_words(ua.relation_set(), dens, _same,
+                              sc.clear_denominators)
+        one = _laurent_q_power(0)
     else:
-        rels, mats = _cleared(rels, mats, assignment)
+        rels, mats = _cleared(
+            ua.relation_set(),
+            ((nm, fock_matrix(el, D, assignment, modes).matrix)
+             for nm, el in images.items()), assignment)
         one = 1
     results = ua.check_relations(
         rels, mats, QMatrix.identity(D * fdim, one),
@@ -348,37 +399,51 @@ def check_relations_on_fock(mode, D, assignment=None):
     return results
 
 
+def _cleared_words(relations, dens, value, clear):
+    """The relations as lhs = 0, the M_g = A_g / d_g, d_g = dens[g]: a word
+    w of lhs - rhs with coefficient c_w gets L value(c_w) / prod(d_g^|e|)
+    over the letters g^e of w, where clear(values) gives L, the lcm of the
+    denominators left, and the values times L.  The word applied to the
+    A_g is then L value(c_w) M_w, so each residual is L != 0 times its
+    value over the field of value(c_w), entry by entry: an entry is zero
+    exactly when that value is, and the residual counts are those over
+    Q(q, p) (symbolic) or Q (numeric).  A witness from such a residual
+    must be divided by L to give its value in that field."""
+    cleared = []
+    for rel in relations:
+        terms = (rel.lhs - rel.rhs).terms
+        _, coeffs = clear([
+            value(c) / prod((dens[ua.letter(nm, e)] ** abs(e)
+                             for nm, e in w))
+            for w, c in terms.items()])
+        cleared.append(rel._replace(lhs=ua.UElement(dict(zip(terms, coeffs))),
+                                    rhs=ua.UElement.zero()))
+    return cleared
+
+
+def _clear_rationals(values):
+    """(d, [v d]): d the lcm of the Fraction values' denominators, v d an
+    int."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _cleared(relations, mats, assignment):
     """The relations at the assignment, and the Fraction matrices M_g of
     the pairs (g, M_g) in mats, over Z; each M_g is dropped once cleared.
     M_g becomes A_g = d_g M_g, d_g the lcm of its entry denominators, and
-    a word w of lhs - rhs with value c_w gets the int coefficient
-    L c_w / prod(d_g^|e|) over the letters g^e of w, L the lcm of the
-    denominators left.  Each residual is then L != 0 times its value over
-    Q, entry by entry: an entry is zero exactly when its rational value
-    is, so the residual counts are those over Q, with no modular or
-    floating-point step.  A witness from such a residual must be divided
-    by L to give its value in Q."""
-    def times(d, v):            # d v as an int; v's denominator divides d
-        return v.numerator * (d // v.denominator)
-
+    the words are cleared by _cleared_words, with no modular or
+    floating-point step."""
     dens, ints = {}, {}
     for g, m in mats:
         d = dens[g] = lcm(*(v.denominator for _, _, v in m.iter_entries()))
         ints[g] = a = QMatrix(m.nrows, m.ncols, {
-            i: {j: times(d, v) for j, v in r.items()}
+            i: {j: v.numerator * (d // v.denominator) for j, v in r.items()}
             for i, r in m.rows.items()})
         a._zero = 0
-    cleared = []
-    for rel in relations:
-        coeffs = {w: c.evaluate(**assignment)
-                  / prod(dens[ua.letter(nm, e)] ** abs(e) for nm, e in w)
-                  for w, c in (rel.lhs - rel.rhs).terms.items()}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        cleared.append(rel._replace(
-            lhs=ua.UElement({w: times(den, c) for w, c in coeffs.items()}),
-            rhs=ua.UElement.zero()))
-    return cleared, ints
+    return _cleared_words(relations, dens,
+                          lambda c: c.evaluate(**assignment),
+                          _clear_rationals), ints
 
 
 # ---------------------------------------------------------------------------

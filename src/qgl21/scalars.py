@@ -60,6 +60,12 @@ public constructor, which from_laurent, monomial, q_power and p_power build
 through; it refuses an exponent that is not an int (a ValueError).  Every
 operand and every linear.py coefficient goes through the one rule _coerce.
 
+clear_denominators is the one way out of the field: it multiplies a set of
+values by the lcm c * (q - 1)^I * (q + 1)^J of their denominators and gives
+each product as a Laurent, a Laurent polynomial over Z whose + and * are
+_p_add and _p_mul and which is never cancelled.  The symbolic Fock check
+multiplies those (realization.py).
+
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
 q_power and q_integer are memoized.
@@ -402,6 +408,41 @@ def _p_cancel(a, b):
     if _p_is_one(g):
         return a, b, g
     return _p_div_exact(a, g), _p_div_exact(b, g), g
+
+
+class Laurent:
+    """A Laurent polynomial over Z, terms {exponent 4-tuple: int} with no
+    zero values, that is never cancelled: the entry type of the symbolic
+    Fock check (see clear_denominators).  The zero test is an empty dict."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        return Laurent(_p_add(self.terms, other.terms))
+
+    def __sub__(self, other):
+        return Laurent(_p_add(self.terms, _p_neg(other.terms)))
+
+    def __neg__(self):
+        return Laurent(_p_neg(self.terms))
+
+    def __mul__(self, other):
+        return Laurent(_p_mul(self.terms, other.terms))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.terms == ({_UNIT_MONO: other} if other else {})
+        if isinstance(other, Laurent):
+            return self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
 
 
 # ---------------------------------------------------------------------------
@@ -865,3 +906,22 @@ def q_integer(n):
         return -q_integer(-n)
     return QScalar.from_laurent(
         {(n - 1 - 2 * j, 0, 0, 0): 1 for j in range(n)})
+
+
+def clear_denominators(values):
+    """(d, [x * d for x in values]) for QScalars values: d, a QScalar, is
+    the lcm c * (q - 1)^I * (q + 1)^J of their denominators (a monomial
+    of a denominator stays in the negative exponents), and each x * d is
+    a Laurent.  A value whose denominator has a factor F outside that
+    basis is a ValueError, never cleared silently."""
+    values = list(values)
+    for x in values:
+        if x._F is not None:
+            raise ValueError("cannot clear %s: its denominator has a factor "
+                             "other than q, q - 1 and q + 1" % x.render())
+    c = lcm(*(x._c for x in values))
+    i = max((x._i for x in values), default=0)
+    j = max((x._j for x in values), default=0)
+    return (_new(_lift(_ONE_POLY, c, i, j, None), 1, 0, 0, None),
+            [Laurent(_lift(x._N, c // x._c, i - x._i, j - x._j, None))
+             for x in values])

@@ -124,7 +124,7 @@ def evaluate(el, apply, start):
     """Sum over the words of el of coeff * (word applied to start).  Each
     word acts right to left through acc = apply(g, acc), one letter at a
     time, with g = letter(name, exponent); apply must be linear in acc.
-    total is a fresh zero, so the words are summed into it in place."""
+    total is a fresh zero, so += may sum the words into it in place."""
     total = start.scale(sc.ZERO)
     for word, c in el.terms.items():
         acc = start
@@ -139,7 +139,15 @@ def evaluate(el, apply, start):
 def check_relations(relations, gens, unit, cols=None):
     """One CheckResult per relation: the residual lhs - rhs, with gens[g]
     acting from the left on unit (gens[g] itself when the operand is unit),
-    counted in the columns cols(rel), or in full when cols is None."""
+    counted in the columns cols(rel), or in full when cols is None.  A
+    letter with no entry in gens is a ValueError, before any product."""
+    missing = sorted({letter(nm, e) for rel in relations
+                      for el in (rel.lhs, rel.rhs) for word in el.terms
+                      for nm, e in word} - gens.keys())
+    if missing:
+        raise ValueError("relation letter %r has no entry in gens"
+                         % missing[0])
+
     def apply(g, acc):
         return gens[g] if acc is unit else gens[g] * acc
 

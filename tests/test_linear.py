@@ -223,3 +223,49 @@ def test_a_combination_times_a_scalar_is_its_scalar_multiple():
     v = InducedVector.basis_state(1, 0)
     assert v * 2 == 2 * v == v.scale(2) == v + v
     assert generator("t") * sc.Q == sc.Q * generator("t")
+
+
+# -- += rebinds: an object someone else holds is never changed -----------------
+
+def test_in_place_add_leaves_a_cached_image_unchanged():
+    image = rho("E12", "fermionic")
+    before = dict(image.terms)
+    x = rho("E12", "fermionic")
+    x += 1
+    assert x == image + 1
+    assert rho("E12", "fermionic") is image and image.terms == before
+
+
+@pytest.mark.parametrize("w", [
+    generator("a+") + sc.Q * generator("t"),
+    W(("E12", 1)) - W(("K1", 1), coeff=sc.QINV),
+    InducedVector.basis_state(1, 0) + InducedVector.basis_state(0, 1),
+])
+def test_in_place_add_does_not_change_an_alias(w):
+    before = dict(w.terms)
+    y = w
+    y += w
+    assert y == 2 * w and y is not w
+    assert w.terms == before
+
+
+# -- a relation letter with no generator image ---------------------------------
+
+def test_check_relations_names_a_letter_missing_from_gens(monkeypatch):
+    products = []
+    mul = QMatrix.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "__mul__", counting)
+    gens = {"E12": QMatrix.identity(2)}
+    relations = [
+        Relation("E12 E12 = E12 E12", "test", W(("E12", 1), ("E12", 1)),
+                 W(("E12", 1), ("E12", 1))),
+        Relation("E99 = 0", "test", W(("E99", 1)), UElement.zero()),
+    ]
+    with pytest.raises(ValueError, match="'E99' has no entry in gens"):
+        check_relations(relations, gens, QMatrix.identity(2))
+    assert not products     # refused before the first relation's product

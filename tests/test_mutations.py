@@ -53,7 +53,8 @@ def test_numeric_fock_route_catches_flipped_e23(monkeypatch):
         "fermionic", 6, rz.DEFAULT_ASSIGNMENT)) == E23_SIGN_BREAKS
 
 
-@pytest.mark.parametrize("D, broken", [(6, (20, 10)), (8, (28, 14))])
+@pytest.mark.parametrize("D, broken", [(6, (20, 10)), (8, (28, 14)),
+                                         (32, (124, 62))])
 def test_numeric_fock_residual_counts_match_the_symbolic_route(monkeypatch,
                                                                D, broken):
     # the numeric route counts the entries of L times the rational residual;

@@ -464,6 +464,25 @@ def test_fock_relation_check_skips_identity_products(monkeypatch):
     assert len(calls) == 73
 
 
+@pytest.mark.parametrize("mode", ["trivial", "fermionic"])
+def test_symbolic_fock_check_multiplies_only_laurent_entries(monkeypatch,
+                                                             mode):
+    # the symbolic route builds no QScalar entry: every operand of every
+    # product holds Laurent polynomials, so no q^2 - 1 is ever cancelled
+    operands = []
+    mul = QMatrix.__mul__
+
+    def recording(self, other):
+        operands.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "__mul__", recording)
+    assert all_passed(check_relations_on_fock(mode, 8))
+    assert operands
+    assert all(type(v) is sc.Laurent for pair in operands for m in pair
+               for _, _, v in m.iter_entries())
+
+
 def test_fock_relation_check_never_scales_by_one(monkeypatch):
     coeffs = []
     scale = QMatrix.scale

@@ -410,3 +410,47 @@ def test_int_and_fraction_coefficients_build_the_same_scalar():
     assert sc.monomial(2, 1) == sc.monomial(Fraction(2), 1) == 2 * Q
     assert sc.QScalar.from_laurent({(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}) \
         == sc.QScalar({(1, 0, 0, 0): Fraction(2, 2), (0, 0, 0, 0): 1}) == Q + 1
+
+
+# -- clear_denominators and the Laurent entries of the symbolic Fock check ------
+
+def test_clear_denominators_multiplies_by_the_lcm_in_the_closed_basis():
+    values = [sc.EPS_INV / 6, sc.P1 / (Q + 1) ** 2,
+              sc.QScalar.from_rational(Fraction(3, 4)), QINV ** 3, ZERO]
+    d, cleared = sc.clear_denominators(values)
+    # the monomial q^-3 stays in the negative exponents, not in d
+    assert d == 12 * (Q - 1) * (Q + 1) ** 2
+    assert_canonical(d)
+    for x, c in zip(values, cleared):
+        assert type(c) is sc.Laurent
+        assert sc.QScalar(c.terms) == x * d
+    assert cleared[-1].terms == {} and not cleared[-1]
+    assert sc.clear_denominators([]) == (ONE, [])
+
+
+@settings(max_examples=50, deadline=None)
+@given(qscalars, qscalars, st.integers(0, 3), st.integers(1, 6))
+def test_laurent_arithmetic_matches_qscalar_arithmetic(x, y, i, k):
+    x = x * sc.EPS_INV ** i / k
+    d, (a, b) = sc.clear_denominators([x, y])
+    for got, want in ((a + b, (x + y) * d), (a - b, (x - y) * d),
+                      (-a, -x * d), (a * b, x * y * d * d)):
+        assert type(got) is sc.Laurent
+        assert sc.QScalar(got.terms) == want
+        assert bool(got) == bool(want)
+
+
+def test_laurent_compares_with_ints_by_value():
+    one = sc.Laurent({(0, 0, 0, 0): 1})
+    assert one == 1 and sc.Laurent({}) == 0
+    assert sc.Laurent({(1, 0, 0, 0): 1}) != 1 and one != 2
+    assert one == sc.Laurent({(0, 0, 0, 0): 1})
+
+
+@pytest.mark.parametrize("outside", [
+    sc.QScalar(sc._ONE_POLY, Q_PLUS_2), sc.QScalar(sc._ONE_POLY, P1Q_PLUS_P2)])
+def test_clear_denominators_refuses_a_factor_outside_the_basis(outside):
+    # 1/(q + 2) and 1/(q*p1 + p2) have a factor F: clearing it would leave
+    # the closed basis, so it is refused, never cleared silently
+    with pytest.raises(ValueError, match="other than q, q - 1 and q \\+ 1"):
+        sc.clear_denominators([sc.EPS_INV, outside])
