@@ -68,12 +68,12 @@ def _build_parser():
     p_mat.add_argument("--mode", choices=("trivial", "fermionic"),
                        default="trivial")
     p_mat.add_argument("--numeric", action="store_true")
-    for name, default in (("q", "3/2"), ("p1", "2"), ("p2", "3"), ("p3", "5")):
+    for name, value in rz.DEFAULT_ASSIGNMENT.items():
         p_mat.add_argument(
-            "--" + name, default=default,
+            "--" + name, default=str(value),
             help="rational value of %s for --numeric (default %s); write a "
                  "negative value as --%s=-7/3, since --%s -7/3 reads -7/3 "
-                 "as an option" % (name, default, name, name))
+                 "as an option" % (name, value, name, name))
     p_mat.add_argument("--out", required=True)
     return parser
 

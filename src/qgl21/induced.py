@@ -208,9 +208,10 @@ def _check_term(N, M, i, rep):
                          "space V" % (i, rep.dim))
 
 
-# q-exponent per (N, M) of each K on |N,M> (x) v, times its matrix on v
-_K_WEIGHTS = {"K1": (1, 1), "K1inv": (-1, -1), "K2": (-1, 0),
-              "K2inv": (1, 0), "K3": (0, -1), "K3inv": (0, 1)}
+# K^+-1 E12^N E13^M = q^(+-(a N + b M)) E12^N E13^M K^+-1, with
+# (a, b) = (k_weight(K, E12), k_weight(K, E13)); then K^+-1 acts on v
+_K_WEIGHTS = {k + inv: (s * ua.k_weight(k, "E12"), s * ua.k_weight(k, "E13"))
+              for k in ("K1", "K2", "K3") for inv, s in (("", 1), ("inv", -1))}
 
 
 def act(g, x, rep):

@@ -56,15 +56,18 @@ class Combination:
         return c if c is NotImplemented else self.term(self.UNIT, c)
 
     # no __iadd__: x += y rebinds x to x + y, so an image or vector that
-    # someone else holds is never changed
+    # someone else holds is never changed; _iadd is for a sum the caller
+    # owns
+    def _iadd(self, other):
+        for key, c in other.terms.items():
+            accumulate(self.terms, key, c)
+        return self
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(terms, key, c)
-        return type(self)(terms)
+        return type(self)(dict(self.terms))._iadd(other)
 
     __radd__ = __add__
 

@@ -1,6 +1,7 @@
 """Sparse exact matrices, stored as dict-of-rows, of QScalars, of Fractions
 or ints on the numeric Fock route, or of integer Laurent polynomials
-(scalars.Laurent) in the symbolic Fock check.
+(scalars.Laurent) in the symbolic Fock check.  A matrix is built with the
+zero of its entries' ring, which a missing entry reads as.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
@@ -14,39 +15,37 @@ from .linear import accumulate
 
 
 class QMatrix:
-    """A missing entry reads as _zero, the zero of the entries' ring:
-    sc.ZERO, the zero of identity's scale, or the zero the builder of a
-    matrix over Q, Z or the Laurent polynomials sets.  Sums, products,
-    negatives and multiples keep the left operand's."""
+    """A missing entry reads as _zero, the zero of the entries' ring, given
+    when the matrix is built (sc.ZERO by default; identity takes the zero
+    of its scale).  Sums, products, negatives and multiples keep the left
+    operand's."""
 
     __slots__ = ("nrows", "ncols", "rows", "_zero")
 
-    def __init__(self, nrows, ncols, rows=None):
+    def __init__(self, nrows, ncols, rows=None, zero=sc.ZERO):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
-        self._zero = sc.ZERO
+        self._zero = zero
 
     def _like(self, rows, ncols=None):
-        out = QMatrix(self.nrows, self.ncols if ncols is None else ncols, rows)
-        out._zero = self._zero
-        return out
+        return QMatrix(self.nrows, self.ncols if ncols is None else ncols,
+                       rows, self._zero)
 
     @classmethod
-    def zero(cls, nrows, ncols=None):
-        return cls(nrows, ncols if ncols is not None else nrows)
+    def zero(cls, nrows, ncols=None, zero=sc.ZERO):
+        return cls(nrows, ncols if ncols is not None else nrows, None, zero)
 
     @classmethod
     def identity(cls, n, scale=None):
         s = sc.ONE if scale is None else scale
-        m = cls(n, n, {} if not s else {i: {i: s} for i in range(n)})
-        m._zero = s - s
-        return m
+        return cls(n, n, {} if not s else {i: {i: s} for i in range(n)},
+                   s - s)
 
     @classmethod
-    def from_entries(cls, nrows, ncols, entries):
+    def from_entries(cls, nrows, ncols, entries, zero=sc.ZERO):
         """entries: iterable of (row, col, entry)."""
-        m = cls(nrows, ncols)
+        m = cls(nrows, ncols, None, zero)
         for i, j, v in entries:
             m.add_entry(i, j, v)
         return m
@@ -75,15 +74,16 @@ class QMatrix:
         cols = set(cols)
         return sum(1 for _, j, _v in self.iter_entries() if j in cols)
 
-    def __iadd__(self, other):
+    # no __iadd__: m += n rebinds m to m + n, so a matrix that someone
+    # else holds is never changed; _iadd is for a sum the caller owns
+    def _iadd(self, other):
         for i, j, v in other.iter_entries():
             self.add_entry(i, j, v)
         return self
 
     def __add__(self, other):
-        out = self._like({i: dict(r) for i, r in self.rows.items()})
-        out += other
-        return out
+        return self._like({i: dict(r) for i, r in self.rows.items()})._iadd(
+            other)
 
     def __sub__(self, other):
         return self + (-other)

@@ -28,19 +28,14 @@ directly and then machine-verified.  Verification is dual-route:
 Both are calls to superalgebra.check_relations, the one relation checker
 of all four routes, with the generator images (on the W identity) or their
 matrices (on the identity matrix) acting from the left.  Neither Fock
-check multiplies over a field.  The symbolic one multiplies integer
-Laurent polynomials (scalars.Laurent): each generator matrix is A_g / d_g,
-d_g = C (q - 1)^I (q + 1)^J cleared once from its coefficients, and A_g
-keeps each boson factor [n] as q^n - q^-n, never divided by q^2 - 1, so
-its entries stay short (_cleared_matrix).  The numeric one builds its
-matrices in Q: each image coefficient is evaluated once at the
-assignment, each boson factor is computed from q, and matrix entries are
-Fractions (see fock_matrix for why this is exact, and for the one case, a
-pole cancelling between monomials, where the symbolic entries are
-evaluated instead); it then clears their denominators over Z (_cleared).
-Both clear each relation word the same way (_cleared_words), so the
-residual counts are those over Q(q, p) or Q.  fock_matrix and the matrix
-exports stay canonical or in Q.
+check multiplies over a field: each generator matrix is A_g / d_g, built
+by _cleared_matrix (symbolic: A_g over integer Laurent polynomials,
+scalars.Laurent, d_g = C (q - 1)^I (q + 1)^J, each boson factor [n] kept
+as q^n - q^-n, never divided by q^2 - 1, so entries stay short) or by
+_cleared_fractions (numeric: the Fraction matrix, see fock_matrix, times
+d_g, the lcm of its denominators, over Z).  The relation words are then
+cleared once (_cleared_words), so the residual counts are those over
+Q(q, p) or Q.  fock_matrix and the matrix exports stay canonical or in Q.
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -211,14 +206,16 @@ def fock_matrix(x, D, assignment=None, modes=None):
 
     With an assignment, entries are Fractions (q = 0, +1, -1 are rejected
     as deformation singularities, p_i = 0 as well), and they are evaluated
-    first: the value of c, taken once if its monomial gives an entry, times
-    the value of the boson factor, computed from q alone with
+    first: the value of c, taken once per monomial before the matrix is
+    filled, times the value of the boson factor, computed from q alone with
     [m] = (q^m - q^-m)/(q - q^-1).  That equals the value of
     the product, because the boson factor's numerator has no rational root
     other than 0 and +-1, so it cancels no pole of c at an accepted
-    assignment.  A pole of c can still cancel between monomials; then the
-    entries of the symbolic matrix are evaluated instead, and only a pole
-    that survives in a summed entry raises PoleError."""
+    assignment.  A c with a pole there, or with a variable the assignment
+    leaves out, may still give no entry, and a pole may cancel between
+    monomials; so then the entries of the symbolic matrix are evaluated
+    instead, and only a pole or a variable that survives in an entry
+    raises PoleError or ValueError."""
     check_size(D, 2, "Fock dimension")
     if x.has_gl11():
         raise ValueError(
@@ -230,21 +227,21 @@ def fock_matrix(x, D, assignment=None, modes=None):
         raise ValueError("fermion modes %r are not one of (), (1,), (2,) "
                          "and (1, 2)" % (modes,))
     if assignment is None:
-        mat = _fill(x.terms, D, modes, _same, sc.q_power, sc.q_integer,
-                    sc.ZERO)
+        mat = _fill(x.terms, D, modes, sc.q_power, sc.q_integer, sc.ZERO)
     else:
         q = assignment["q"]
         try:
-            mat = _fill(x.terms, D, modes,
-                        lambda c: c.evaluate(**assignment), q.__pow__,
-                        lambda m: (q ** m - q ** -m) / (q - 1 / q),
-                        Fraction(0))
-        except sc.PoleError:
+            terms = {mon: c.evaluate(**assignment)
+                     for mon, c in x.terms.items()}
+        except (sc.PoleError, ValueError):
             symbolic = fock_matrix(x, D, modes=modes).matrix
             mat = QMatrix.from_entries(symbolic.nrows, symbolic.ncols, (
                 (i, j, v.evaluate(**assignment))
-                for i, j, v in symbolic.iter_entries()))
-            mat._zero = Fraction(0)
+                for i, j, v in symbolic.iter_entries()), Fraction(0))
+        else:
+            mat = _fill(terms, D, modes, q.__pow__,
+                        lambda m: (q ** m - q ** -m) / (q - 1 / q),
+                        Fraction(0))
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
     raising = min(D, max(0, x.max_raising()))
@@ -258,26 +255,23 @@ def _same(c):
     return c
 
 
-def _fill(terms, D, modes, value, q_power, q_number, zero):
+def _fill(terms, D, modes, q_power, q_number, zero):
     """The one monomial loop of the Fock matrices: the matrix, with zero
-    its zero, whose entries sum value(c) * q_power(k(n - l)) *
-    q_number(n) ... q_number(n - l + 1) over the monomials
-    c a+^m t^k a^l of terms.  value(c) is taken once if its monomial gives
-    an entry, the boson factor once per (l, k, n), the only cache, and an
-    amplitude once per (monomial, n).
-    The canonical, numeric and cleared matrices differ only in the value
-    and the boson factor they put in."""
+    its zero, whose entries sum c * q_power(k(n - l)) * q_number(n) ...
+    q_number(n - l + 1) over the monomials c a+^m t^k a^l of terms, each
+    c already in the entries' ring.  The boson factor is taken once per
+    (l, k, n), the only cache, and an amplitude once per (monomial, n).
+    The canonical, numeric and cleared matrices differ only in the
+    coefficients and the boson factor they put in."""
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
-    mat = QMatrix.zero(D * fdim)
-    mat._zero = zero
+    mat = QMatrix.zero(D * fdim, zero=zero)
     boson = {}      # (l, k, n) -> the boson factor
     for mon, c in terms.items():
         moves = _fermion_moves(mon, modes, occupations)
         levels = range(mon.l, min(D, D - mon.m + mon.l))
         if not (moves and levels):
             continue        # annihilated or truncated on every column
-        c = value(c)
         for n in levels:
             key = (mon.l, mon.k, n)
             if key not in boson:
@@ -310,8 +304,19 @@ def _cleared_matrix(x, D, modes):
     divided out of a numerator."""
     d, cleared = sc.clear_denominators(c * sc.EPS_INV ** mon.l
                                        for mon, c in x.terms.items())
-    return d, _fill(dict(zip(x.terms, cleared)), D, modes, _same,
-                    _laurent_q_power, _laurent_q_number, sc.Laurent({}))
+    return d, _fill(dict(zip(x.terms, cleared)), D, modes, _laurent_q_power,
+                    _laurent_q_number, sc.Laurent({}))
+
+
+def _cleared_fractions(x, D, modes, assignment):
+    """(d, A) with A / d the Fraction matrix of x at the assignment, A over
+    Z, d the lcm of its entry denominators; the Fraction matrix is dropped
+    once A is built from its rows."""
+    m = fock_matrix(x, D, assignment, modes).matrix
+    d = lcm(*(v.denominator for _, _, v in m.iter_entries()))
+    return d, QMatrix(m.nrows, m.ncols, {
+        i: {j: v.numerator * (d // v.denominator) for j, v in r.items()}
+        for i, r in m.rows.items()}, 0)
 
 
 def _assigned_rational(assignment, name):
@@ -368,29 +373,27 @@ def relation_shifts(mode):
 def check_relations_on_fock(mode, D, assignment=None):
     """Re-check every relation by exact matrix arithmetic on the truncated
     Fock space, on the columns of the levels n < D - s for a relation whose
-    words raise the boson number by up to s.  Without an assignment the
-    matrices are _cleared_matrix's, over Laurent polynomials; with one they
-    are built in Q and cleared over Z (_cleared)."""
+    words raise the boson number by up to s.  One sequence for both
+    fields: only the builder of (d_g, A_g), the words' value and clear rule
+    and the unit depend on whether an assignment is given."""
     if mode not in ("trivial", "fermionic"):
         raise ValueError("Fock checks need a concrete subalgebra mode")
     check_size(D, 4, "Fock dimension")
     modes = fock_modes(mode)
     fdim = 2 ** len(modes)
-    images = realization_map(mode)
     shifts = relation_shifts(mode)
     if assignment is None:
-        dens, mats = {}, {}
-        for nm, el in images.items():
-            dens[nm], mats[nm] = _cleared_matrix(el, D, modes)
-        rels = _cleared_words(ua.relation_set(), dens, _same,
-                              sc.clear_denominators)
-        one = _laurent_q_power(0)
+        build, value, clear, one = (_cleared_matrix, _same,
+                                    sc.clear_denominators,
+                                    _laurent_q_power(0))
     else:
-        rels, mats = _cleared(
-            ua.relation_set(),
-            ((nm, fock_matrix(el, D, assignment, modes).matrix)
-             for nm, el in images.items()), assignment)
-        one = 1
+        build, value, clear, one = (
+            lambda x, D, modes: _cleared_fractions(x, D, modes, assignment),
+            lambda c: c.evaluate(**assignment), _clear_rationals, 1)
+    dens, mats = {}, {}
+    for nm, el in realization_map(mode).items():
+        dens[nm], mats[nm] = build(el, D, modes)
+    rels = _cleared_words(ua.relation_set(), dens, value, clear)
     results = ua.check_relations(
         rels, mats, QMatrix.identity(D * fdim, one),
         lambda rel: range(fdim * (D - shifts[rel.name])))
@@ -426,24 +429,6 @@ def _clear_rationals(values):
     int."""
     d = lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _cleared(relations, mats, assignment):
-    """The relations at the assignment, and the Fraction matrices M_g of
-    the pairs (g, M_g) in mats, over Z; each M_g is dropped once cleared.
-    M_g becomes A_g = d_g M_g, d_g the lcm of its entry denominators, and
-    the words are cleared by _cleared_words, with no modular or
-    floating-point step."""
-    dens, ints = {}, {}
-    for g, m in mats:
-        d = dens[g] = lcm(*(v.denominator for _, _, v in m.iter_entries()))
-        ints[g] = a = QMatrix(m.nrows, m.ncols, {
-            i: {j: v.numerator * (d // v.denominator) for j, v in r.items()}
-            for i, r in m.rows.items()})
-        a._zero = 0
-    return _cleared_words(relations, dens,
-                          lambda c: c.evaluate(**assignment),
-                          _clear_rationals), ints
 
 
 # ---------------------------------------------------------------------------

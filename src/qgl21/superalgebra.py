@@ -124,7 +124,7 @@ def evaluate(el, apply, start):
     """Sum over the words of el of coeff * (word applied to start).  Each
     word acts right to left through acc = apply(g, acc), one letter at a
     time, with g = letter(name, exponent); apply must be linear in acc.
-    total is a fresh zero, so += may sum the words into it in place."""
+    total is a fresh zero, so _iadd sums the words into it in place."""
     total = start.scale(sc.ZERO)
     for word, c in el.terms.items():
         acc = start
@@ -132,7 +132,7 @@ def evaluate(el, apply, start):
             g = letter(nm, e)
             for _ in range(abs(e)):
                 acc = apply(g, acc)
-        total += acc if c == 1 else acc.scale(c)
+        total._iadd(acc if c == 1 else acc.scale(c))
     return total
 
 

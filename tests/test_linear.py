@@ -249,6 +249,17 @@ def test_in_place_add_does_not_change_an_alias(w):
     assert w.terms == before
 
 
+def test_in_place_add_leaves_a_rep_matrix_unchanged():
+    rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
+    k2 = rep.mat("K2")
+    before = {i: dict(r) for i, r in k2.rows.items()}
+    m = rep.mat("K2")
+    m += QMatrix.identity(2)
+    assert m == k2 + QMatrix.identity(2) and m is not k2
+    assert rep.mat("K2").rows == before
+    assert all(r.passed for r in ind.validate_a0rep(rep))
+
+
 # -- a relation letter with no generator image ---------------------------------
 
 def test_check_relations_names_a_letter_missing_from_gens(monkeypatch):

@@ -14,10 +14,9 @@ from conftest import substitute_monomial
 from qgl21.parsing import parse_w
 from qgl21.qmatrix import QMatrix
 from qgl21.realization import (
-    DEFAULT_ASSIGNMENT, GENERATOR_IMAGE_NAMES, _cleared,
-    check_relations_on_fock, dyson_check, fock_matrix, fock_modes,
-    image_of_uelement, realization_map, relation_shifts, rho,
-    verify_realization,
+    DEFAULT_ASSIGNMENT, GENERATOR_IMAGE_NAMES, check_relations_on_fock,
+    dyson_check, fock_matrix, fock_modes, image_of_uelement,
+    realization_map, relation_shifts, rho, verify_realization,
 )
 from qgl21.reporting import all_passed
 from qgl21.superalgebra import relation_set
@@ -340,8 +339,10 @@ def test_fock_numeric_error_parity_cases():
     pole = {"q": -2, "p1": 2, "p2": 3, "p3": 5}
     with pytest.raises(sc.PoleError):
         fock_matrix(parse_w("1/(q + 2)*a"), 8, pole)
-    # a^3 annihilates every state of a 2-level space: c is never evaluated
+    # a^3 annihilates every state of a 2-level space: the pole of c, or a
+    # variable it has and the assignment leaves out, leaves no entry
     assert fock_matrix(parse_w("1/(q + 2)*a^3"), 2, pole).matrix.nnz() == 0
+    assert fock_matrix(parse_w("p1*a^3"), 2, {"q": 2}).matrix.nnz() == 0
     with pytest.raises(ValueError, match="no value assigned for p1"):
         fock_matrix(rho("K1", "fermionic"), 8, {"q": 2}, (1, 2))
 
@@ -385,46 +386,66 @@ def test_fock_numeric_missing_entry_is_a_fraction_zero():
     assert type(symbolic) is sc.QScalar and symbolic == sc.ZERO
 
 
+def _fock_check_matrices(mode, D, assignment=None):
+    """The results of check_relations_on_fock(mode, D, assignment), the
+    relations it checks, and every matrix it hands on or makes: the
+    generator matrices and the unit, each product and each residual."""
+    relations, mats = [], []
+    check, mul, evaluate = ua.check_relations, QMatrix.__mul__, ua.evaluate
+
+    def checking(rels, gens, unit, cols=None):
+        relations.extend(rels)
+        mats.extend((*gens.values(), unit))
+        return check(rels, gens, unit, cols)
+
+    def multiplying(self, other):
+        mats.append(mul(self, other))
+        return mats[-1]
+
+    def evaluating(el, apply, start):
+        mats.append(evaluate(el, apply, start))
+        return mats[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ua, "check_relations", checking)
+        mp.setattr(QMatrix, "__mul__", multiplying)
+        mp.setattr(ua, "evaluate", evaluating)
+        return check_relations_on_fock(mode, D, assignment), relations, mats
+
+
 @pytest.mark.parametrize("assignment", [
     {"q": Fraction(-7, 3), "p1": 2, "p2": 3, "p3": 5},
     {"q": Fraction(97, 89), "p1": Fraction(101, 7), "p2": Fraction(13, 17),
      "p3": Fraction(-19, 23)},
 ])
-def test_fock_numeric_relation_check_runs_over_z(monkeypatch, assignment):
-    seen = []
-    check = ua.check_relations
-
-    def capturing(relations, gens, unit, cols=None):
-        seen.append((relations, gens, unit))
-        return check(relations, gens, unit, cols)
-
-    monkeypatch.setattr(ua, "check_relations", capturing)
+def test_fock_numeric_relation_check_runs_over_z(assignment):
     for mode in ("trivial", "fermionic"):
-        results = check_relations_on_fock(mode, 8, assignment)
-        assert len(results) == 37 and all_passed(results)
-    assert len(seen) == 2
-    for relations, gens, unit in seen:
-        assert all(type(v) is int for m in (*gens.values(), unit)
-                   for _, _, v in m.iter_entries())
+        results, relations, mats = _fock_check_matrices(mode, 8, assignment)
+        assert len(results) == len(relations) == 37 and all_passed(results)
         assert all(type(c) is int for rel in relations
                    for el in (rel.lhs, rel.rhs) for c in el.terms.values())
+        for m in mats:
+            assert all(type(v) is int for _, _, v in m.iter_entries())
+            missing = m.entry(m.nrows - 1, 0)       # no word reaches it
+            assert type(missing) is int and missing == 0
 
 
-def test_fock_numeric_relation_check_clears_each_power_of_a_letter():
-    # no defining relation has a letter with |exponent| > 1, so these two
-    # pin the d_g^|e| of _cleared: K1^e and the |e| letters K1^sign(e) are
-    # different words with the same value
+def test_fock_relation_check_clears_each_power_of_a_letter(monkeypatch):
+    # no defining relation has a letter with |exponent| > 1, so these pin
+    # the d_g^|e| of the word clearing: g^e and the |e| letters g^sign(e)
+    # are different words with the same value.  K1's symbolic d_g is 1
+    # (its coefficients p1 and p1 (q - 1) have no denominator), E21's is
+    # (q^2 - 1)^2, so E21 pins the power on the symbolic field
     word = ua.UElement.word
-    rels = [ua.Relation("K1^%d" % e, "powers", word(("K1", e)),
-                        word(*[("K1", e // abs(e))] * abs(e)))
-            for e in (2, -3)]
-    mats = ((name, fock_matrix(rho(name, "fermionic"), 6, DEFAULT_ASSIGNMENT,
-                               (1, 2)).matrix)
-            for name in GENERATOR_IMAGE_NAMES)
-    cleared, ints = _cleared(rels, mats, DEFAULT_ASSIGNMENT)
-    assert all(len(rel.lhs.terms) == 2 for rel in cleared)
-    assert all_passed(ua.check_relations(cleared, ints,
-                                         QMatrix.identity(24, 1)))
+    rels = [ua.Relation("%s^%d" % (g, e), "powers", word((g, e)),
+                        word(*[(g, e // abs(e))] * abs(e)))
+            for g, e in (("K1", 2), ("K1", -3), ("E21", 2))]
+    monkeypatch.setattr(ua, "relation_set", lambda: rels)
+    for assignment in (None, DEFAULT_ASSIGNMENT):
+        results, cleared, _ = _fock_check_matrices("fermionic", 6, assignment)
+        assert [r.name for r in results] == ["K1^2", "K1^-3", "E21^2"]
+        assert all_passed(results)
+        assert all(len(rel.lhs.terms) == 2 for rel in cleared)
 
 
 def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
@@ -465,22 +486,15 @@ def test_fock_relation_check_skips_identity_products(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["trivial", "fermionic"])
-def test_symbolic_fock_check_multiplies_only_laurent_entries(monkeypatch,
-                                                             mode):
+def test_symbolic_fock_check_multiplies_only_laurent_entries(mode):
     # the symbolic route builds no QScalar entry: every operand of every
     # product holds Laurent polynomials, so no q^2 - 1 is ever cancelled
-    operands = []
-    mul = QMatrix.__mul__
-
-    def recording(self, other):
-        operands.append((self, other))
-        return mul(self, other)
-
-    monkeypatch.setattr(QMatrix, "__mul__", recording)
-    assert all_passed(check_relations_on_fock(mode, 8))
-    assert operands
-    assert all(type(v) is sc.Laurent for pair in operands for m in pair
-               for _, _, v in m.iter_entries())
+    results, _, mats = _fock_check_matrices(mode, 8)
+    assert all_passed(results)
+    for m in mats:
+        assert all(type(v) is sc.Laurent for _, _, v in m.iter_entries())
+        missing = m.entry(m.nrows - 1, 0)       # no word reaches it
+        assert type(missing) is sc.Laurent and not missing
 
 
 def test_fock_relation_check_never_scales_by_one(monkeypatch):
