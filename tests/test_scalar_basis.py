@@ -49,7 +49,7 @@ closed_scalars = st.builds(
 @given(closed_scalars, closed_scalars)
 def test_closed_basis_products_and_sums_take_no_gcd(x, y):
     with mock.patch.object(sc, "_p_gcd", _no_gcd), \
-            mock.patch.object(sc, "_u_prem", _no_gcd):
+            mock.patch.object(sc, "_p_prem", _no_gcd):
         results = {"mul": x * y, "add": x + y, "sub": x - y}
     (xn, xd), (yn, yd) = x._fraction(), y._fraction()
     assert results["mul"] == sc.QScalar(sc._p_mul(xn, yn), sc._p_mul(xd, yd))

@@ -284,13 +284,13 @@ def test_storage_invariants_on_p_factors(x, y):
 def _count_prem_calls(monkeypatch):
     """A list that grows by one at every pseudo-remainder the PRS takes."""
     calls = []
-    prem = sc._u_prem
+    prem = sc._p_prem
 
-    def counting(A, B):
+    def counting(*args):
         calls.append(None)
-        return prem(A, B)
+        return prem(*args)
 
-    monkeypatch.setattr(sc, "_u_prem", counting)
+    monkeypatch.setattr(sc, "_p_prem", counting)
     return calls
 
 

@@ -6,6 +6,7 @@ value comparison is a comparison of canonical forms."""
 
 import itertools
 import operator
+import random
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
+from qgl21.parsing import parse_scalar
 from conftest import (
     P1Q_PLUS_P2, P_FACTOR_SCALARS, Q_PLUS_2, assert_canonical,
     rational_functions,
@@ -92,7 +94,7 @@ def _sympy_gcd(a, b):
     return -g if g.LC() < 0 else g
 
 
-def _prs_reached(A, B):
+def _prs_reached(*args):
     raise AssertionError("a closed-basis gcd reached the PRS")
 
 
@@ -130,7 +132,7 @@ def test_closed_basis_gcd_agrees_with_sympy(terms, content, mono, a, b,
     s = _closed(1, a, b)
     num, den = sc._p_mul(r, s), _closed(c, i, j)
     expected = _sympy_gcd(num, den)
-    with mock.patch.object(sc, "_u_prem", _prs_reached):
+    with mock.patch.object(sc, "_p_prem", _prs_reached):
         for x, y in ((num, den), (den, num)):
             assert _sympy_poly(sc._p_gcd(x, y)) == expected
         got = sc.QScalar(num, den)
@@ -148,4 +150,42 @@ def test_closed_basis_gcd_agrees_with_sympy(terms, content, mono, a, b,
 def test_prs_fallback_agrees_with_sympy():
     product = sc._p_mul(P1Q_PLUS_P2, Q_PLUS_2)
     for a, b in ((P1Q_PLUS_P2, product), (product, sc._p_neg(P1Q_PLUS_P2))):
+        assert _sympy_poly(sc._p_gcd(a, b)) == _sympy_gcd(a, b)
+
+
+# -- the subresultant PRS on 4-variable input -----------------------------------
+
+def test_prs_finishes_on_a_four_variable_pair():
+    # 3*q^4*p3^2 - 9*q^3*p1^4 + 8*p1^2 and 32*q^4 + 27*q*p2 - 12*p1*p2^2*p3^2:
+    # a primitive PRS (a content gcd at every step) gives no result in 60 s
+    a = {(4, 0, 0, 2): 3, (3, 4, 0, 0): -9, (0, 2, 0, 0): 8}
+    b = {(4, 0, 0, 0): 32, (1, 0, 1, 0): 27, (0, 1, 2, 2): -12}
+    assert _sympy_gcd(a, b) == 1
+    for x, y in ((a, b), (b, a)):
+        assert sc._p_gcd(x, y) == sc._ONE_POLY
+
+
+def test_product_with_a_four_variable_denominator_agrees_with_sympy():
+    # y.invert() has the denominator factor
+    # F = q^4 + 27/32*q*p2 - 3/8*p1*p2^2*p3^2, so the product takes a gcd
+    # with F on 4-variable input
+    x = parse_scalar("q^2*p1^-2*p2*p3^2 - 3*q*p1^2*p2 + 8/3*q^-2*p2")
+    y = parse_scalar("8/3*q^2*p1^-1*p2^-2*p3^-1"
+                     " + 9/4*q^-1*p1^-1*p2^-1*p3^-1 - q^-2*p3")
+    z = x * y.invert()
+    _agrees(z, to_sympy(x) / to_sympy(y))
+    assert_canonical(z)
+
+
+def _random_poly(rng, terms):
+    return {tuple(rng.randint(0, 3) for _ in range(sc.NVARS)):
+            rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(terms)}
+
+
+def test_planted_common_factors_agree_with_sympy():
+    rng = random.Random(20)
+    for _ in range(100):
+        f = _random_poly(rng, rng.randint(2, 3))
+        u, w = (_random_poly(rng, rng.randint(1, 3)) for _ in range(2))
+        a, b = sc._p_mul(f, u), sc._p_mul(f, w)
         assert _sympy_poly(sc._p_gcd(a, b)) == _sympy_gcd(a, b)
