@@ -25,8 +25,8 @@ letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import scalars as sc
 from . import superalgebra as ua
@@ -43,8 +43,7 @@ class RepresentationError(ValueError):
 # gl(1/1) plug-ins
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gl11Rep:
+class Gl11Rep(NamedTuple):
     """Matrices for e23, e32, k2, k3 (and inverses) on a graded space."""
     dim: int
     mats: dict
@@ -117,11 +116,16 @@ def validate_gl11_rep(rep):
 # the parabolic subalgebra representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class A0Rep:
+class _A0Fields(NamedTuple):
     dim: int
     mats: dict          # E21, E23, E32, K1..K3 and inverses
     parity: tuple
+
+
+class A0Rep(_A0Fields):
+    """A representation of A0 on a graded space of dimension dim.  Without
+    __slots__ each rep has a __dict__, where _mats is kept after its first
+    use; _replace gives a new rep, which builds its own."""
 
     @cached_property
     def _mats(self):

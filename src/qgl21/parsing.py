@@ -19,7 +19,7 @@ parse back to equal elements.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import scalars as sc
 from . import superalgebra as ua
@@ -49,41 +49,35 @@ SCALAR_SYMBOLS = {"q": sc.Q, "p1": sc.P1, "p2": sc.P2, "p3": sc.P3}
 
 # -- AST --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
     pos: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
     pos: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
     pos: int
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exp: int
     pos: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
     pos: int
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     anti: bool
     left: object
     right: object

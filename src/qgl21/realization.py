@@ -43,11 +43,11 @@ q^x = q^N reproduces the q-boson matrices entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm, prod
+from typing import NamedTuple
 
 from . import scalars as sc
 from . import superalgebra as ua
@@ -149,8 +149,7 @@ def verify_realization(mode="abstract"):
 # truncated Fock-space rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FockMatrix:
+class FockMatrix(NamedTuple):
     """Matrix of a W element on the truncated basis |n> (x) fermion modes.
 
     Basis index is n-major, then mode-1, then mode-2 occupation.  Raising
@@ -397,9 +396,8 @@ def check_relations_on_fock(mode, D, assignment=None):
     results = ua.check_relations(
         rels, mats, QMatrix.identity(D * fdim, one),
         lambda rel: range(fdim * (D - shifts[rel.name])))
-    for r in results:
-        r.detail = "%d boundary columns excluded" % (fdim * shifts[r.name])
-    return results
+    return [r._replace(detail="%d boundary columns excluded"
+                       % (fdim * shifts[r.name])) for r in results]
 
 
 def _cleared_words(relations, dens, value, clear):

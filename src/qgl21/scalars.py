@@ -45,8 +45,7 @@ Gcds over Z, for F and for _p_gcd itself, come from a subresultant
 pseudo-remainder sequence (Collins 1967, Brown 1971) in one variable on the
 same flat dicts: one content gcd at the start, exact divisions by the
 factors the subresultant theorem predicts, one primitive part at the end,
-and a positive leading coefficient.  A gcd with one argument of the form
-c * (q - 1)^i * (q + 1)^j is read off by synthetic division without a PRS.
+and a positive leading coefficient.
 
 _fraction() gives the reduced fraction of polynomials, (numerator,
 denominator), that the stored form stands for, derived when first read and
@@ -318,27 +317,6 @@ def _closed_poly(i, j):
     return {(e, 0, 0, 0): c for e, c in enumerate(row) if c}
 
 
-# No engine route reaches _closed_gcd: their denominators stay in the closed
-# basis, where * and + take no gcd.  conftest.assert_canonical and the gcd
-# tests call _p_gcd on closed-basis denominators; there it answers in 46 us
-# where the PRS takes 275 us (600 seeded pairs, best of 5, one Xeon core),
-# though the scalar test files' wall time moves by less than host noise.
-def _closed_gcd(a, b):
-    """gcd(a, b) if a or b is c * (q - 1)^i * (q + 1)^j, else None, for a
-    and b free of monomial content: _split gives that form, and
-    _closed_divide the multiplicities of q -+ 1 in the other, so no PRS
-    step is taken."""
-    if len(a) > len(b):
-        a, b = b, a
-    for x, y in ((a, b), (b, a)):
-        c, _, i, j, f = _split(x)
-        if f is None:
-            _, vm, vp = _closed_divide(y, i, j)
-            g = gcd(c, *y.values())
-            return {m: g * k for m, k in _closed_poly(vm, vp).items()}
-    return None
-
-
 def _p_gcd(a, b):
     """gcd over Z with a positive leading coefficient: the gcd of the
     contents in one variable v times the primitive part of the last nonzero
@@ -358,8 +336,6 @@ def _p_gcd(a, b):
         core = {_UNIT_MONO: gcd(*a.values(), *b.values())}
     elif a == b:
         core = _p_positive(a)
-    elif (closed := _closed_gcd(a, b)) is not None:
-        core = closed
     else:
         # both have two or more terms after the shift, so some variable
         # occurs with a positive degree; the PRS in v takes at most

@@ -31,7 +31,6 @@ proof of the closed straightening identities at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -276,8 +275,7 @@ def relation_families():
 # straightening
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StraightenTerm:
+class StraightenTerm(NamedTuple):
     coeff: QScalar
     n: int              # E12 power
     m: int              # E13 power

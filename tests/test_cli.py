@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +187,14 @@ def test_verify_failure_exit_status(capsys, monkeypatch):
     assert "1/2 checks passed" in out
 
 
+def test_check_result_defaults_and_is_immutable():
+    r = CheckResult("x", True)
+    assert (r.residuals, r.detail) == (0, "")
+    with pytest.raises(AttributeError):
+        r.detail = "changed"
+    assert r._replace(detail="d") == CheckResult("x", True, 0, "d")
+
+
 def test_matrix_export_round_trip(capsys, tmp_path):
     out_path = tmp_path / "e21.json"
     code, out, _ = run(capsys, "matrix", "E21", "--dim", "5",
@@ -295,3 +306,31 @@ def test_matrix_rejects_bare_gl11_generator(capsys, tmp_path):
 def test_usage_error_exits_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["bogus"]) == 2
+
+
+# modules that only code generation (dataclasses) or introspection needs
+CODEGEN_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+SET_UP = """
+import sys
+before = set(sys.modules)
+import qgl21.cli
+from qgl21 import realization as rz, superalgebra as ua
+rz.realization_map("trivial")
+rz.realization_map("fermionic")
+ua.relation_set()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_set_up_loads_no_code_generation_modules():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SET_UP], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qgl21.cli" in loaded
+    assert not loaded & CODEGEN_MODULES

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -281,8 +280,8 @@ def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
 def test_e31_follows_replaced_e21_and_e32(fermionic_rep):
     e21 = QMatrix.identity(2, sc.P1)
     e32 = fermionic_rep.mats["E32"].scale(sc.Q)
-    rep = dataclasses.replace(
-        fermionic_rep, mats=dict(fermionic_rep.mats, E21=e21, E32=e32))
+    rep = fermionic_rep._replace(
+        mats=dict(fermionic_rep.mats, E21=e21, E32=e32))
     e31 = rep.mat("E31")
     assert e31.nnz() == 1
     assert e31 == -(e21 * e32) + (e32 * e21).scale(sc.QINV)

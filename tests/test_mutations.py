@@ -2,7 +2,6 @@
 representation matrix must show up as nonzero residuals on the relations
 it breaks, so a route that passes vacuously would be caught here."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -80,7 +79,7 @@ CARTAN_23 = "{E23, E32} = (K2 K3 - K2^-1 K3^-1)/(q - q^-1)"
 def _doubled_k2_rep():
     rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
     mats = dict(rep.mats, K2=rep.mats["K2"].scale(sc.QScalar.from_rational(2)))
-    return dataclasses.replace(rep, mats=mats)
+    return rep._replace(mats=mats)
 
 
 def test_a0_matrix_route_catches_doubled_k2():
@@ -149,9 +148,9 @@ def test_lemma1_catches_scaled_e13_term(monkeypatch, capsys):
 # -- the fermionic plug-in with both states even --------------------------------
 
 def test_parity_checks_catch_an_even_fermion():
-    gl11 = dataclasses.replace(ind.fermionic_gl11_rep(), parity=(0, 0))
-    a0 = dataclasses.replace(
-        ind.highest_weight_a0rep(ind.fermionic_gl11_rep()), parity=(0, 0))
+    gl11 = ind.fermionic_gl11_rep()._replace(parity=(0, 0))
+    a0 = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())._replace(
+        parity=(0, 0))
     for results in (ind.validate_gl11_rep(gl11), ind.validate_a0rep(a0)):
         # names compared case-insensitively: e23 and E23 are the same letter
         assert {r.name.lower(): r.residuals for r in results if not r.passed} \
