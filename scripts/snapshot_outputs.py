@@ -8,7 +8,9 @@ outputs are byte-identical exactly when the two trees agree on every
 rendered string, residual count, exit code and JSON export below.  The
 script imports qgl21 from the src/ of the checkout it sits in.
 
-The battery: the seven verify suites at their defaults, induced and lemma1
+The battery: `qgl21 --help`, `verify --help` and `matrix --help` (with
+COLUMNS=80, so that argparse wraps them the same on every terminal), the
+seven verify suites at their defaults, induced and lemma1
 at --nmax 12, fock --dim 16 (symbolic, fermionic: the fock-symbolic
 benchmark's command), fock --dim 32 symbolic and --numeric, fock --dim 32
 --mode trivial (symbolic), fock --dim 16 --mode trivial --numeric, matrix
@@ -46,6 +48,9 @@ CORPUS_SEEDS = (1, 2)
 
 def cli_commands():
     """(name, argv) for every command run through cli.main."""
+    yield "help", ["--help"]
+    for command in ("verify", "matrix"):
+        yield command + "-help", [command, "--help"]
     for suite in cli.VERIFY_SUITES:
         yield "verify-" + suite, ["verify", suite]
     for suite in ("induced", "lemma1"):
@@ -95,6 +100,7 @@ def main():
         return 2
     outdir = Path(sys.argv[1]).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
+    os.environ["COLUMNS"] = "80"
     script = "scripts/verify_all.py"
     proc = subprocess.run([sys.executable, script], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),

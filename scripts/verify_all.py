@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full verification battery and print one combined report.
 
-Exit status 0 only if every suite passes.  Flags mirror the CLI defaults:
+Exit status 0 only if every suite passes.  The sizes default to the CLI's
+defaults (cli.SUITE_SIZES), and dyson always runs at its default:
 
-    python3 scripts/verify_all.py [--nmax 6] [--induced-nmax 8] [--dim 8]
+    python3 scripts/verify_all.py [--nmax N] [--induced-nmax N] [--dim D]
 """
 
 import argparse
@@ -13,10 +14,11 @@ from qgl21 import cli
 
 
 def main():
+    default = {suite: spec[1] for suite, spec in cli.SUITE_SIZES.items()}
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmax", type=int, default=6)
-    ap.add_argument("--induced-nmax", type=int, default=8)
-    ap.add_argument("--dim", type=int, default=8)
+    ap.add_argument("--nmax", type=int, default=default["lemma1"])
+    ap.add_argument("--induced-nmax", type=int, default=default["induced"])
+    ap.add_argument("--dim", type=int, default=default["fock"])
     args = ap.parse_args()
 
     suites = [
@@ -31,7 +33,7 @@ def main():
          "--numeric"],
         ["verify", "fock", "--dim", str(args.dim), "--mode", "fermionic",
          "--numeric"],
-        ["verify", "dyson", "--dim", "6"],
+        ["verify", "dyson", "--dim", str(default["dyson"])],
     ]
     worst = 0
     for argv in suites:

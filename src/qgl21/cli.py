@@ -22,7 +22,7 @@ from . import parsing
 from . import realization as rz
 from . import superalgebra as ua
 from . import walgebra as wa
-from .reporting import CheckResult, all_passed, render_report
+from .reporting import all_passed, render_report
 from .scalars import PoleError
 
 VERIFY_SUITES = (
@@ -30,9 +30,12 @@ VERIFY_SUITES = (
     "lemma1", "induced", "fock", "dyson",
 )
 
-# the verify flags each suite reads; any other flag given is a usage error
-_SUITE_FLAGS = {"lemma1": ("nmax",), "induced": ("nmax",),
-               "fock": ("dim", "mode", "numeric"), "dyson": ("dim",)}
+# each sized suite: (its size flag, default, least and largest size, the
+# other flags it reads); a flag its suite does not read is a usage error
+SUITE_SIZES = {"lemma1": ("nmax", 6, 2, 12, ()),
+               "induced": ("nmax", 8, 2, 12, ()),
+               "fock": ("dim", 8, 4, 32, ("mode", "numeric")),
+               "dyson": ("dim", 6, 4, 32, ())}
 
 
 def _use_color(stream):
@@ -52,9 +55,11 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=VERIFY_SUITES)
     p_ver.add_argument("--nmax", type=int, default=None,
-                       help="grid bound for lemma1/induced (2..12)")
+                       help="grid bound for lemma1/induced (%d..%d)"
+                       % SUITE_SIZES["lemma1"][2:4])
     p_ver.add_argument("--dim", type=int, default=None,
-                       help="Fock dimension for fock/dyson (4..32)")
+                       help="Fock dimension for fock/dyson (%d..%d)"
+                       % SUITE_SIZES["fock"][2:4])
     p_ver.add_argument("--mode", choices=("trivial", "fermionic"),
                        help="subalgebra realization for the fock suite "
                             "(default fermionic)")
@@ -105,7 +110,7 @@ def _too_many_digits(what):
 
 
 def _range_check(value, lo, hi, flag):
-    if value is None or not lo <= value <= hi:
+    if not lo <= value <= hi:
         print("error: %s must be in [%d, %d]" % (flag, lo, hi),
               file=sys.stderr)
         return False
@@ -114,52 +119,42 @@ def _range_check(value, lo, hi, flag):
 
 def _cmd_verify(args):
     suite = args.suite
-    for flag in ("nmax", "dim", "mode", "numeric"):
-        if getattr(args, flag) is not None \
-                and flag not in _SUITE_FLAGS.get(suite, ()):
-            print("error: verify %s does not read --%s" % (suite, flag),
+    flag, default, lo, hi, others = SUITE_SIZES.get(
+        suite, (None, None, None, None, ()))
+    for name in ("nmax", "dim", "mode", "numeric"):
+        if getattr(args, name) is not None and name not in (flag, *others):
+            print("error: verify %s does not read --%s" % (suite, name),
                   file=sys.stderr)
             return 2
-    if suite in ("relations-abstract", "relations-trivial",
-                 "relations-fermionic"):
+    if flag:
+        size = getattr(args, flag)
+        size = default if size is None else size
+        if not _range_check(size, lo, hi, "--" + flag):
+            return 2
+    if suite.startswith("relations-"):
         mode = suite.split("-", 1)[1]
         results = rz.verify_realization(mode)
         title = "defining relations under the %s-mode realization" % mode
     elif suite == "lemma1":
-        nmax = 6 if args.nmax is None else args.nmax
-        if not _range_check(nmax, 2, 12, "--nmax"):
-            return 2
-        results = ua.check_straightening_identities(nmax)
+        results = ua.check_straightening_identities(size)
         title = "straightening identities, closed form vs single swaps " \
-                "(n <= %d)" % nmax
+                "(n <= %d)" % size
     elif suite == "induced":
-        nmax = 8 if args.nmax is None else args.nmax
-        if not _range_check(nmax, 2, 12, "--nmax"):
-            return 2
-        results = []
-        for label, rep in (("trivial", ind.highest_weight_a0rep(ind.trivial_gl11_rep())),
-                           ("fermionic", ind.highest_weight_a0rep(ind.fermionic_gl11_rep()))):
-            for r in ind.check_relations_on_module(rep, nmax):
-                results.append(CheckResult(("%s: " % label) + r.name, r.passed,
-                                           r.residuals, r.detail))
-        title = "defining relations on the induced module (Nmax = %d)" % nmax
+        results = [r._replace(name="%s: %s" % (label, r.name))
+                   for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
+                                       ("fermionic", ind.fermionic_gl11_rep()))
+                   for r in ind.check_relations_on_module(
+                       ind.highest_weight_a0rep(gl11), size)]
+        title = "defining relations on the induced module (Nmax = %d)" % size
     elif suite == "fock":
-        dim = 8 if args.dim is None else args.dim
-        if not _range_check(dim, 4, 32, "--dim"):
-            return 2
         mode = args.mode or "fermionic"
         assignment = rz.DEFAULT_ASSIGNMENT if args.numeric else None
-        results = rz.check_relations_on_fock(mode, dim, assignment)
+        results = rz.check_relations_on_fock(mode, size, assignment)
         title = "defining relations on the %d-level Fock space (%s mode%s)" \
-            % (dim, mode, ", numeric" if args.numeric else "")
-    elif suite == "dyson":
-        dim = 6 if args.dim is None else args.dim
-        if not _range_check(dim, 4, 32, "--dim"):
-            return 2
-        results = rz.dyson_check(dim)
-        title = "ordinary-boson substitution at %d Fock levels" % dim
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+            % (size, mode, ", numeric" if args.numeric else "")
+    else:  # dyson
+        results = rz.dyson_check(size)
+        title = "ordinary-boson substitution at %d Fock levels" % size
     print(render_report(results, title, use_color=_use_color(sys.stdout)))
     return 0 if all_passed(results) else 1
 

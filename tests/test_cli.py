@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,43 @@ def test_verify_flag_ranges(capsys):
     code, _out, err = run(capsys, "verify", "fock", "--dim", "2")
     assert code == 2
     assert "--dim" in err
+
+
+SIZES_JUST_OUTSIDE = [
+    (["verify", suite, "--nmax", n], "error: --nmax must be in [2, 12]\n")
+    for suite in ("lemma1", "induced") for n in ("1", "13")
+] + [
+    (["verify", suite, "--dim", d], "error: --dim must be in [4, 32]\n")
+    for suite in ("fock", "dyson") for d in ("3", "33")
+] + [
+    (["matrix", "E12", "--dim", d], "error: --dim must be in [2, 64]\n")
+    for d in ("1", "65")
+]
+
+
+@pytest.mark.parametrize("argv, err", SIZES_JUST_OUTSIDE,
+                         ids=[" ".join(argv) for argv, _ in SIZES_JUST_OUTSIDE])
+def test_size_just_outside_its_range_exits_2(capsys, tmp_path, argv, err):
+    if argv[0] == "matrix":
+        argv = argv + ["--out", str(tmp_path / "m.json")]
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_verify_help_names_the_ranges_verify_enforces(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    help_text = " ".join(out.split())
+    for suite, flag in (("lemma1", "--nmax"), ("induced", "--nmax"),
+                        ("fock", "--dim"), ("dyson", "--dim")):
+        # the range verify enforces, read from its refusal of 0
+        err = run(capsys, "verify", suite, flag, "0")[2]
+        lo, hi = re.fullmatch(r"error: %s must be in \[(\d+), (\d+)\]\n"
+                              % flag, err).groups()
+        # the flag's help entry, up to the next option
+        entry = help_text.split(" %s %s " % (flag, flag[2:].upper()))[1]
+        entry = entry.split(" --")[0]
+        assert suite in entry and "(%s..%s)" % (lo, hi) in entry
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -71,6 +71,38 @@ def test_flipped_e23_is_undone_after_the_test():
     assert not _failed(rz.verify_realization("fermionic"))
 
 
+# -- the Fock matrices without the fermion crossing sign ----------------------------
+
+CROSSING_SIGN_BREAKS = {
+    "[E21, E23] = 0": 5,
+    "{E23, E32} = (K2 K3 - K2^-1 K3^-1)/(q - q^-1)": 9,
+    "E23^2 = 0": 5,
+    "E32^2 = 0": 4,
+    "E21 E31 = q E31 E21": 5,
+    "E31 = -E21 E32 + q^-1 E32 E21": 5,
+}
+
+
+def test_fock_routes_catch_a_dropped_crossing_sign(monkeypatch):
+    # a mode-2 operator acting on an occupied mode 1 no longer negates
+    moves = rz._fermion_moves
+    monkeypatch.setattr(rz, "_fermion_moves", lambda mon, modes, occupations: [
+        (f_in, f_out, False)
+        for f_in, f_out, _ in moves(mon, modes, occupations)])
+    for assignment in (None, rz.DEFAULT_ASSIGNMENT):
+        results = rz.check_relations_on_fock("fermionic", 6, assignment)
+        assert {r.name: r.residuals for r in results if not r.passed} \
+            == CROSSING_SIGN_BREAKS
+
+
+def test_numeric_fock_route_catches_unscaled_word_coefficients(monkeypatch):
+    # the rational word coefficients as bare numerators, the lcm scale dropped
+    monkeypatch.setattr(rz, "_clear_rationals", lambda values: (
+        1, [v.numerator for v in values]))
+    results = rz.check_relations_on_fock("fermionic", 6, rz.DEFAULT_ASSIGNMENT)
+    assert (len(results), len(_failed(results))) == (37, 17)
+
+
 # -- K2 doubled in the fermionic A0 representation ----------------------------------
 
 CARTAN_23 = "{E23, E32} = (K2 K3 - K2^-1 K3^-1)/(q - q^-1)"

@@ -1,9 +1,13 @@
-"""Smoke test of the combined verification script."""
+"""Tests of the combined verification script: it passes, and its defaults
+are the CLI's."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from qgl21 import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +22,29 @@ def test_verify_all_passes_at_small_sizes():
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "overall: all suites passed"
+
+
+def test_verify_all_defaults_are_the_cli_defaults(monkeypatch, capsys):
+    # the commands verify_all.py runs with no flags, recorded, not run
+    commands = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "main", lambda argv: commands.append(argv) or 0)
+        m.setattr(sys, "argv", ["verify_all.py"])
+        assert runpy.run_path(str(ROOT / "scripts" / "verify_all.py"))[
+            "main"]() == 0
+    # each engine returns no results, so a report is the title alone, and
+    # the title names the size the suite ran at
+    for module, name in ((cli.ua, "check_straightening_identities"),
+                         (cli.ind, "check_relations_on_module"),
+                         (cli.rz, "check_relations_on_fock"),
+                         (cli.rz, "dyson_check")):
+        monkeypatch.setattr(module, name, lambda *args: [])
+    sized = [argv for argv in commands if {"--nmax", "--dim"} & set(argv)]
+    assert len(sized) == 7
+    capsys.readouterr()
+    for argv in sized:
+        k = argv.index("--nmax" if "--nmax" in argv else "--dim")
+        assert cli.main(argv) == 0
+        given = capsys.readouterr().out
+        assert cli.main(argv[:k] + argv[k + 2:]) == 0
+        assert capsys.readouterr().out == given
