@@ -37,9 +37,18 @@ SUITE_SIZES = {"lemma1": ("nmax", 6, 2, 12, ()),
                "fock": ("dim", 8, 4, 32, ("mode", "numeric")),
                "dyson": ("dim", 6, 4, 32, ())}
 
+MATRIX_DIMS = (2, 64)       # the least and largest matrix --dim
+
 
 def _use_color(stream):
     return stream.isatty() and not os.environ.get("NO_COLOR")
+
+
+def _sizes(flag):
+    """Each suite sized by flag, with its range and default."""
+    return ", ".join("%s (%d..%d) default %d" % (suite, lo, hi, default)
+                     for suite, (f, default, lo, hi, _) in SUITE_SIZES.items()
+                     if f == flag)
 
 
 def _build_parser():
@@ -55,11 +64,9 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=VERIFY_SUITES)
     p_ver.add_argument("--nmax", type=int, default=None,
-                       help="grid bound for lemma1/induced (%d..%d)"
-                       % SUITE_SIZES["lemma1"][2:4])
+                       help="grid bound for " + _sizes("nmax"))
     p_ver.add_argument("--dim", type=int, default=None,
-                       help="Fock dimension for fock/dyson (%d..%d)"
-                       % SUITE_SIZES["fock"][2:4])
+                       help="Fock dimension for " + _sizes("dim"))
     p_ver.add_argument("--mode", choices=("trivial", "fermionic"),
                        help="subalgebra realization for the fock suite "
                             "(default fermionic)")
@@ -69,17 +76,24 @@ def _build_parser():
 
     p_mat = sub.add_parser("matrix", help="export a truncated Fock matrix")
     p_mat.add_argument("generator")
-    p_mat.add_argument("--dim", type=int, required=True)
+    p_mat.add_argument("--dim", type=int, required=True,
+                       help="boson levels of the truncated Fock space "
+                            "(%d..%d)" % MATRIX_DIMS)
     p_mat.add_argument("--mode", choices=("trivial", "fermionic"),
-                       default="trivial")
-    p_mat.add_argument("--numeric", action="store_true")
+                       default="trivial",
+                       help="subalgebra realization of an abstract "
+                            "generator (default trivial)")
+    p_mat.add_argument("--numeric", action="store_true",
+                       help="evaluate the entries at --q, --p1, --p2 and "
+                            "--p3 instead of symbolically")
     for name, value in rz.DEFAULT_ASSIGNMENT.items():
         p_mat.add_argument(
             "--" + name, default=str(value),
             help="rational value of %s for --numeric (default %s); write a "
                  "negative value as --%s=-7/3, since --%s -7/3 reads -7/3 "
                  "as an option" % (name, value, name, name))
-    p_mat.add_argument("--out", required=True)
+    p_mat.add_argument("--out", required=True,
+                       help="path of the JSON export to write")
     return parser
 
 
@@ -160,7 +174,7 @@ def _cmd_verify(args):
 
 
 def _cmd_matrix(args):
-    if not _range_check(args.dim, 2, 64, "--dim"):
+    if not _range_check(args.dim, *MATRIX_DIMS, "--dim"):
         return 2
     name = args.generator
     try:

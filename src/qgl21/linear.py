@@ -56,12 +56,18 @@ class Combination:
         return c if c is NotImplemented else self.term(self.UNIT, c)
 
     # no __iadd__: x += y rebinds x to x + y, so an image or vector that
-    # someone else holds is never changed; _iadd is for a sum the caller
-    # owns
-    def _iadd(self, other):
-        for key, c in other.terms.items():
-            accumulate(self.terms, key, c)
+    # someone else holds is never changed; _iadd and _addmul are for a sum
+    # the caller owns
+    def _iadd(self, other, c=None):
+        """self += c * other, c None meaning 1."""
+        for key, v in other.terms.items():
+            accumulate(self.terms, key, v if c is None else c * v)
         return self
+
+    def _addmul(self, a, b, c=None):
+        """self += c * a * b: the product a * b, then the add (the W
+        route's two-letter words in superalgebra.check_relations)."""
+        return self._iadd(a * b, c)
 
     def __add__(self, other):
         other = self._coerce(other)

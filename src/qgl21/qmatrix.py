@@ -6,12 +6,23 @@ zero of its entries' ring, which a missing entry reads as.
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
 subset of basis columns, which is how truncation-safe Fock checks work).
+The one matrix-product loop is _addmul, self += c * a * b (BLAS gemm on
+Gustavson's row-wise product, c folded into a's entries), which * runs
+into a fresh matrix; the one sum loop is _iadd, self += c * other.
 """
 
 from __future__ import annotations
 
 from . import scalars as sc
 from .linear import accumulate
+
+
+def _store(rows, i, row):
+    """rows[i] = row, or no row i when row is empty."""
+    if row:
+        rows[i] = row
+    else:
+        rows.pop(i, None)
 
 
 class QMatrix:
@@ -51,12 +62,9 @@ class QMatrix:
         return m
 
     def add_entry(self, i, j, v):
-        if not v:
-            return
-        row = self.rows.setdefault(i, {})
+        row = self.rows.get(i, {})
         accumulate(row, j, v)
-        if not row:
-            del self.rows[i]
+        _store(self.rows, i, row)
 
     def entry(self, i, j):
         return self.rows.get(i, {}).get(j, self._zero)
@@ -75,15 +83,37 @@ class QMatrix:
         return sum(1 for _, j, _v in self.iter_entries() if j in cols)
 
     # no __iadd__: m += n rebinds m to m + n, so a matrix that someone
-    # else holds is never changed; _iadd is for a sum the caller owns
-    def _iadd(self, other):
-        for i, j, v in other.iter_entries():
-            self.add_entry(i, j, v)
+    # else holds is never changed; _iadd and _addmul are for a sum the
+    # caller owns, which is neither of their operands
+    def _iadd(self, other, c=None):
+        """self += c * other, c None meaning 1."""
+        rows = self.rows
+        for i, orow in other.rows.items():
+            row = rows.get(i, {})
+            for j, v in orow.items():
+                accumulate(row, j, v if c is None else c * v)
+            _store(rows, i, row)
+        return self
+
+    def _addmul(self, a, b, c=None):
+        """self += c * a * b, c None meaning 1."""
+        if a.ncols != b.nrows:
+            raise ValueError("shape mismatch in matrix product")
+        rows, brows = self.rows, b.rows
+        for i, arow in a.rows.items():
+            row = rows.get(i, {})
+            for k, x in arow.items():
+                brow = brows.get(k)
+                if brow:
+                    if c is not None:
+                        x = c * x
+                    for j, y in brow.items():
+                        accumulate(row, j, x * y)
+            _store(rows, i, row)
         return self
 
     def __add__(self, other):
-        return self._like({i: dict(r) for i, r in self.rows.items()})._iadd(
-            other)
+        return self._like({})._iadd(self)._iadd(other)
 
     def __sub__(self, other):
         return self + (-other)
@@ -93,26 +123,11 @@ class QMatrix:
                            for i, r in self.rows.items()})
 
     def scale(self, c):
-        return self._like({} if not c else
-                          {i: {j: c * v for j, v in r.items()}
-                           for i, r in self.rows.items()})
+        return self._like({})._iadd(self, c) if c else self._like({})
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch in matrix product")
-            out = self._like({}, other.ncols)
-            for i, row in self.rows.items():
-                acc = {}
-                for k, a in row.items():
-                    brow = other.rows.get(k)
-                    if not brow:
-                        continue
-                    for j, b in brow.items():
-                        accumulate(acc, j, a * b)
-                if acc:
-                    out.rows[i] = acc
-            return out
+            return self._like({}, other.ncols)._addmul(self, other)
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -124,6 +139,8 @@ class QMatrix:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
             and self.rows == other.rows
 
+    # the induced action's matrix-vector product keeps its own loop: on its
+    # short vectors a one-column matrix for _addmul costs more than that
     def apply_column(self, vec):
         """Matrix times a sparse column vector {index: QScalar}."""
         out = {}

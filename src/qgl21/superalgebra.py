@@ -11,10 +11,11 @@ letter(name, exponent), K1 or K1inv say, and k_weight(K_i, E_jk) gives the
 q-exponent of the K-scaling relation K_i E_jk = q^d E_jk K_i.
 
 evaluate is the one evaluator of a UElement through generator images: it
-folds each word right to left, acc = apply(g, acc), and sums coeff * acc.
-check_relations, built on it, is the one relation checker of all four
-verification routes: W images on the W identity, the Fock matrices, the
-generator matrices of the induced module and the A0 matrices.
+folds each word right to left, acc = apply(g, acc), and adds its leftmost
+letter on acc into the sum in one step.  check_relations, built on it, is
+the one relation checker of all four verification routes: W images on the
+W identity, the Fock matrices, the generator matrices of the induced
+module and the A0 matrices; on matrices that step is QMatrix._addmul.
 
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
 E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
@@ -119,27 +120,37 @@ class UElement(Combination):
     __str__ = __repr__
 
 
-def evaluate(el, apply, start):
+def evaluate(el, apply, start, addmul=None):
     """Sum over the words of el of coeff * (word applied to start).  Each
     word acts right to left through acc = apply(g, acc), one letter at a
     time, with g = letter(name, exponent); apply must be linear in acc.
-    total is a fresh zero, so _iadd sums the words into it in place."""
+    The leftmost letter adds into total, a fresh zero, in one step:
+    addmul(total, g, acc, c), c None for 1, by default
+    total._iadd(apply(g, acc), c)."""
+    if addmul is None:
+        def addmul(total, g, acc, c):
+            total._iadd(apply(g, acc), c)
     total = start.scale(sc.ZERO)
     for word, c in el.terms.items():
+        c = None if c == 1 else c
+        gs = [letter(nm, e) for nm, e in word for _ in range(abs(e))]
+        if not gs:
+            total._iadd(start, c)
+            continue
         acc = start
-        for nm, e in reversed(word):
-            g = letter(nm, e)
-            for _ in range(abs(e)):
-                acc = apply(g, acc)
-        total._iadd(acc if c == 1 else acc.scale(c))
+        for g in reversed(gs[1:]):
+            acc = apply(g, acc)
+        addmul(total, gs[0], acc, c)
     return total
 
 
 def check_relations(relations, gens, unit, cols=None):
     """One CheckResult per relation: the residual lhs - rhs, with gens[g]
     acting from the left on unit (gens[g] itself when the operand is unit),
-    counted in the columns cols(rel), or in full when cols is None.  A
-    letter with no entry in gens is a ValueError, before any product."""
+    counted in the columns cols(rel), or in full when cols is None; a
+    word's leftmost letter is added by total._addmul (by total._iadd when
+    it acts on unit).  A letter with no entry in gens is a ValueError,
+    before any product."""
     missing = sorted({letter(nm, e) for rel in relations
                       for el in (rel.lhs, rel.rhs) for word in el.terms
                       for nm, e in word} - gens.keys())
@@ -150,8 +161,14 @@ def check_relations(relations, gens, unit, cols=None):
     def apply(g, acc):
         return gens[g] if acc is unit else gens[g] * acc
 
+    def addmul(total, g, acc, c):
+        if acc is unit:
+            total._iadd(gens[g], c)
+        else:
+            total._addmul(gens[g], acc, c)
+
     return residual_results(
-        (rel.name, evaluate(rel.lhs - rel.rhs, apply, unit),
+        (rel.name, evaluate(rel.lhs - rel.rhs, apply, unit, addmul),
          None if cols is None else cols(rel))
         for rel in relations)
 

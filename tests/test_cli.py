@@ -185,6 +185,38 @@ def test_verify_help_names_the_ranges_verify_enforces(capsys, monkeypatch):
         assert suite in entry and "(%s..%s)" % (lo, hi) in entry
 
 
+def _help_entries(out):
+    """Option -> its entry, whitespace-joined, in an argparse --help text."""
+    options = out.split("\noptions:\n")[1]
+    blocks = re.split(r"\n  (?=-)", "\n" + options)
+    return {b.split()[0]: " ".join(b.split()) for b in blocks if b.strip()}
+
+
+def test_verify_help_names_each_suite_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    entries = _help_entries(run(capsys, "verify", "--help")[1])
+    for suite, (flag, default, lo, hi, _) in cli.SUITE_SIZES.items():
+        assert "%s (%d..%d) default %d" % (suite, lo, hi, default) \
+            in entries["--" + flag]
+
+
+def test_matrix_help_describes_every_flag(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, "matrix", "--help")
+    assert code == 0
+    entries = _help_entries(out)
+    # the range matrix enforces, read from its refusal of 0
+    err = run(capsys, "matrix", "E12", "--dim", "0",
+              "--out", str(tmp_path / "m.json"))[2]
+    lo, hi = re.fullmatch(r"error: --dim must be in \[(\d+), (\d+)\]\n",
+                          err).groups()
+    assert (int(lo), int(hi)) == cli.MATRIX_DIMS
+    assert entries["--dim"].endswith("(%s..%s)" % (lo, hi))
+    assert entries["--mode"].endswith("(default trivial)")
+    assert "--q, --p1, --p2 and --p3" in entries["--numeric"]
+    assert entries["--out"] != "--out OUT"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["dyson", "--numeric"], "--numeric"),
     (["lemma1", "--dim", "5"], "--dim"),

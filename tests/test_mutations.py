@@ -12,6 +12,7 @@ from qgl21 import induced as ind
 from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
 from qgl21 import walgebra as wa
+from qgl21.qmatrix import QMatrix
 from conftest import assert_canonical
 
 
@@ -124,6 +125,62 @@ def test_module_route_catches_doubled_k2():
     assert _failed(ind.check_relations_on_module(_doubled_k2_rep(), 4)) == {
         "K2 K2^-1 = 1", CARTAN_23, "E21 E31 = q E31 E21",
         "E31 = -E21 E32 + q^-1 E32 E21"}
+
+
+# -- the fused multiply-add with its coefficient on a row's first entry -------
+
+# each word's leftmost letter is added into the residual as c * M_g * acc by
+# QMatrix._addmul; the mutant multiplies only the first entry of each row of
+# M_g by c.  The K scaling relations of E21, E23 and E32, the commutators
+# [E12, E32], [E21, E23] and [E12, E21], E21 E31 = q E31 E21 and the E13 and
+# E31 definitions break, as M_g has rows of two entries: on the fermionic
+# images and on the module (the fermionic gl(1/1) plug-in), never on the
+# trivial ones, whose matrices have one entry per row
+FIRST_ENTRY_BREAKS = {
+    "K%d %s = q^%+d %s K%d" % (i, e, ua.k_weight("K%d" % i, e), e, i)
+    for i in (1, 2, 3) for e in ("E21", "E23", "E32")} | {
+    "[E12, E32] = 0", "[E21, E23] = 0",
+    "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)",
+    "E21 E31 = q E31 E21", "E13 = E12 E23 - q^-1 E23 E12",
+    "E31 = -E21 E32 + q^-1 E32 E21"}
+
+
+def _c_on_first_entries_only(monkeypatch):
+    addmul = QMatrix._addmul
+
+    def mutant(self, a, b, c=None):
+        rows = {i: list(r.items()) for i, r in a.rows.items()}
+        addmul(self, a._like({i: dict(r[:1]) for i, r in rows.items()}), b, c)
+        return addmul(self, a._like({i: dict(r[1:])
+                                     for i, r in rows.items() if r[1:]}), b)
+
+    monkeypatch.setattr(QMatrix, "_addmul", mutant)
+
+
+def test_fock_and_module_routes_catch_a_partly_applied_coefficient(
+        monkeypatch):
+    _c_on_first_entries_only(monkeypatch)
+    symbolic = rz.check_relations_on_fock("fermionic", 6)
+    numeric = rz.check_relations_on_fock("fermionic", 6, rz.DEFAULT_ASSIGNMENT)
+    assert _failed(symbolic) == FIRST_ENTRY_BREAKS
+    # the numeric words carry other cleared coefficients, so one more
+    # relation breaks there and some counts differ
+    assert _failed(numeric) == FIRST_ENTRY_BREAKS | {CARTAN_23}
+    module = ind.check_relations_on_module(
+        ind.highest_weight_a0rep(ind.fermionic_gl11_rep()), 4)
+    assert _failed(module) == FIRST_ENTRY_BREAKS
+    for assignment in (None, rz.DEFAULT_ASSIGNMENT):
+        assert not _failed(rz.check_relations_on_fock("trivial", 6,
+                                                      assignment))
+    assert not _failed(ind.check_relations_on_module(
+        ind.highest_weight_a0rep(ind.trivial_gl11_rep()), 4))
+
+
+def test_w_route_is_untouched_by_the_matrix_multiply_add(monkeypatch):
+    # W images are summed by a plain product and Combination._iadd
+    _c_on_first_entries_only(monkeypatch)
+    for mode in ("abstract", "trivial", "fermionic"):
+        assert not _failed(rz.verify_realization(mode))
 
 
 # -- E12 raising N by two on the module ---------------------------------------------

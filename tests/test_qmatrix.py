@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
-from conftest import qscalars
+from conftest import SCALAR_POOL, qscalars
 from qgl21.qmatrix import QMatrix
 
 
@@ -66,3 +69,122 @@ def test_matrix_ring_axioms(a, b, c):
 def test_scaling_commutes_with_product(a, s):
     ident = QMatrix.identity(3)
     assert a.scale(s) == ident.scale(s) * a
+
+
+# -- the fused kernels against a dense reference, over each entry ring -------
+
+def _laurent(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        mono = (rng.randint(-1, 1), rng.randint(0, 1), 0, 0)
+        terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 2))
+    return sc.Laurent({m: v for m, v in terms.items() if v})
+
+
+# ring name -> (random entry, possibly zero; the ring's zero and one)
+RINGS = {
+    "int": (lambda rng: rng.randint(-2, 2), 0, 1),
+    "Fraction": (lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                 Fraction(0), Fraction(1)),
+    "QScalar": (lambda rng: rng.choice(SCALAR_POOL + (sc.ZERO,)), sc.ZERO,
+                sc.ONE),
+    "Laurent": (_laurent, sc.Laurent({}), sc.Laurent({(0, 0, 0, 0): 1})),
+}
+
+
+def _random(rng, entry, zero, nrows, ncols):
+    # sparse, with whole rows missing and zeros offered (and dropped)
+    return QMatrix.from_entries(nrows, ncols, [
+        (rng.randrange(nrows), rng.randrange(ncols), entry(rng))
+        for _ in range(rng.randint(0, nrows * ncols))], zero)
+
+
+def _dense(m):
+    return {(i, j): v for i, j, v in m.iter_entries()}
+
+
+def _reference_sum(*terms):
+    """The entries of the sum of c * (the product of the matrices), for
+    (c, matrices) in terms, c None for 1, by plain loops, zeros dropped."""
+    out = {}
+    for c, mats in terms:
+        prod = _dense(mats[0])
+        for m in mats[1:]:
+            nxt = {}
+            for (i, k), x in prod.items():
+                for (k2, j), y in _dense(m).items():
+                    if k == k2:
+                        nxt[i, j] = nxt[i, j] + x * y if (i, j) in nxt \
+                            else x * y
+            prod = nxt
+        for key, v in prod.items():
+            v = v if c is None else c * v
+            out[key] = out[key] + v if key in out else v
+    return {key: v for key, v in out.items() if v}
+
+
+def _contents(m):
+    return (m.nrows, m.ncols, m._zero, {i: dict(r) for i, r in m.rows.items()})
+
+
+def _assert_stored_form(m, zero):
+    # the residual counts are nnz, so no zero entry and no empty row is kept
+    assert all(m.rows.values())
+    assert all(v for row in m.rows.values() for v in row.values())
+    assert m._zero is zero
+    assert type(m.entry(m.nrows, m.ncols)) is type(zero)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("seed", range(40))
+def test_fused_steps_equal_the_materialised_sum(ring, seed):
+    rng = random.Random(seed)
+    entry, zero, one = RINGS[ring]
+    n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    a, b = _random(rng, entry, zero, n, k), _random(rng, entry, zero, k, m)
+    other = _random(rng, entry, zero, n, m)
+    c = rng.choice((None, entry(rng) or None))
+    total = _random(rng, entry, zero, n, m)
+    if rng.random() < 0.5:
+        # exact cancellation: the sum starts at minus the product, on some
+        # rows or on all of them
+        minus = (a * b).scale(-(one if c is None else c))
+        keep = {i for i in minus.rows if rng.random() < 0.7}
+        total = QMatrix(n, m, {i: r for i, r in minus.rows.items()
+                               if i in keep}, zero)
+    before = [_contents(x) for x in (a, b, other)]
+    expected = _reference_sum((None, [total]), (c, [a, b]), (c, [other]))
+    scale = one if c is None else c
+    materialised = total + (a * b).scale(scale) + other.scale(scale)
+
+    assert total._addmul(a, b, c)._iadd(other, c) is total
+    assert _dense(total) == expected == _dense(materialised)
+    _assert_stored_form(total, zero)
+    assert [_contents(x) for x in (a, b, other)] == before
+    # the sum owns its rows: none is a row of an operand
+    shared = {id(r) for x in (a, b, other) for r in x.rows.values()}
+    assert not shared & {id(r) for r in total.rows.values()}
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("seed", range(20))
+def test_product_and_column_product_match_the_reference(ring, seed):
+    rng = random.Random(seed)
+    entry, zero, _ = RINGS[ring]
+    n, k = rng.randint(1, 4), rng.randint(1, 4)
+    a, b = _random(rng, entry, zero, n, k), _random(rng, entry, zero, k, n)
+    before = [_contents(x) for x in (a, b)]
+    prod = a * b
+    assert _dense(prod) == _reference_sum((None, [a, b]))
+    _assert_stored_form(prod, zero)
+    assert (prod.nrows, prod.ncols) == (n, n)
+    col = {j: v for j in range(k) if (v := entry(rng))}
+    as_matrix = QMatrix(k, 1, {j: {0: v} for j, v in col.items()}, zero)
+    assert a.apply_column(col) == {
+        i: v for (i, _), v in _reference_sum((None, [a, as_matrix])).items()}
+    assert [_contents(x) for x in (a, b)] == before
+
+
+def test_fused_product_checks_shapes():
+    with pytest.raises(ValueError):
+        QMatrix.zero(2)._addmul(QMatrix.zero(2, 3), QMatrix.zero(2))

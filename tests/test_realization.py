@@ -389,26 +389,37 @@ def test_fock_numeric_missing_entry_is_a_fraction_zero():
 def _fock_check_matrices(mode, D, assignment=None):
     """The results of check_relations_on_fock(mode, D, assignment), the
     relations it checks, and every matrix it hands on or makes: the
-    generator matrices and the unit, each product and each residual."""
+    generator matrices and the unit, the operands of each fused step
+    (QMatrix._addmul and _iadd) and a copy of the sum after it, and each
+    residual."""
     relations, mats = [], []
-    check, mul, evaluate = ua.check_relations, QMatrix.__mul__, ua.evaluate
+    check, evaluate = ua.check_relations, ua.evaluate
+    addmul, iadd = QMatrix._addmul, QMatrix._iadd
 
     def checking(rels, gens, unit, cols=None):
         relations.extend(rels)
         mats.extend((*gens.values(), unit))
         return check(rels, gens, unit, cols)
 
-    def multiplying(self, other):
-        mats.append(mul(self, other))
-        return mats[-1]
+    def copy(m):
+        return m._like({i: dict(r) for i, r in m.rows.items()})
 
-    def evaluating(el, apply, start):
-        mats.append(evaluate(el, apply, start))
+    def multiplying(self, a, b, c=None):
+        mats.extend((a, b, copy(addmul(self, a, b, c))))
+        return self
+
+    def adding(self, other, c=None):
+        mats.extend((other, copy(iadd(self, other, c))))
+        return self
+
+    def evaluating(el, apply, start, addmul=None):
+        mats.append(evaluate(el, apply, start, addmul))
         return mats[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ua, "check_relations", checking)
-        mp.setattr(QMatrix, "__mul__", multiplying)
+        mp.setattr(QMatrix, "_addmul", multiplying)
+        mp.setattr(QMatrix, "_iadd", adding)
         mp.setattr(ua, "evaluate", evaluating)
         return check_relations_on_fock(mode, D, assignment), relations, mats
 
@@ -471,15 +482,17 @@ def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
 
 def test_fock_relation_check_skips_identity_products(monkeypatch):
     # each word starts from the identity; its first letter is the
-    # generator's matrix itself, not a product with the identity
+    # generator's matrix itself, not a product with the identity, so the
+    # 73 two-letter words take one fused product each and no other word
+    # takes one
     calls = []
-    mul = QMatrix.__mul__
+    addmul = QMatrix._addmul
 
-    def counting(self, other):
+    def counting(self, a, b, c=None):
         calls.append(None)
-        return mul(self, other)
+        return addmul(self, a, b, c)
 
-    monkeypatch.setattr(QMatrix, "__mul__", counting)
+    monkeypatch.setattr(QMatrix, "_addmul", counting)
     results = check_relations_on_fock("fermionic", 16)
     assert all_passed(results)
     assert len(calls) == 73
@@ -498,18 +511,40 @@ def test_symbolic_fock_check_multiplies_only_laurent_entries(mode):
 
 
 def test_fock_relation_check_never_scales_by_one(monkeypatch):
-    coeffs = []
-    scale = QMatrix.scale
+    # every fused step gets the word's coefficient, None for 1; no product
+    # and no scaled copy of a matrix is built, and scale only makes the
+    # fresh zero each residual is summed into
+    coeffs, scaled, products = [], [], []
+    addmul, iadd, scale = QMatrix._addmul, QMatrix._iadd, QMatrix.scale
+    mul = QMatrix.__mul__
 
-    def recording(self, c):
+    def multiplying(self, a, b, c=None):
         coeffs.append(c)
+        return addmul(self, a, b, c)
+
+    def adding(self, other, c=None):
+        coeffs.append(c)
+        return iadd(self, other, c)
+
+    def scaling(self, c):
+        scaled.append(c)
         return scale(self, c)
 
-    monkeypatch.setattr(QMatrix, "scale", recording)
+    def product(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "_addmul", multiplying)
+    monkeypatch.setattr(QMatrix, "_iadd", adding)
+    monkeypatch.setattr(QMatrix, "scale", scaling)
+    monkeypatch.setattr(QMatrix, "__mul__", product)
     assert all_passed(
         check_relations_on_fock("fermionic", 16, DEFAULT_ASSIGNMENT))
-    assert coeffs
-    assert not [c for c in coeffs if c == 1]
+    assert [c for c in coeffs if c is not None]
+    assert not [c for c in coeffs if c is not None and c == 1]
+    assert None in coeffs
+    assert scaled and not [c for c in scaled if c]
+    assert not products
 
 
 # -- relation checks on the Fock space ----------------------------------------
