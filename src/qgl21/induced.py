@@ -277,15 +277,14 @@ def act(g, x, rep):
     return InducedVector(out)
 
 
-def act_oracle(g, x, rep, single_swaps=False):
+def act_oracle(g, x, rep):
     """Action computed through the straightening engine: normal-order
     g . E12^N E13^M, then push each leftover A0 word into V."""
     ua.check_generator(g)
-    straighten = ua.oracle_straighten if single_swaps else ua.straighten
     out = {}
     for (N, M, i), c in x.terms.items():
         _check_term(N, M, i, rep)
-        for term in straighten(g, N, M):
+        for term in ua.straighten(g, N, M):
             vec = rep.apply_word(term.a0word, {i: sc.ONE})
             for r, v in vec.items():
                 accumulate(out, (term.n, term.m, r), c * term.coeff * v)

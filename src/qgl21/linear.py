@@ -3,11 +3,12 @@ computes in: W elements (normal-ordered monomials), U elements (generator
 words) and induced-module vectors (basis states).
 
 A combination maps basis keys to nonzero QScalars, each lifted by the rule
-of scalars._coerce.  term is the one single-term constructor and * the one
-scalar multiple; accumulate is the one add-and-drop-zeros step every sparse
-sum in the engine goes through, and render_terms the one renderer of
-coefficients times basis strings (joined by scalars.signed_sum, as the
-terms of a scalar are).
+of scalars._coerce, and is zero exactly when it is false.  term is the one
+single-term constructor (UElement.word and basis_state build through it)
+and * the one scalar multiple; accumulate is the one add-and-drop-zeros
+step every sparse sum in the engine goes through, and render_terms the one
+renderer of coefficients times basis strings (joined by scalars.signed_sum,
+as the terms of a scalar are).
 """
 
 from __future__ import annotations
@@ -114,9 +115,6 @@ class Combination:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def nnz(self):
         return len(self.terms)

@@ -224,7 +224,7 @@ def parse(text):
 def eval_w(node):
     """Evaluate an AST to a WElement; abstract symbols are rejected."""
     if isinstance(node, Num):
-        return wa.WElement.from_scalar(node.value)
+        return wa.WElement.term(wa.UNIT, node.value)
     if isinstance(node, Sym):
         if node.name in ABSTRACT_SYMBOLS:
             raise AbstractSymbolError(
@@ -232,7 +232,7 @@ def eval_w(node):
                 "use the verify commands for the abstract algebra" % node.name)
         scal = SCALAR_SYMBOLS.get(node.name)
         if scal is not None:
-            return wa.WElement.from_scalar(scal)
+            return wa.WElement.term(wa.UNIT, scal)
         return wa.generator(node.name)
     if isinstance(node, Neg):
         return -eval_w(node.operand)

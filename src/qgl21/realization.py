@@ -162,9 +162,6 @@ class FockMatrix(NamedTuple):
     basis: tuple
     boundary_columns: tuple
 
-    def entry(self, i, j):
-        return self.matrix.entry(i, j)
-
 
 def _fermion_moves(mon, modes, occupations):
     """(occupation index in, occupation index out, negate) for each
@@ -309,13 +306,13 @@ def _cleared_matrix(x, D, modes):
 
 def _cleared_fractions(x, D, modes, assignment):
     """(d, A) with A / d the Fraction matrix of x at the assignment, A over
-    Z, d the lcm of its entry denominators; the Fraction matrix is dropped
-    once A is built from its rows."""
+    Z: _clear_rationals on its entries."""
     m = fock_matrix(x, D, assignment, modes).matrix
-    d = lcm(*(v.denominator for _, _, v in m.iter_entries()))
-    return d, QMatrix(m.nrows, m.ncols, {
-        i: {j: v.numerator * (d // v.denominator) for j, v in r.items()}
-        for i, r in m.rows.items()}, 0)
+    entries = list(m.iter_entries())
+    d, cleared = _clear_rationals([v for _, _, v in entries])
+    return d, QMatrix.from_entries(
+        m.nrows, m.ncols,
+        ((i, j, a) for (i, j, _), a in zip(entries, cleared)), 0)
 
 
 def _assigned_rational(assignment, name):

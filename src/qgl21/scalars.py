@@ -56,9 +56,10 @@ read it to check these invariants.  num and den are its monic views
 (denominator leading coefficient 1, Fraction values); rendering and
 evaluate use them, so 1/(2q + 2) and q/(q + 1) share the denominator q + 1.
 Fraction appears only at these boundaries and in from_rational and the
-public constructor, which from_laurent, monomial, q_power and p_power build
-through; it refuses an exponent that is not an int (a ValueError).  Every
-operand and every linear.py coefficient goes through the one rule _coerce.
+public constructor QScalar(num, den=None), which takes Laurent term dicts
+and which monomial, q_power and p_power build through; it refuses an
+exponent that is not an int (a ValueError).  Every operand and every
+linear.py coefficient goes through the one rule _coerce.
 
 clear_denominators is the one way out of the field: it multiplies a set of
 values by the lcm c * (q - 1)^I * (q + 1)^J of their denominators and gives
@@ -530,11 +531,6 @@ class QScalar:
         return _new({_UNIT_MONO: c.numerator} if c else {}, c.denominator,
                     0, 0, None)
 
-    @classmethod
-    def from_laurent(cls, terms):
-        """Build from a Laurent term dict {exponent 4-tuple: coefficient}."""
-        return cls(terms)
-
     # -- the reduced fraction and its monic views -----------------------------
 
     def _fraction(self):
@@ -866,8 +862,7 @@ def q_integer(n):
         return ZERO
     if n < 0:
         return -q_integer(-n)
-    return QScalar.from_laurent(
-        {(n - 1 - 2 * j, 0, 0, 0): 1 for j in range(n)})
+    return QScalar({(n - 1 - 2 * j, 0, 0, 0): 1 for j in range(n)})
 
 
 def clear_denominators(values):

@@ -101,10 +101,6 @@ class UElement(Combination):
                                  "not an int" % (name, exp))
         return cls.term(_clean_word(letters), coeff)
 
-    @classmethod
-    def gen(cls, name, exp=1):
-        return cls.word((name, exp))
-
     def __mul__(self, other):
         if not isinstance(other, UElement):
             return Combination.__mul__(self, other)
@@ -273,9 +269,9 @@ def relation_set():
         UElement.word(("E31", 1), ("E21", 1)).scale(sc.Q))
 
     add("E13 = E12 E23 - q^-1 E23 E12", "definition-e13",
-        UElement.gen("E13"), e13_definition())
+        UElement.word(("E13", 1)), e13_definition())
     add("E31 = -E21 E32 + q^-1 E32 E21", "definition-e31",
-        UElement.gen("E31"), e31_definition())
+        UElement.word(("E31", 1)), e31_definition())
 
     return rels
 
@@ -467,8 +463,6 @@ def oracle_straighten(g, N, M):
     """Same contract as straighten, computed only from n = 1 swaps."""
     return _straighten(g, N, M, True)
 
-
-STRAIGHTEN_GENERATORS = GENERATORS
 
 # the nine closed identities: (moving letter, run letter)
 STRAIGHTENING_IDENTITIES = (

@@ -36,15 +36,15 @@ def random_monomial(rng, mode2=True, gl11=True):
 def random_element(rng, nterms=2, **kw):
     el = WElement.zero()
     for _ in range(nterms):
-        el = el + WElement.from_monomial(random_monomial(rng, **kw),
-                                         rng.choice(SCALAR_POOL))
+        el = el + WElement.term(random_monomial(rng, **kw),
+                                rng.choice(SCALAR_POOL))
     return el
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_exponents = st.tuples(*(st.integers(min_value=-2, max_value=2),) * 4)
 laurent_dicts = st.dictionaries(small_exponents, small_fractions, max_size=3)
-qscalars = st.builds(sc.QScalar.from_laurent, laurent_dicts)
+qscalars = st.builds(sc.QScalar, laurent_dicts)
 nonzero_qscalars = qscalars.filter(bool)
 
 
@@ -130,10 +130,10 @@ def substitute_monomial(x, var, exps):
             out[tgt] = out.get(tgt, 0) + c
         return out
 
-    den = sc.QScalar.from_laurent(sub(x.den))
+    den = sc.QScalar(sub(x.den))
     if not den:
         raise sc.PoleError("substitution sends the denominator to zero")
-    return sc.QScalar.from_laurent(sub(x.num)) / den
+    return sc.QScalar(sub(x.num)) / den
 
 
 def _build_monomial(raising, lowering, pick_raise, k, i1, j1, i2, j2,

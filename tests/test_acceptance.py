@@ -21,7 +21,7 @@ from qgl21.realization import (
 )
 from qgl21.reporting import all_passed
 from qgl21.superalgebra import (
-    STRAIGHTEN_GENERATORS, check_straightening_identities, oracle_straighten,
+    GENERATORS, check_straightening_identities, oracle_straighten,
     relation_set, straighten,
 )
 from qgl21.walgebra import WElement, render_element, w_mul
@@ -128,9 +128,9 @@ def test_criterion_7_engine_soundness():
     rng = random.Random(987654321)
     ok_assoc = True
     for _ in range(500):
-        x = WElement.from_monomial(random_monomial(rng), rng.choice(SCALAR_POOL))
-        y = WElement.from_monomial(random_monomial(rng))
-        z = WElement.from_monomial(random_monomial(rng))
+        x = WElement.term(random_monomial(rng), rng.choice(SCALAR_POOL))
+        y = WElement.term(random_monomial(rng))
+        z = WElement.term(random_monomial(rng))
         if w_mul(w_mul(x, y), z) != w_mul(x, w_mul(y, z)):
             ok_assoc = False
             break
@@ -140,7 +140,7 @@ def test_criterion_7_engine_soundness():
     ok_par = True
     for _ in range(300):
         ma, mb = random_monomial(rng), random_monomial(rng)
-        prod = w_mul(WElement.from_monomial(ma), WElement.from_monomial(mb))
+        prod = w_mul(WElement.term(ma), WElement.term(mb))
         if prod and prod.parity() != (ma.parity + mb.parity) % 2:
             ok_par = False
             break
@@ -172,7 +172,7 @@ def test_criterion_7_engine_soundness():
 def test_straighten_oracle_agreement_full_grid():
     # companion to criterion 2: the composed API agrees term by term
     ok = all(straighten(g, N, M) == oracle_straighten(g, N, M)
-             for g in STRAIGHTEN_GENERATORS
+             for g in GENERATORS
              for N in range(7) for M in (0, 1))
     report("straighten == oracle_straighten for every generator, "
            "N <= 6, M in {0,1}", ok)

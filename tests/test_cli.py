@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import qgl21.scalars as sc
 from qgl21 import cli
+from qgl21 import walgebra as wa
 from qgl21.parsing import parse_scalar, parse_w
 from qgl21.realization import fock_matrix, rho
 from qgl21.reporting import CheckResult
@@ -111,6 +113,17 @@ def test_normal_order_too_deep_exits_2(capsys, expr):
     code, out, err = run(capsys, "normal-order", expr)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["a^%d * a+^%d", "a+^%d * a^%d"])
+def test_normal_order_past_the_ladder_ceiling_exits_2_at_once(capsys, expr):
+    j = wa.MAX_LADDER + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normal-order", expr % (j, j))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: contracting %d a+ a pairs exceeds the limit of " \
+                  "%d\n" % (j, wa.MAX_LADDER)
 
 
 def test_verify_lemma1(capsys):
