@@ -21,6 +21,10 @@ with the matrices of act on the states N <= nmax, compared on the columns
 N <= nmax - 2 (check_relations_on_module).  That truncation is exact: each
 letter raises N by at most 1 and no relation word has more than two
 letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
+As on the symbolic Fock route, the act matrices (QMatrix.cleared) and the
+words (superalgebra._cleared_words) are cleared over integer Laurent
+polynomials: the counts are those over Q(q, p), and a witness must be
+divided by the relation's L, as _cleared_words says.
 """
 
 from __future__ import annotations
@@ -124,8 +128,8 @@ class _A0Fields(NamedTuple):
 
 class A0Rep(_A0Fields):
     """A representation of A0 on a graded space of dimension dim.  Without
-    __slots__ each rep has a __dict__, where _mats is kept after its first
-    use; _replace gives a new rep, which builds its own."""
+    __slots__ each rep has a __dict__, where _mats and _columns are kept
+    after their first use; _replace gives a new rep, which builds its own."""
 
     @cached_property
     def _mats(self):
@@ -153,6 +157,14 @@ class A0Rep(_A0Fields):
             if not vec:
                 break
         return vec
+
+    def _column(self, word, i):
+        """apply_word(word, {i: 1}) for a tuple word, computed once per rep
+        and kept in _columns; the caller must not change it."""
+        cols = self.__dict__.setdefault("_columns", {})
+        if (word, i) not in cols:
+            cols[word, i] = self.apply_word(word, {i: sc.ONE})
+        return cols[word, i]
 
 
 def highest_weight_a0rep(gl11rep):
@@ -228,7 +240,7 @@ def act(g, x, rep):
         def put(n, m, coeff, *word):
             """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
             if coeff:
-                vec = rep.apply_word([(nm, 1) for nm in word], {i: sc.ONE})
+                vec = rep._column(tuple((nm, 1) for nm in word), i)
                 for r, v in vec.items():
                     accumulate(out, (n, m, r), coeff * v)
 
@@ -285,8 +297,7 @@ def act_oracle(g, x, rep):
     for (N, M, i), c in x.terms.items():
         _check_term(N, M, i, rep)
         for term in ua.straighten(g, N, M):
-            vec = rep.apply_word(term.a0word, {i: sc.ONE})
-            for r, v in vec.items():
+            for r, v in rep._column(term.a0word, i).items():
                 accumulate(out, (term.n, term.m, r), c * term.coeff * v)
     return InducedVector(out)
 
@@ -299,20 +310,24 @@ def apply_uelement(el, x, rep):
 def check_relations_on_module(rep, nmax):
     """Check every defining relation on the basis states N <= nmax - 2, with
     the generators as matrices on the states N <= nmax: one act call per
-    generator and state (see the module docstring for why this is exact)."""
+    generator and state (see the module docstring for why this is exact),
+    then the matrices and words cleared over integer Laurent polynomials."""
     check_size(nmax, 2, "nmax")
     states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
               for i in range(rep.dim)]
     index = {state: k for k, state in enumerate(states)}
-    mats = {}
+    dens, mats = {}, {}
     for g in ACT_GENERATORS:
-        mats[g] = QMatrix.zero(len(states))
+        m = QMatrix.zero(len(states))
         for col, state in enumerate(states):
             image = act(g, InducedVector.basis_state(*state), rep)
             for target, c in image.terms.items():
                 if target in index:
-                    mats[g].add_entry(index[target], col, c)
+                    m.add_entry(index[target], col, c)
+        dens[g], mats[g] = m.cleared(sc.clear_denominators, sc.Laurent({}))
+    rels = ua._cleared_words(ua.relation_set(), dens, lambda c: c,
+                             sc.clear_denominators)
     checked = range(2 * rep.dim * (nmax - 1))      # the states N <= nmax - 2
-    return ua.check_relations(ua.relation_set(), mats,
-                              QMatrix.identity(len(states)),
+    one = sc.Laurent({(0, 0, 0, 0): 1})
+    return ua.check_relations(rels, mats, QMatrix.identity(len(states), one),
                               lambda rel: checked)

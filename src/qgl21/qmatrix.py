@@ -61,6 +61,15 @@ class QMatrix:
             m.add_entry(i, j, v)
         return m
 
+    def cleared(self, clear, zero):
+        """(d, A) with A / d equal to self: clear(values) gives d and the
+        entries times d, and A is built with zero, their ring's zero."""
+        entries = list(self.iter_entries())
+        d, values = clear([v for _, _, v in entries])
+        return d, QMatrix.from_entries(
+            self.nrows, self.ncols,
+            ((i, j, a) for (i, j, _), a in zip(entries, values)), zero)
+
     def add_entry(self, i, j, v):
         row = self.rows.get(i, {})
         accumulate(row, j, v)

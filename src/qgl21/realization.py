@@ -32,10 +32,11 @@ check multiplies over a field: each generator matrix is A_g / d_g, built
 by _cleared_matrix (symbolic: A_g over integer Laurent polynomials,
 scalars.Laurent, d_g = C (q - 1)^I (q + 1)^J, each boson factor [n] kept
 as q^n - q^-n, never divided by q^2 - 1, so entries stay short) or by
-_cleared_fractions (numeric: the Fraction matrix, see fock_matrix, times
-d_g, the lcm of its denominators, over Z).  The relation words are then
-cleared once (_cleared_words), so the residual counts are those over
-Q(q, p) or Q.  fock_matrix and the matrix exports stay canonical or in Q.
+QMatrix.cleared with _clear_rationals (numeric: the Fraction matrix, see
+fock_matrix, times d_g, the lcm of its denominators, over Z).  The
+relation words are then cleared once (superalgebra._cleared_words), so
+the residual counts are those over Q(q, p) or Q.  fock_matrix and the
+matrix exports stay canonical or in Q.
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -46,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -247,10 +248,6 @@ def fock_matrix(x, D, assignment=None, modes=None):
         boundary_columns=tuple(range((D - raising) * fdim, D * fdim)))
 
 
-def _same(c):
-    return c
-
-
 def _fill(terms, D, modes, q_power, q_number, zero):
     """The one monomial loop of the Fock matrices: the matrix, with zero
     its zero, whose entries sum c * q_power(k(n - l)) * q_number(n) ...
@@ -302,17 +299,6 @@ def _cleared_matrix(x, D, modes):
                                        for mon, c in x.terms.items())
     return d, _fill(dict(zip(x.terms, cleared)), D, modes, _laurent_q_power,
                     _laurent_q_number, sc.Laurent({}))
-
-
-def _cleared_fractions(x, D, modes, assignment):
-    """(d, A) with A / d the Fraction matrix of x at the assignment, A over
-    Z: _clear_rationals on its entries."""
-    m = fock_matrix(x, D, assignment, modes).matrix
-    entries = list(m.iter_entries())
-    d, cleared = _clear_rationals([v for _, _, v in entries])
-    return d, QMatrix.from_entries(
-        m.nrows, m.ncols,
-        ((i, j, a) for (i, j, _), a in zip(entries, cleared)), 0)
 
 
 def _assigned_rational(assignment, name):
@@ -379,44 +365,23 @@ def check_relations_on_fock(mode, D, assignment=None):
     fdim = 2 ** len(modes)
     shifts = relation_shifts(mode)
     if assignment is None:
-        build, value, clear, one = (_cleared_matrix, _same,
+        build, value, clear, one = (_cleared_matrix, lambda c: c,
                                     sc.clear_denominators,
                                     _laurent_q_power(0))
     else:
         build, value, clear, one = (
-            lambda x, D, modes: _cleared_fractions(x, D, modes, assignment),
+            lambda x, D, modes: fock_matrix(x, D, assignment, modes)
+            .matrix.cleared(_clear_rationals, 0),
             lambda c: c.evaluate(**assignment), _clear_rationals, 1)
     dens, mats = {}, {}
     for nm, el in realization_map(mode).items():
         dens[nm], mats[nm] = build(el, D, modes)
-    rels = _cleared_words(ua.relation_set(), dens, value, clear)
+    rels = ua._cleared_words(ua.relation_set(), dens, value, clear)
     results = ua.check_relations(
         rels, mats, QMatrix.identity(D * fdim, one),
         lambda rel: range(fdim * (D - shifts[rel.name])))
     return [r._replace(detail="%d boundary columns excluded"
                        % (fdim * shifts[r.name])) for r in results]
-
-
-def _cleared_words(relations, dens, value, clear):
-    """The relations as lhs = 0, the M_g = A_g / d_g, d_g = dens[g]: a word
-    w of lhs - rhs with coefficient c_w gets L value(c_w) / prod(d_g^|e|)
-    over the letters g^e of w, where clear(values) gives L, the lcm of the
-    denominators left, and the values times L.  The word applied to the
-    A_g is then L value(c_w) M_w, so each residual is L != 0 times its
-    value over the field of value(c_w), entry by entry: an entry is zero
-    exactly when that value is, and the residual counts are those over
-    Q(q, p) (symbolic) or Q (numeric).  A witness from such a residual
-    must be divided by L to give its value in that field."""
-    cleared = []
-    for rel in relations:
-        terms = (rel.lhs - rel.rhs).terms
-        _, coeffs = clear([
-            value(c) / prod((dens[ua.letter(nm, e)] ** abs(e)
-                             for nm, e in w))
-            for w, c in terms.items()])
-        cleared.append(rel._replace(lhs=ua.UElement(dict(zip(terms, coeffs))),
-                                    rhs=ua.UElement.zero()))
-    return cleared
 
 
 def _clear_rationals(values):

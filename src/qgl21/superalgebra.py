@@ -16,12 +16,15 @@ letter on acc into the sum in one step.  check_relations, built on it, is
 the one relation checker of all four verification routes: W images on the
 W identity, the Fock matrices, the generator matrices of the induced
 module and the A0 matrices; on matrices that step is QMatrix._addmul.
+The Fock and module routes first clear the words (_cleared_words).
 
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
 E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
 
 * straighten       -- one closed-form identity per maximal run, using the
-                      q^n, [n], (-1)^n, parity-branch coefficients;
+                      q^n, [n], (-1)^n, parity-branch coefficients,
+                      cached: computed once per (g, N, M), a fresh list
+                      for each caller;
 * oracle_straighten -- the same rules pinned at n = 1 only, applied one
                       letter swap at a time; coefficients of longer runs
                       emerge by cancellation, never from closed forms.
@@ -32,6 +35,8 @@ proof of the closed straightening identities at desk scale.
 
 from __future__ import annotations
 
+from functools import cache
+from math import prod
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -167,6 +172,28 @@ def check_relations(relations, gens, unit, cols=None):
         (rel.name, evaluate(rel.lhs - rel.rhs, apply, unit, addmul),
          None if cols is None else cols(rel))
         for rel in relations)
+
+
+def _cleared_words(relations, dens, value, clear):
+    """The relations as lhs = 0, the M_g = A_g / d_g, d_g = dens[g]: a word
+    w of lhs - rhs with coefficient c_w gets L value(c_w) / prod(d_g^|e|)
+    over the letters g^e of w, where clear(values) gives L, the lcm of the
+    denominators left, and the values times L.  The word applied to the
+    A_g is then L value(c_w) M_w, so each residual is L != 0 times its
+    value over the field of value(c_w), entry by entry: an entry is zero
+    exactly when that value is, and the residual counts are those over
+    Q(q, p) (symbolic) or Q (numeric).  A witness from such a residual
+    must be divided by L to give its value in that field."""
+    cleared = []
+    for rel in relations:
+        terms = (rel.lhs - rel.rhs).terms
+        _, coeffs = clear([
+            value(c) / prod((dens[letter(nm, e)] ** abs(e)
+                             for nm, e in w))
+            for w, c in terms.items()])
+        cleared.append(rel._replace(lhs=UElement(dict(zip(terms, coeffs))),
+                                    rhs=UElement.zero()))
+    return cleared
 
 
 def render_word(word):
@@ -442,8 +469,10 @@ def check_generator(g):
 
 def check_state(N, M):
     """The rule for a basis state E12^N E13^M, in straightening and in the
-    induced module: N is an int >= 0 and M is 0 or 1; else a ValueError."""
-    if not isinstance(N, int) or N < 0 or M not in (0, 1):
+    induced module: N is an int >= 0 and M is the int 0 or 1 (straighten's
+    cache would take 1.0 for 1); else a ValueError."""
+    if not (isinstance(N, int) and N >= 0 and isinstance(M, int)
+            and M in (0, 1)):
         raise ValueError("invalid basis state (%r, %r)" % (N, M))
 
 
@@ -454,9 +483,17 @@ def _straighten(g, N, M, single):
     return _to_terms(normalize_word(sc.ONE, word, single=single))
 
 
+@cache
+def _closed_terms(g, N, M):
+    return tuple(_straighten(g, N, M, False))
+
+
 def straighten(g, N, M):
-    """Closed-form expansion of g . E12^N . E13^M over the PBW basis."""
-    return _straighten(g, N, M, False)
+    """Closed-form expansion of g . E12^N . E13^M over the PBW basis; the
+    arguments are checked before the cache sees them."""
+    check_generator(g)
+    check_state(N, M)
+    return list(_closed_terms(g, N, M))
 
 
 def oracle_straighten(g, N, M):

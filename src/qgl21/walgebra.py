@@ -26,9 +26,11 @@ the pair of twin boson relations above.  With t = q^x and
 and a product that would contract more than MAX_LADDER = 100 a+ a pairs
 raises SubstitutionError at once: the loop grows as about j^5, and
 `normal-order "a^j * a+^j"` takes 0.2 s at j = 20, 1 s at 60, 4 s at 80
-and 7-10 s (104 MB) at 100, the largest j inside 10 s and 500 MB.  Signs
-are collected one odd transposition at a time during the sort, never from
-per-rule tables.
+and 7-10 s (104 MB) at 100, the largest j inside 10 s and 500 MB.  The
+ceiling bounds one contraction, not a product of contracted results:
+"(a^30 * a+^30)^2" contracts at most 30 pairs at a time, yet its product
+of two contracted t-polynomials takes 10.1 s.  Signs are collected one
+odd transposition at a time during the sort, never from per-rule tables.
 
 SYMBOLS spells this basis: one symbol per WMonomial field, in field order.
 The generator table, the rendering and the boson/fermion split of w_mul

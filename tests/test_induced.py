@@ -289,6 +289,25 @@ def test_e31_follows_replaced_e21_and_e32(fermionic_rep):
     assert fermionic_rep.mat("E31").nnz() == 0
 
 
+def test_act_follows_a_replaced_k2_after_its_columns_are_kept():
+    # act keeps each A0 column it computes in its rep; a _replace'd rep
+    # starts with none, so act there reads the new K2
+    rep = highest_weight_a0rep(fermionic_gl11_rep())
+    two = sc.QScalar.from_rational(2)
+    before = {(g, i): act(g, state(1, 1, i), rep)
+              for g in ("K2", "E32") for i in range(2)}
+    assert rep._columns
+    doubled = rep._replace(mats=dict(rep.mats, K2=rep.mats["K2"].scale(two)))
+    for i in range(2):
+        assert act("K2", state(1, 1, i), doubled) == before["K2", i].scale(two)
+        assert act("K2", state(1, 1, i), rep) == before["K2", i]
+    # E32 on M = 1 acts through K2 K3 on the state |N + 1, 0>
+    assert act("E32", state(1, 1, 0), doubled) \
+        != act("E32", state(1, 1, 0), rep)
+    assert act_oracle("E32", state(1, 1, 0), doubled) \
+        == act("E32", state(1, 1, 0), doubled)
+
+
 @pytest.mark.parametrize("x", [InducedVector.zero(), state(0, 0),
                                state(2, 1, 1)])
 def test_unknown_generator_is_rejected(fermionic_rep, x):

@@ -2,6 +2,7 @@
 representation matrix must show up as nonzero residuals on the relations
 it breaks, so a route that passes vacuously would be caught here."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -196,9 +197,7 @@ E12_BY_TWO_BREAKS = {
 }
 
 
-def test_module_truncation_hides_no_fault(monkeypatch):
-    # the faulty E12 raises N by two, so its words leave the states N <= nmax
-    # that the module check builds; the residuals must all still show
+def _e12_by_two(monkeypatch):
     act = ind.act
 
     def e12_by_two(g, x, rep):
@@ -208,10 +207,88 @@ def test_module_truncation_hides_no_fault(monkeypatch):
         return act(g, x, rep)
 
     monkeypatch.setattr(ind, "act", e12_by_two)
+
+
+def test_module_truncation_hides_no_fault(monkeypatch):
+    # the faulty E12 raises N by two, so its words leave the states N <= nmax
+    # that the module check builds; the residuals must all still show
+    _e12_by_two(monkeypatch)
     rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
     results = ind.check_relations_on_module(rep, 4)
     assert {r.name: r.residuals for r in results if not r.passed} \
         == E12_BY_TWO_BREAKS
+
+
+# -- the cleared module route counts what a plain QScalar check counts ----------
+
+def _plain_module_counts(rep, nmax):
+    """The residual counts of the module check with no clearing: the
+    QScalar matrices of ind.act on the states N <= nmax, checked on the
+    states N <= nmax - 2, as check_relations_on_module builds them."""
+    states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
+              for i in range(rep.dim)]
+    index = {state: k for k, state in enumerate(states)}
+    mats = {g: QMatrix.from_entries(len(states), len(states), [
+        (index[target], col, c) for col, state in enumerate(states)
+        for target, c in ind.act(g, ind.InducedVector.basis_state(*state),
+                                 rep).terms.items() if target in index])
+        for g in ind.ACT_GENERATORS}
+    checked = range(2 * rep.dim * (nmax - 1))
+    return {r.name: r.residuals for r in ua.check_relations(
+        ua.relation_set(), mats, QMatrix.identity(len(states)),
+        lambda rel: checked)}
+
+
+@pytest.mark.parametrize("corrupt", ["doubled_k2", "first_entries_only",
+                                     "e12_by_two"])
+def test_module_clearing_keeps_the_residual_counts(monkeypatch, corrupt):
+    # the module check multiplies the cleared Laurent matrices A_g with the
+    # cleared words; every count must be that of the QScalar matrices
+    rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
+    if corrupt == "doubled_k2":
+        rep = _doubled_k2_rep()
+    elif corrupt == "first_entries_only":
+        _c_on_first_entries_only(monkeypatch)
+    else:
+        _e12_by_two(monkeypatch)
+    counts = {r.name: r.residuals
+              for r in ind.check_relations_on_module(rep, 4)}
+    assert any(counts.values())
+    assert counts == _plain_module_counts(rep, 4)
+
+
+# -- the E31 action with its Cartan term doubled ------------------------------------
+
+DOUBLED_CARTAN_BREAKS = {
+    "trivial": {"E21 E31 = q E31 E21": 2, "E31 = -E21 E32 + q^-1 E32 E21": 3},
+    "fermionic": {"E21 E31 = q E31 E21": 4,
+                  "E31 = -E21 E32 + q^-1 E32 E21": 6},
+}
+
+
+def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
+    # a mutant of one branch of act, made from its source: only E31 on the
+    # states with M = 1 changes, so act_oracle disagrees there alone
+    line = "cartan = c * sc.QINV * sc.EPS_INV"
+    source = inspect.getsource(ind.act)
+    assert source.count(line) == 1
+    namespace = dict(vars(ind))
+    exec(compile(source.replace(line, "cartan = 2 * c * sc.QINV * sc.EPS_INV"),
+                 ind.__file__, "exec"), namespace)
+    monkeypatch.setattr(ind, "act", namespace["act"])
+    for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
+                        ("fermionic", ind.fermionic_gl11_rep())):
+        rep = ind.highest_weight_a0rep(gl11)
+        results = ind.check_relations_on_module(rep, 4)
+        assert {r.name: r.residuals for r in results if not r.passed} \
+            == DOUBLED_CARTAN_BREAKS[label]
+        differ = {(g, N, M, i) for g in ind.ACT_GENERATORS for N in range(4)
+                  for M in (0, 1) for i in range(rep.dim)
+                  if ind.act(g, ind.InducedVector.basis_state(N, M, i), rep)
+                  != ind.act_oracle(g, ind.InducedVector.basis_state(N, M, i),
+                                    rep)}
+        assert differ == {("E31", N, 1, i) for N in range(4)
+                          for i in range(rep.dim)}
 
 
 # -- E23 through E12^n with the E13 term of its closed form scaled by q ----------

@@ -119,6 +119,21 @@ def test_e13_squares_vanish_through_straightening():
     assert oracle_straighten("E13", 2, 1) == []
 
 
+def test_a_callers_edit_leaves_the_straighten_cache_unchanged():
+    # straighten is computed once per (g, N, M): each call returns a fresh
+    # list, so what one caller does to it never reaches the next caller
+    expected = oracle_straighten("E21", 2, 1)
+    assert len(expected) > 1
+    first = straighten("E21", 2, 1)
+    assert first == expected
+    first.append(first[0])
+    assert straighten("E21", 2, 1) == expected
+    second = straighten("E21", 2, 1)
+    second.clear()
+    assert straighten("E21", 2, 1) == expected
+    assert straighten("E21", 2, 1) is not straighten("E21", 2, 1)
+
+
 @pytest.mark.parametrize("g", GENERATORS)
 @pytest.mark.parametrize("M", [0, 1])
 def test_straighten_matches_oracle(g, M):
@@ -268,6 +283,7 @@ def test_straightened_a0_words_hold_no_odd_square(route):
     ("E21", -1, 0, r"invalid basis state \(-1, 0\)"),
     ("E12", 0.5, 0, r"invalid basis state \(0.5, 0\)"),
     ("E12", 1, 2, r"invalid basis state \(1, 2\)"),
+    ("E12", 0, 1.0, r"invalid basis state \(0, 1.0\)"),
 ])
 def test_straighten_rejects_a_bad_generator_or_state(route, g, N, M, match):
     with pytest.raises(ValueError, match=match):
