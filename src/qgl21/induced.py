@@ -22,9 +22,9 @@ N <= nmax - 2 (check_relations_on_module).  That truncation is exact: each
 letter raises N by at most 1 and no relation word has more than two
 letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
 As on the symbolic Fock route, the act matrices (QMatrix.cleared) and the
-words (superalgebra._cleared_words) are cleared over integer Laurent
+words (superalgebra.check_cleared) are cleared over integer Laurent
 polynomials: the counts are those over Q(q, p), and a witness must be
-divided by the relation's L, as _cleared_words says.
+divided by the relation's L, as check_cleared says.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def check_relations_on_module(rep, nmax):
     states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
               for i in range(rep.dim)]
     index = {state: k for k, state in enumerate(states)}
-    dens, mats = {}, {}
+    cleared = {}
     for g in ACT_GENERATORS:
         m = QMatrix.zero(len(states))
         for col, state in enumerate(states):
@@ -324,10 +324,7 @@ def check_relations_on_module(rep, nmax):
             for target, c in image.terms.items():
                 if target in index:
                     m.add_entry(index[target], col, c)
-        dens[g], mats[g] = m.cleared(sc.clear_denominators, sc.Laurent({}))
-    rels = ua._cleared_words(ua.relation_set(), dens, lambda c: c,
-                             sc.clear_denominators)
+        cleared[g] = m.cleared(sc.clear_denominators)
     checked = range(2 * rep.dim * (nmax - 1))      # the states N <= nmax - 2
-    one = sc.Laurent({(0, 0, 0, 0): 1})
-    return ua.check_relations(rels, mats, QMatrix.identity(len(states), one),
-                              lambda rel: checked)
+    return ua.check_cleared(ua.relation_set(), cleared, lambda c: c,
+                            sc.clear_denominators, lambda rel: checked)

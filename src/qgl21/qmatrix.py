@@ -1,7 +1,8 @@
 """Sparse exact matrices, stored as dict-of-rows, of QScalars, of Fractions
 or ints on the numeric Fock route, or of integer Laurent polynomials
-(scalars.Laurent) in the symbolic Fock check.  A matrix is built with the
-zero of its entries' ring, which a missing entry reads as.
+(scalars.Laurent) on the cleared routes.  A matrix is built with the zero
+of its entries' ring, which a missing entry reads as; cleared derives the
+zero of the cleared ring from it.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
@@ -61,14 +62,15 @@ class QMatrix:
             m.add_entry(i, j, v)
         return m
 
-    def cleared(self, clear, zero):
+    def cleared(self, clear):
         """(d, A) with A / d equal to self: clear(values) gives d and the
-        entries times d, and A is built with zero, their ring's zero."""
+        values times d, for the entries and then self's zero, whose image
+        is A's zero."""
         entries = list(self.iter_entries())
-        d, values = clear([v for _, _, v in entries])
+        d, values = clear([v for _, _, v in entries] + [self._zero])
         return d, QMatrix.from_entries(
             self.nrows, self.ncols,
-            ((i, j, a) for (i, j, _), a in zip(entries, values)), zero)
+            ((i, j, a) for (i, j, _), a in zip(entries, values)), values[-1])
 
     def add_entry(self, i, j, v):
         row = self.rows.get(i, {})
@@ -96,6 +98,8 @@ class QMatrix:
     # caller owns, which is neither of their operands
     def _iadd(self, other, c=None):
         """self += c * other, c None meaning 1."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
         rows = self.rows
         for i, orow in other.rows.items():
             row = rows.get(i, {})
@@ -106,7 +110,7 @@ class QMatrix:
 
     def _addmul(self, a, b, c=None):
         """self += c * a * b, c None meaning 1."""
-        if a.ncols != b.nrows:
+        if (a.nrows, a.ncols, b.ncols) != (self.nrows, b.nrows, self.ncols):
             raise ValueError("shape mismatch in matrix product")
         rows, brows = self.rows, b.rows
         for i, arow in a.rows.items():

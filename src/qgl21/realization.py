@@ -33,10 +33,10 @@ by _cleared_matrix (symbolic: A_g over integer Laurent polynomials,
 scalars.Laurent, d_g = C (q - 1)^I (q + 1)^J, each boson factor [n] kept
 as q^n - q^-n, never divided by q^2 - 1, so entries stay short) or by
 QMatrix.cleared with _clear_rationals (numeric: the Fraction matrix, see
-fock_matrix, times d_g, the lcm of its denominators, over Z).  The
-relation words are then cleared once (superalgebra._cleared_words), so
-the residual counts are those over Q(q, p) or Q.  fock_matrix and the
-matrix exports stay canonical or in Q.
+fock_matrix, times d_g, the lcm of its denominators, over Z).  Then
+superalgebra.check_cleared clears the relation words and checks them on
+the identity of the cleared ring, so the residual counts are those over
+Q(q, p) or Q.  fock_matrix and the matrix exports stay canonical or in Q.
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -224,7 +224,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
         raise ValueError("fermion modes %r are not one of (), (1,), (2,) "
                          "and (1, 2)" % (modes,))
     if assignment is None:
-        mat = _fill(x.terms, D, modes, sc.q_power, sc.q_integer, sc.ZERO)
+        mat = _fill(x.terms, D, modes, sc.q_power, sc.q_integer)
     else:
         q = assignment["q"]
         try:
@@ -237,8 +237,7 @@ def fock_matrix(x, D, assignment=None, modes=None):
                 for i, j, v in symbolic.iter_entries()), Fraction(0))
         else:
             mat = _fill(terms, D, modes, q.__pow__,
-                        lambda m: (q ** m - q ** -m) / (q - 1 / q),
-                        Fraction(0))
+                        lambda m: (q ** m - q ** -m) / (q - 1 / q))
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
     raising = min(D, max(0, x.max_raising()))
@@ -248,17 +247,17 @@ def fock_matrix(x, D, assignment=None, modes=None):
         boundary_columns=tuple(range((D - raising) * fdim, D * fdim)))
 
 
-def _fill(terms, D, modes, q_power, q_number, zero):
-    """The one monomial loop of the Fock matrices: the matrix, with zero
-    its zero, whose entries sum c * q_power(k(n - l)) * q_number(n) ...
-    q_number(n - l + 1) over the monomials c a+^m t^k a^l of terms, each
-    c already in the entries' ring.  The boson factor is taken once per
-    (l, k, n), the only cache, and an amplitude once per (monomial, n).
-    The canonical, numeric and cleared matrices differ only in the
-    coefficients and the boson factor they put in."""
+def _fill(terms, D, modes, q_power, q_number):
+    """The one monomial loop of the Fock matrices: the matrix whose
+    entries sum c * q_power(k(n - l)) * q_number(n) ... q_number(n - l + 1)
+    over the monomials c a+^m t^k a^l of terms, each c already in the
+    entries' ring, with q_power(0) - q_power(0) its zero.  The boson
+    factor is taken once per (l, k, n), the only cache, and an amplitude
+    once per (monomial, n).  The canonical, numeric and cleared matrices
+    differ only in the coefficients and the boson factor they put in."""
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
-    mat = QMatrix.zero(D * fdim, zero=zero)
+    mat = QMatrix.zero(D * fdim, zero=q_power(0) - q_power(0))
     boson = {}      # (l, k, n) -> the boson factor
     for mon, c in terms.items():
         moves = _fermion_moves(mon, modes, occupations)
@@ -280,14 +279,6 @@ def _fill(terms, D, modes, q_power, q_number, zero):
     return mat
 
 
-def _laurent_q_power(e):
-    return sc.Laurent({(e, 0, 0, 0): 1})
-
-
-def _laurent_q_number(m):       # q^m - q^-m, [m] times q - q^-1
-    return sc.Laurent({(m, 0, 0, 0): 1, (-m, 0, 0, 0): -1})
-
-
 def _cleared_matrix(x, D, modes):
     """(d, A) with A / d the matrix of x, A's entries Laurents: d is the
     lcm of the denominators of the c (q - q^-1)^-l of x's monomials
@@ -297,8 +288,8 @@ def _cleared_matrix(x, D, modes):
     divided out of a numerator."""
     d, cleared = sc.clear_denominators(c * sc.EPS_INV ** mon.l
                                        for mon, c in x.terms.items())
-    return d, _fill(dict(zip(x.terms, cleared)), D, modes, _laurent_q_power,
-                    _laurent_q_number, sc.Laurent({}))
+    return d, _fill(dict(zip(x.terms, cleared)), D, modes,
+                    sc.laurent_q_power, sc.laurent_q_number)
 
 
 def _assigned_rational(assignment, name):
@@ -356,8 +347,8 @@ def check_relations_on_fock(mode, D, assignment=None):
     """Re-check every relation by exact matrix arithmetic on the truncated
     Fock space, on the columns of the levels n < D - s for a relation whose
     words raise the boson number by up to s.  One sequence for both
-    fields: only the builder of (d_g, A_g), the words' value and clear rule
-    and the unit depend on whether an assignment is given."""
+    fields: only the builder of (d_g, A_g) and the words' value and clear
+    rule depend on whether an assignment is given."""
     if mode not in ("trivial", "fermionic"):
         raise ValueError("Fock checks need a concrete subalgebra mode")
     check_size(D, 4, "Fock dimension")
@@ -365,21 +356,17 @@ def check_relations_on_fock(mode, D, assignment=None):
     fdim = 2 ** len(modes)
     shifts = relation_shifts(mode)
     if assignment is None:
-        build, value, clear, one = (_cleared_matrix, lambda c: c,
-                                    sc.clear_denominators,
-                                    _laurent_q_power(0))
+        build, value, clear = (_cleared_matrix, lambda c: c,
+                               sc.clear_denominators)
     else:
-        build, value, clear, one = (
+        build, value, clear = (
             lambda x, D, modes: fock_matrix(x, D, assignment, modes)
-            .matrix.cleared(_clear_rationals, 0),
-            lambda c: c.evaluate(**assignment), _clear_rationals, 1)
-    dens, mats = {}, {}
-    for nm, el in realization_map(mode).items():
-        dens[nm], mats[nm] = build(el, D, modes)
-    rels = ua._cleared_words(ua.relation_set(), dens, value, clear)
-    results = ua.check_relations(
-        rels, mats, QMatrix.identity(D * fdim, one),
-        lambda rel: range(fdim * (D - shifts[rel.name])))
+            .matrix.cleared(_clear_rationals),
+            lambda c: c.evaluate(**assignment), _clear_rationals)
+    results = ua.check_cleared(
+        ua.relation_set(), {nm: build(el, D, modes)
+                            for nm, el in realization_map(mode).items()},
+        value, clear, lambda rel: range(fdim * (D - shifts[rel.name])))
     return [r._replace(detail="%d boundary columns excluded"
                        % (fdim * shifts[r.name])) for r in results]
 

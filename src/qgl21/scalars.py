@@ -64,8 +64,10 @@ linear.py coefficient goes through the one rule _coerce.
 clear_denominators is the one way out of the field: it multiplies a set of
 values by the lcm c * (q - 1)^I * (q + 1)^J of their denominators and gives
 each product as a Laurent, a Laurent polynomial over Z whose + and * are
-_p_add and _p_mul and which is never cancelled.  The symbolic Fock check
-multiplies those (realization.py).
+_p_add and _p_mul and which is never cancelled.  The symbolic Fock and
+module checks multiply those; laurent_q_power and laurent_q_number give
+q^e and q^m - q^-m in that ring, so its key format is spelled in this
+module only.
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -474,16 +476,20 @@ def _reduce(num, den):
     """The stored form (N, c, i, j, F) of num/den, Laurent polynomials with
     int or Fraction coefficients: drop zero coefficients, multiply both by
     the integer that clears the coefficient denominators, split den over
-    the basis and cancel.  A non-integer exponent is a ValueError, and a
-    coefficient that is neither an int nor a Fraction a TypeError."""
+    the basis and cancel.  An exponent vector that is not four ints is a
+    ValueError, and a coefficient that is neither an int nor a Fraction a
+    TypeError."""
     for c in (*num.values(), *den.values()):
         if not isinstance(c, _RATIONALS):
             raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
-    num = {m: c for m, c in num.items() if c}
-    den = {m: c for m, c in den.items() if c}
     for m in (*num, *den):
+        if not (isinstance(m, tuple) and len(m) == NVARS):
+            raise ValueError("exponent vector %r does not have %d entries"
+                             % (m, NVARS))
         if not all(isinstance(e, int) for e in m):
             raise ValueError("exponent vector %r is not all integers" % (m,))
+    num = {m: c for m, c in num.items() if c}
+    den = {m: c for m, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
@@ -779,7 +785,10 @@ def signed_sum(pieces):
 
 def power(x, n, one=None):
     """x ** n for an int n >= 0 by square and multiply with x's own *:
-    one for n == 0 and x itself for n == 1."""
+    one for n == 0 and x itself for n == 1; a negative n is a
+    ValueError."""
+    if n < 0:
+        raise ValueError("power exponent %r is negative" % (n,))
     out = None
     while n:
         if n & 1:
@@ -855,9 +864,12 @@ EPS = Q - QINV                 # q - q^-1, the ubiquitous denominator
 EPS_INV = EPS.invert()
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)    # typed: q_integer(1.0) is refused
 def q_integer(n):
-    """[n] = (q^n - q^-n)/(q - q^-1), in canonical polynomial form."""
+    """[n] = (q^n - q^-n)/(q - q^-1), in canonical polynomial form; an n
+    that is not an int is a ValueError."""
+    if not isinstance(n, int):
+        raise ValueError("q_integer argument %r is not an int" % (n,))
     if n == 0:
         return ZERO
     if n < 0:
@@ -882,3 +894,13 @@ def clear_denominators(values):
     return (_new(_lift(_ONE_POLY, c, i, j, None), 1, 0, 0, None),
             [Laurent(_lift(x._N, c // x._c, i - x._i, j - x._j, None))
              for x in values])
+
+
+def laurent_q_power(e):
+    """q^e in the Laurent ring of clear_denominators."""
+    return Laurent({(e, 0, 0, 0): 1})
+
+
+def laurent_q_number(m):
+    """q^m - q^-m in the Laurent ring: [m] times q - q^-1."""
+    return Laurent({(m, 0, 0, 0): 1, (-m, 0, 0, 0): -1})

@@ -16,7 +16,8 @@ letter on acc into the sum in one step.  check_relations, built on it, is
 the one relation checker of all four verification routes: W images on the
 W identity, the Fock matrices, the generator matrices of the induced
 module and the A0 matrices; on matrices that step is QMatrix._addmul.
-The Fock and module routes first clear the words (_cleared_words).
+The Fock and module routes reach it through check_cleared, which clears
+the words and builds the identity of the cleared ring.
 
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
 E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
@@ -41,6 +42,7 @@ from typing import NamedTuple
 
 from . import scalars as sc
 from .linear import Combination, accumulate, render_terms
+from .qmatrix import QMatrix
 from .reporting import check_size, residual_results
 from .scalars import QScalar
 
@@ -174,26 +176,32 @@ def check_relations(relations, gens, unit, cols=None):
         for rel in relations)
 
 
-def _cleared_words(relations, dens, value, clear):
-    """The relations as lhs = 0, the M_g = A_g / d_g, d_g = dens[g]: a word
-    w of lhs - rhs with coefficient c_w gets L value(c_w) / prod(d_g^|e|)
-    over the letters g^e of w, where clear(values) gives L, the lcm of the
-    denominators left, and the values times L.  The word applied to the
-    A_g is then L value(c_w) M_w, so each residual is L != 0 times its
-    value over the field of value(c_w), entry by entry: an entry is zero
-    exactly when that value is, and the residual counts are those over
-    Q(q, p) (symbolic) or Q (numeric).  A witness from such a residual
-    must be divided by L to give its value in that field."""
-    cleared = []
+def check_cleared(relations, cleared, value, clear, cols):
+    """check_relations on the cleared ring, for the generator matrices
+    M_g = A_g / d_g, (d_g, A_g) = cleared[g].  The relations are taken as
+    lhs = 0: a word w of lhs - rhs with coefficient c_w gets
+    L value(c_w) / prod(d_g^|e|) over the letters g^e of w, where
+    clear(values) gives L, the lcm of the denominators left, and the
+    values times L.  The word applied to the A_g is then L value(c_w) M_w,
+    so each residual is L != 0 times its value over the field of
+    value(c_w), entry by entry: an entry is zero exactly when that value
+    is, and the residual counts are those over Q(q, p) (symbolic) or Q
+    (numeric).  A witness from such a residual must be divided by L to
+    give its value in that field.  The words act on the identity of the
+    cleared ring, whose unit is the image of value(1) under clear."""
+    words = []
     for rel in relations:
         terms = (rel.lhs - rel.rhs).terms
         _, coeffs = clear([
-            value(c) / prod((dens[letter(nm, e)] ** abs(e)
+            value(c) / prod((cleared[letter(nm, e)][0] ** abs(e)
                              for nm, e in w))
             for w, c in terms.items()])
-        cleared.append(rel._replace(lhs=UElement(dict(zip(terms, coeffs))),
-                                    rhs=UElement.zero()))
-    return cleared
+        words.append(rel._replace(lhs=UElement(dict(zip(terms, coeffs))),
+                                  rhs=UElement.zero()))
+    mats = {g: a for g, (_, a) in cleared.items()}
+    _, (one,) = clear([value(sc.ONE)])
+    n = next(iter(mats.values())).nrows
+    return check_relations(words, mats, QMatrix.identity(n, one), cols)
 
 
 def render_word(word):

@@ -188,3 +188,19 @@ def test_product_and_column_product_match_the_reference(ring, seed):
 def test_fused_product_checks_shapes():
     with pytest.raises(ValueError):
         QMatrix.zero(2)._addmul(QMatrix.zero(2, 3), QMatrix.zero(2))
+
+
+@pytest.mark.parametrize("step", [
+    lambda: QMatrix.identity(2) + QMatrix.identity(3),
+    lambda: QMatrix.identity(2) - QMatrix.identity(3),
+    lambda: QMatrix.identity(3) + QMatrix.zero(3, 2),
+    lambda: QMatrix.zero(2)._iadd(QMatrix.identity(3), sc.Q),
+    lambda: QMatrix.zero(2)._addmul(QMatrix.identity(3), QMatrix.identity(3)),
+    lambda: QMatrix.zero(3, 2)._addmul(QMatrix.identity(3),
+                                       QMatrix.identity(3)),
+])
+def test_sums_and_fused_products_check_shapes(step):
+    # unchecked, a sum writes the rows of the larger operand into the
+    # smaller matrix, and so does a product added into another shape
+    with pytest.raises(ValueError, match="shape mismatch"):
+        step()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -362,6 +363,29 @@ def test_gcd_outside_the_closed_basis_falls_back_to_the_prs(monkeypatch):
 def test_constructors_reject_a_non_integer_exponent(build):
     with pytest.raises(ValueError, match="not all integers"):
         build()
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: sc.QScalar({(1, 0, 0): 1}), "(1, 0, 0)"),
+    (lambda: sc.QScalar({(1, 0, 0, 0, 0): 1}), "(1, 0, 0, 0, 0)"),
+    (lambda: sc.QScalar({1: 1}), "exponent vector 1 "),
+    (lambda: sc.QScalar(sc._ONE_POLY, {(0, 2): 1}), "(0, 2)"),
+    (lambda: sc.q_integer(1.5), "1.5"),
+    (lambda: sc.q_integer(1.0), "1.0"),
+])
+def test_constructors_refuse_an_exponent_vector_that_is_not_four_ints(
+        build, named):
+    # unchecked, a short vector indexes past its end on first use, a
+    # long one renders as q yet is != Q, and a bare int key or a float n
+    # gives a stray TypeError
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
+
+
+def test_power_refuses_a_negative_exponent():
+    # -1 >> 1 == -1: square and multiply on a negative n would never end
+    with pytest.raises(ValueError, match="-1"):
+        sc.power(Q, -1, ONE)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])

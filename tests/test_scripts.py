@@ -48,3 +48,14 @@ def test_verify_all_defaults_are_the_cli_defaults(monkeypatch, capsys):
         given = capsys.readouterr().out
         assert cli.main(argv[:k] + argv[k + 2:]) == 0
         assert capsys.readouterr().out == given
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
+    source = tmp_path / "one.py"
+    source.write_text('"""A docstring."""\n# a comment\n\nx = 1\ny = x  # 2\n')
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", str(source), "2", "total"]
