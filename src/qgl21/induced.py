@@ -8,7 +8,8 @@ K1 -> p1 * id.  The module W has basis (N, M, v-index) with N unbounded
 
 Two independent action routes are implemented:
 
-* act        -- the closed-form action formulas, one per generator;
+* act        -- the closed-form action formulas, one per generator,
+                written once over the functions of a ring;
 * act_oracle -- straighten g . E12^N E13^M via the rewriting engine, then
                 push the leftover A0 word into V through the matrices.
 
@@ -21,15 +22,24 @@ with the matrices of act on the states N <= nmax, compared on the columns
 N <= nmax - 2 (check_relations_on_module).  That truncation is exact: each
 letter raises N by at most 1 and no relation word has more than two
 letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
-As on the symbolic Fock route, the act matrices (QMatrix.cleared) and the
-words (superalgebra.check_cleared) are cleared over integer Laurent
-polynomials: the counts are those over Q(q, p), and a witness must be
-divided by the relation's L, as check_cleared says.
+
+The module check builds those matrices directly in the Laurent ring of the
+symbolic Fock route (_cleared_module), with no canonical step: act runs in
+the ring _CLEARED, where a value is L / (q^2 - 1)^k (_Cleared), [n] is
+q (q^n - q^-n) / (q^2 - 1), 1/(q - q^-1) is q / (q^2 - 1), and each A0
+column is cleared once per rep (scalars.clear_eps).  A product adds the k
+and a sum lifts to the larger, so q^2 - 1 is never divided out of a
+numerator and the entries stay as short as the Fock route's (at most 4
+terms for both plug-ins); d_g is (q^2 - 1)^K for the largest k of g.  The
+words are cleared by superalgebra.check_cleared: the counts are those over
+Q(q, p), and a witness must be divided by the relation's L, as
+check_cleared says.  A rep whose denominators have an integer content
+gives Laurents with Fraction coefficients, which are exact as well.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -158,13 +168,17 @@ class A0Rep(_A0Fields):
                 break
         return vec
 
-    def _column(self, word, i):
-        """apply_word(word, {i: 1}) for a tuple word, computed once per rep
-        and kept in _columns; the caller must not change it."""
+    def _column(self, word, i, cleared=False):
+        """apply_word(word, {i: 1}) for a tuple word, its values as
+        _Cleared when cleared, computed once per rep and kept in _columns;
+        the caller must not change it."""
         cols = self.__dict__.setdefault("_columns", {})
-        if (word, i) not in cols:
-            cols[word, i] = self.apply_word(word, {i: sc.ONE})
-        return cols[word, i]
+        key = (word, i, cleared)
+        if key not in cols:
+            cols[key] = ({r: _Cleared(*sc.clear_eps(v))
+                          for r, v in self._column(word, i).items()}
+                         if cleared else self.apply_word(word, {i: sc.ONE}))
+        return cols[key]
 
 
 def highest_weight_a0rep(gl11rep):
@@ -230,9 +244,54 @@ _K_WEIGHTS = {k + inv: (s * ua.k_weight(k, "E12"), s * ua.k_weight(k, "E13"))
               for k in ("K1", "K2", "K3") for inv, s in (("", 1), ("inv", -1))}
 
 
-def act(g, x, rep):
-    """Closed-form action of a generator on an induced-module vector."""
+_Q = sc.laurent_q_power(1)
+
+
+class _Cleared(NamedTuple):
+    """L / (q^2 - 1)^k, L a scalars.Laurent: the values act takes and gives
+    on the module route.  A product adds the k and a sum lifts both terms
+    to the larger one, so q^2 - 1 is counted, never divided out of L."""
+    k: int
+    L: sc.Laurent
+
+    def lift(self, k):
+        """L (q^2 - 1)^(k - self.k), the numerator over (q^2 - 1)^k."""
+        return self.L if k == self.k else self.L * sc.power(
+            _Q * sc.laurent_q_number(1), k - self.k)
+
+    def __mul__(self, other):
+        return _Cleared(self.k + other.k, self.L * other.L)
+
+    def __add__(self, other):
+        k = max(self.k, other.k)
+        return _Cleared(k, self.lift(k) + other.lift(k))
+
+    def __neg__(self):
+        return _Cleared(self.k, -self.L)
+
+    def __bool__(self):
+        return bool(self.L)
+
+
+# the rings act evaluates its closed forms in: q^e, [n] and 1/(q - q^-1),
+# and whether the A0 columns are cleared.  _CANONICAL is that of QScalars.
+# In _CLEARED, [n] is q (q^n - q^-n) / (q^2 - 1) and 1/(q - q^-1) is
+# q / (q^2 - 1), each q^2 - 1 counted in the k of a _Cleared, as the
+# symbolic Fock route keeps q^n - q^-n and counts (q - q^-1)^-1
+_CANONICAL = (sc.q_power, sc.q_integer, sc.EPS_INV, False)
+_CLEARED = (cache(lambda e: _Cleared(0, sc.laurent_q_power(e))),
+            cache(lambda n: _Cleared(1, _Q * sc.laurent_q_number(n))),
+            _Cleared(1, _Q), True)
+
+
+def act(g, x, rep, ring=_CANONICAL):
+    """Closed-form action of a generator on an induced-module vector.  The
+    closed forms are written once, over the functions of ring: _CANONICAL,
+    the default, takes and gives QScalars; the module check
+    (_cleared_module) passes _CLEARED, with x's coefficients and the
+    result _Cleared."""
     ua.check_generator(g)
+    q_power, q_number, eps_inv, cleared = ring
     out = {}
     for (N, M, i), c in x.terms.items():
         _check_term(N, M, i, rep)
@@ -240,52 +299,49 @@ def act(g, x, rep):
         def put(n, m, coeff, *word):
             """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
             if coeff:
-                vec = rep._column(tuple((nm, 1) for nm in word), i)
+                vec = rep._column(tuple((nm, 1) for nm in word), i, cleared)
                 for r, v in vec.items():
                     accumulate(out, (n, m, r), coeff * v)
 
         if g in _K_WEIGHTS:
             a, b = _K_WEIGHTS[g]
-            put(N, M, c * sc.q_power(a * N + b * M), g)
+            put(N, M, c * q_power(a * N + b * M), g)
         elif g == "E12":
             put(N + 1, M, c)
         elif g == "E13":
             if M == 0:
-                put(N, 1, c * sc.q_power(-N))
+                put(N, 1, c * q_power(-N))
         elif g == "E23":
             if N > 0 and M == 0:
-                put(N - 1, 1, -(c * sc.Q * sc.q_integer(N)))
-            sgn = -sc.ONE if M else sc.ONE
-            put(N, M, c * sgn * sc.q_power(N + M), "E23")
+                put(N - 1, 1, -(c * q_power(1) * q_number(N)))
+            put(N, M, (-c if M else c) * q_power(N + M), "E23")
         elif g == "E32":
             if M == 1:
-                put(N + 1, 0, c * sc.QINV, "K2", "K3")
+                put(N + 1, 0, c * q_power(-1), "K2", "K3")
                 put(N, 1, -c, "E32")
             else:
                 put(N, 0, c, "E32")
         elif g == "E21":
             if N > 0:
-                base = c * sc.q_integer(N) * sc.EPS_INV
-                put(N - 1, M, -(base * sc.q_power(N + M - 1)), "K1", "K2inv")
-                put(N - 1, M, base * sc.q_power(-N - M + 1), "K1inv", "K2")
+                base = c * q_number(N) * eps_inv
+                put(N - 1, M, -(base * q_power(N + M - 1)), "K1", "K2inv")
+                put(N - 1, M, base * q_power(-N - M + 1), "K1inv", "K2")
             if M == 1:
                 put(N, 0, c, "E23", "K1inv", "K2")
             put(N, M, c, "E21")
         else:  # E31
-            sgn = -sc.ONE if M else sc.ONE
+            signed = -c if M else c
             if M == 1:
                 if N > 0:
-                    put(N, 0, c * sc.q_power(N - 1) * sc.q_integer(N),
-                        "K1", "K3")
+                    put(N, 0, c * q_power(N - 1) * q_number(N), "K1", "K3")
                 # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
-                cartan = c * sc.QINV * sc.EPS_INV
+                cartan = c * q_power(-1) * eps_inv
                 put(N, 0, cartan, "K1", "K3")
                 put(N, 0, -cartan, "K1inv", "K3inv")
             if N > 0:
-                put(N - 1, M,
-                    c * sgn * sc.q_power(N + M - 2) * sc.q_integer(N),
+                put(N - 1, M, signed * q_power(N + M - 2) * q_number(N),
                     "K1", "K2inv", "E32")
-            put(N, M, c * sgn, "E31")
+            put(N, M, signed, "E31")
     return InducedVector(out)
 
 
@@ -307,24 +363,34 @@ def apply_uelement(el, x, rep):
     return ua.evaluate(el, lambda g, vec: act(g, vec, rep), x)
 
 
-def check_relations_on_module(rep, nmax):
-    """Check every defining relation on the basis states N <= nmax - 2, with
-    the generators as matrices on the states N <= nmax: one act call per
-    generator and state (see the module docstring for why this is exact),
-    then the matrices and words cleared over integer Laurent polynomials."""
-    check_size(nmax, 2, "nmax")
+def _cleared_module(rep, nmax):
+    """{g: (d_g, A_g)}: A_g / d_g the matrix of g on the states N <= nmax,
+    ordered by (N, M, index), one act call per state in the ring _CLEARED;
+    d_g is (q^2 - 1)^K for K the largest k among the entries."""
     states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
               for i in range(rep.dim)]
     index = {state: k for k, state in enumerate(states)}
+    one = _Cleared(0, sc.laurent_q_power(0))
     cleared = {}
     for g in ACT_GENERATORS:
-        m = QMatrix.zero(len(states))
-        for col, state in enumerate(states):
-            image = act(g, InducedVector.basis_state(*state), rep)
-            for target, c in image.terms.items():
-                if target in index:
-                    m.add_entry(index[target], col, c)
-        cleared[g] = m.cleared(sc.clear_denominators)
+        entries = [(index[target], col, v) for col, state in enumerate(states)
+                   for target, v in act(g, InducedVector({state: one}), rep,
+                                        _CLEARED).terms.items()
+                   if target in index]
+        k = max((v.k for _, _, v in entries), default=0)
+        cleared[g] = (sc.Q * sc.EPS) ** k, QMatrix.from_entries(
+            len(states), len(states),
+            ((i, j, v.lift(k)) for i, j, v in entries), one.L - one.L)
+    return cleared
+
+
+def check_relations_on_module(rep, nmax):
+    """Check every defining relation on the basis states N <= nmax - 2, with
+    the generators as matrices on the states N <= nmax, built in the
+    Laurent ring by _cleared_module (see the module docstring for why this
+    is exact), then the words cleared as on the symbolic Fock route."""
+    check_size(nmax, 2, "nmax")
     checked = range(2 * rep.dim * (nmax - 1))      # the states N <= nmax - 2
-    return ua.check_cleared(ua.relation_set(), cleared, lambda c: c,
-                            sc.clear_denominators, lambda rel: checked)
+    return ua.check_cleared(ua.relation_set(), _cleared_module(rep, nmax),
+                            lambda c: c, sc.clear_denominators,
+                            lambda rel: checked)

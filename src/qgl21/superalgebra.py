@@ -147,6 +147,17 @@ def evaluate(el, apply, start, addmul=None):
     return total
 
 
+def _check_letters(relations, gens):
+    """A ValueError naming the first relation letter with no entry in
+    gens."""
+    missing = sorted({letter(nm, e) for rel in relations
+                      for el in (rel.lhs, rel.rhs) for word in el.terms
+                      for nm, e in word} - gens.keys())
+    if missing:
+        raise ValueError("relation letter %r has no entry in gens"
+                         % missing[0])
+
+
 def check_relations(relations, gens, unit, cols=None):
     """One CheckResult per relation: the residual lhs - rhs, with gens[g]
     acting from the left on unit (gens[g] itself when the operand is unit),
@@ -154,12 +165,7 @@ def check_relations(relations, gens, unit, cols=None):
     word's leftmost letter is added by total._addmul (by total._iadd when
     it acts on unit).  A letter with no entry in gens is a ValueError,
     before any product."""
-    missing = sorted({letter(nm, e) for rel in relations
-                      for el in (rel.lhs, rel.rhs) for word in el.terms
-                      for nm, e in word} - gens.keys())
-    if missing:
-        raise ValueError("relation letter %r has no entry in gens"
-                         % missing[0])
+    _check_letters(relations, gens)
 
     def apply(g, acc):
         return gens[g] if acc is unit else gens[g] * acc
@@ -188,7 +194,10 @@ def check_cleared(relations, cleared, value, clear, cols):
     is, and the residual counts are those over Q(q, p) (symbolic) or Q
     (numeric).  A witness from such a residual must be divided by L to
     give its value in that field.  The words act on the identity of the
-    cleared ring, whose unit is the image of value(1) under clear."""
+    cleared ring, whose unit is the image of value(1) under clear.  A
+    letter with no entry in cleared is a ValueError, as in
+    check_relations, before any word is cleared."""
+    _check_letters(relations, cleared)
     words = []
     for rel in relations:
         terms = (rel.lhs - rel.rhs).terms

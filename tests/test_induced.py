@@ -5,6 +5,7 @@ import pytest
 
 import qgl21.scalars as sc
 from qgl21 import induced
+from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
 from qgl21.induced import (
     ACT_GENERATORS, A0Rep, Gl11Rep, InducedVector, RepresentationError,
@@ -310,14 +311,64 @@ def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     calls = []
 
-    def counting(g, x, r):
+    def counting(g, x, r, *ring):
         calls.append(g)
-        return act(g, x, r)
+        return act(g, x, r, *ring)
 
     monkeypatch.setattr(induced, "act", counting)
     assert all_passed(check_relations_on_module(rep, 6))
     # 12 generators x 7 levels N <= 6 x 2 values of M x dim 2
     assert len(calls) == 336
+
+
+# -- the module route builds the Fock route's cleared matrices ----------------
+
+GL11_REPS = {"trivial": trivial_gl11_rep, "fermionic": fermionic_gl11_rep}
+
+
+def _fock_mismatches(mode, images):
+    """The generators g whose cleared module matrix at nmax 7, A_mod / d_mod,
+    is not the cleared Fock matrix of images[g] at D = 8, A_fock / d_fock:
+    A_mod d_fock != A_fock d_mod, entry for entry over Q(q, p)."""
+    module = induced._cleared_module(highest_weight_a0rep(GL11_REPS[mode]()),
+                                     7)
+
+    def times(a, d):
+        return {(i, j): sc.QScalar(v.terms) * d for i, j, v in a.iter_entries()}
+
+    mismatches = set()
+    for g in ACT_GENERATORS:
+        d_mod, a_mod = module[g]
+        d_fock, a_fock = rz._cleared_matrix(images[g], 8, rz.fock_modes(mode))
+        if times(a_mod, d_fock) != times(a_fock, d_mod):
+            mismatches.add(g)
+    return mismatches
+
+
+@pytest.mark.parametrize("mode", sorted(GL11_REPS))
+def test_module_and_fock_routes_build_the_same_matrices(mode):
+    assert not _fock_mismatches(mode, rz.realization_map(mode))
+
+
+def test_the_matrix_comparison_catches_the_rescaling_probe():
+    # E12 and E13 times 2, E21 and E31 times 1/2: every relation still holds
+    # on the Fock route, but the images are no longer the module's
+    half = sc.QScalar.from_rational(Fraction(1, 2))
+    factors = {"E12": 2, "E13": 2, "E21": half, "E31": half}
+    images = {g: x.scale(factors.get(g, 1))
+              for g, x in rz.realization_map("fermionic").items()}
+    assert _fock_mismatches("fermionic", images) == set(factors)
+
+
+@pytest.mark.parametrize("mode", sorted(GL11_REPS))
+def test_module_entries_stay_short(mode):
+    # each q-number stays q^n - q^-n, as on the Fock route; canonical
+    # q-integers gave cleared entries of up to 24 terms at nmax 12
+    module = induced._cleared_module(highest_weight_a0rep(GL11_REPS[mode]()),
+                                     12)
+    terms = [len(v.terms) for _, a in module.values()
+             for _, _, v in a.iter_entries()]
+    assert terms and max(terms) <= 4
 
 
 def test_e31_follows_replaced_e21_and_e32(fermionic_rep):

@@ -200,11 +200,11 @@ E12_BY_TWO_BREAKS = {
 def _e12_by_two(monkeypatch):
     act = ind.act
 
-    def e12_by_two(g, x, rep):
+    def e12_by_two(g, x, rep, *ring):
         if g == "E12":
             return ind.InducedVector({(N + 2, M, i): c
                                       for (N, M, i), c in x.terms.items()})
-        return act(g, x, rep)
+        return act(g, x, rep, *ring)
 
     monkeypatch.setattr(ind, "act", e12_by_two)
 
@@ -269,11 +269,11 @@ DOUBLED_CARTAN_BREAKS = {
 def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
     # a mutant of one branch of act, made from its source: only E31 on the
     # states with M = 1 changes, so act_oracle disagrees there alone
-    line = "cartan = c * sc.QINV * sc.EPS_INV"
+    line = "cartan = c * q_power(-1) * eps_inv"
     source = inspect.getsource(ind.act)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "cartan = 2 * c * sc.QINV * sc.EPS_INV"),
+    exec(compile(source.replace(line, "cartan = (c + c) * q_power(-1) * eps_inv"),
                  ind.__file__, "exec"), namespace)
     monkeypatch.setattr(ind, "act", namespace["act"])
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
@@ -289,6 +289,59 @@ def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
                                     rep)}
         assert differ == {("E31", N, 1, i) for N in range(4)
                           for i in range(rep.dim)}
+
+
+def test_module_clearing_keeps_the_counts_of_a_rep_with_a_halved_k2():
+    # the A0 columns then have denominators with an integer content, which
+    # the module route keeps in Fraction coefficients of its Laurents
+    rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
+    half = sc.QScalar.from_rational(Fraction(1, 2))
+    rep = rep._replace(mats=dict(rep.mats, K2=rep.mats["K2"].scale(half)))
+    counts = {r.name: r.residuals
+              for r in ind.check_relations_on_module(rep, 4)}
+    assert any(counts.values())
+    assert counts == _plain_module_counts(rep, 4)
+
+
+# -- the E21 action with its q-number's argument shifted by one --------------------
+
+SHIFTED_E21_BREAKS = {
+    "trivial": {"[E21, E23] = 0": 1,
+                "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)": 6,
+                "E31 = -E21 E32 + q^-1 E32 E21": 3},
+    "fermionic": {"[E21, E23] = 0": 6,
+                  "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)": 12,
+                  "E21 E31 = q E31 E21": 6,
+                  "E31 = -E21 E32 + q^-1 E32 E21": 10},
+}
+
+
+def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
+    # [N] read as [N + 1] in the E21 branch of act, made from its source:
+    # the module route evaluates that branch in the Laurent ring, the grid
+    # in QScalars, and both see the fault, at E21 on the states N > 0 only
+    line = "base = c * q_number(N) * eps_inv"
+    source = inspect.getsource(ind.act)
+    assert source.count(line) == 1
+    namespace = dict(vars(ind))
+    exec(compile(source.replace(line, "base = c * q_number(N + 1) * eps_inv"),
+                 ind.__file__, "exec"), namespace)
+    monkeypatch.setattr(ind, "act", namespace["act"])
+    for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
+                        ("fermionic", ind.fermionic_gl11_rep())):
+        rep = ind.highest_weight_a0rep(gl11)
+        counts = {r.name: r.residuals
+                  for r in ind.check_relations_on_module(rep, 4)}
+        assert {name: n for name, n in counts.items() if n} \
+            == SHIFTED_E21_BREAKS[label]
+        assert counts == _plain_module_counts(rep, 4)
+        differ = {(g, N, M, i) for g in ind.ACT_GENERATORS for N in range(4)
+                  for M in (0, 1) for i in range(rep.dim)
+                  if ind.act(g, ind.InducedVector.basis_state(N, M, i), rep)
+                  != ind.act_oracle(g, ind.InducedVector.basis_state(N, M, i),
+                                    rep)}
+        assert differ == {("E21", N, M, i) for N in range(1, 4)
+                          for M in (0, 1) for i in range(rep.dim)}
 
 
 # -- E23 through E12^n with the E13 term of its closed form scaled by q ----------

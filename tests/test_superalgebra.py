@@ -4,10 +4,11 @@ import qgl21.scalars as sc
 from qgl21 import walgebra as wa
 from qgl21.qmatrix import QMatrix
 from qgl21.superalgebra import (
-    GENERATORS, ODD_GENERATORS, STRAIGHTENING_IDENTITIES, UElement,
-    check_straightening_identities, e13_definition, e31_definition, evaluate,
-    oracle_straighten, relation_families, relation_set, render_uelement,
-    render_word, straighten,
+    GENERATORS, ODD_GENERATORS, STRAIGHTENING_IDENTITIES, Relation, UElement,
+    check_cleared, check_relations, check_straightening_identities,
+    e13_definition, e31_definition, evaluate, oracle_straighten,
+    relation_families, relation_set, render_uelement, render_word,
+    straighten,
 )
 
 W = UElement.word
@@ -254,6 +255,19 @@ def test_evaluate_leaves_start_and_generators_unchanged(gens, start):
     assert total == expected
     assert {g: _contents(x) for g, x in gens.items()} == before
     assert _contents(start) == start_before
+
+
+def test_cleared_check_names_a_missing_letter_as_the_plain_check_does():
+    # the words are cleared with each letter's d_g, so the letter check
+    # must come first, with check_relations' message
+    one_letter = [Relation("E12 = 0", "test", W(("E12", 1)), UElement.zero())]
+    unit = QMatrix.identity(2)
+    message = "relation letter 'E12' has no entry in gens"
+    with pytest.raises(ValueError, match=message):
+        check_relations(one_letter, {"K1": unit}, unit)
+    with pytest.raises(ValueError, match=message):
+        check_cleared(one_letter, {"K1": (sc.ONE, unit)}, lambda c: c,
+                      sc.clear_denominators, None)
 
 
 # -- straightening output and input rules ----------------------------------------
