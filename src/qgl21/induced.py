@@ -9,7 +9,8 @@ K1 -> p1 * id.  The module W has basis (N, M, v-index) with N unbounded
 Two independent action routes are implemented:
 
 * act        -- the closed-form action formulas, one per generator,
-                written once over the functions of a ring;
+                written once on one basis state over the functions of a
+                ring (_act_on_state) and extended linearly;
 * act_oracle -- straighten g . E12^N E13^M via the rewriting engine, then
                 push the leftover A0 word into V through the matrices.
 
@@ -24,17 +25,19 @@ letter raises N by at most 1 and no relation word has more than two
 letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
 
 The module check builds those matrices directly in the Laurent ring of the
-symbolic Fock route (_cleared_module), with no canonical step: act runs in
-the ring _CLEARED, where a value is L / (q^2 - 1)^k (_Cleared), [n] is
-q (q^n - q^-n) / (q^2 - 1), 1/(q - q^-1) is q / (q^2 - 1), and each A0
-column is cleared once per rep (scalars.clear_eps).  A product adds the k
-and a sum lifts to the larger, so q^2 - 1 is never divided out of a
-numerator and the entries stay as short as the Fock route's (at most 4
-terms for both plug-ins); d_g is (q^2 - 1)^K for the largest k of g.  The
-words are cleared by superalgebra.check_cleared: the counts are those over
-Q(q, p), and a witness must be divided by the relation's L, as
-check_cleared says.  A rep whose denominators have an integer content
-gives Laurents with Fraction coefficients, which are exact as well.
+symbolic Fock route (_cleared_module), by the Fock route's clearing rule:
+_act_on_state evaluates the closed forms in the ring _MODULE, where a value
+is a sum of terms, a QScalar coefficient times a Laurent boson factor
+(_Terms).  q^e and q^n - q^-n are factors, and 1/(q - q^-1) and the A0
+column values are coefficients, so [n] is never expanded and the entries
+stay as short as the Fock route's (at most 4 terms for both plug-ins).
+One scalars.clear_denominators call then clears all of a generator's
+coefficients, as _cleared_matrix clears c (q - q^-1)^-l, and (d_g, A_g)
+equal the Fock route's.  The words are cleared by superalgebra.check_cleared:
+the counts are those over Q(q, p), and a witness must be divided by the
+relation's L, as check_cleared says.  A rep whose matrices have a
+denominator factor outside q, q - 1 and q + 1, such as 1/(q + 2), is valid
+but has no module check: clear_denominators refuses it (a ValueError).
 """
 
 from __future__ import annotations
@@ -168,17 +171,13 @@ class A0Rep(_A0Fields):
                 break
         return vec
 
-    def _column(self, word, i, cleared=False):
-        """apply_word(word, {i: 1}) for a tuple word, its values as
-        _Cleared when cleared, computed once per rep and kept in _columns;
-        the caller must not change it."""
+    def _column(self, word, i):
+        """apply_word(word, {i: 1}) for a tuple word, computed once per rep
+        and kept in _columns; the caller must not change it."""
         cols = self.__dict__.setdefault("_columns", {})
-        key = (word, i, cleared)
-        if key not in cols:
-            cols[key] = ({r: _Cleared(*sc.clear_eps(v))
-                          for r, v in self._column(word, i).items()}
-                         if cleared else self.apply_word(word, {i: sc.ONE}))
-        return cols[key]
+        if (word, i) not in cols:
+            cols[word, i] = self.apply_word(word, {i: sc.ONE})
+        return cols[word, i]
 
 
 def highest_weight_a0rep(gl11rep):
@@ -244,104 +243,100 @@ _K_WEIGHTS = {k + inv: (s * ua.k_weight(k, "E12"), s * ua.k_weight(k, "E13"))
               for k in ("K1", "K2", "K3") for inv, s in (("", 1), ("inv", -1))}
 
 
-_Q = sc.laurent_q_power(1)
+class _Terms(tuple):
+    """A value of the module ring: a sum of terms (c, f), c a QScalar
+    coefficient and f a Laurent boson factor.  A product multiplies the
+    coefficients and the factors apart and a sum joins the terms, so
+    _cleared_module can clear all of one generator's coefficients at once."""
 
-
-class _Cleared(NamedTuple):
-    """L / (q^2 - 1)^k, L a scalars.Laurent: the values act takes and gives
-    on the module route.  A product adds the k and a sum lifts both terms
-    to the larger one, so q^2 - 1 is counted, never divided out of L."""
-    k: int
-    L: sc.Laurent
-
-    def lift(self, k):
-        """L (q^2 - 1)^(k - self.k), the numerator over (q^2 - 1)^k."""
-        return self.L if k == self.k else self.L * sc.power(
-            _Q * sc.laurent_q_number(1), k - self.k)
+    __slots__ = ()
 
     def __mul__(self, other):
-        return _Cleared(self.k + other.k, self.L * other.L)
+        if isinstance(other, _Terms):
+            return _Terms((c * d, f * h) for c, f in self for d, h in other)
+        return _Terms((c * other, f) for c, f in self)
 
     def __add__(self, other):
-        k = max(self.k, other.k)
-        return _Cleared(k, self.lift(k) + other.lift(k))
+        return _Terms(tuple.__add__(self, other))
 
     def __neg__(self):
-        return _Cleared(self.k, -self.L)
-
-    def __bool__(self):
-        return bool(self.L)
+        return _Terms((-c, f) for c, f in self)
 
 
-# the rings act evaluates its closed forms in: q^e, [n] and 1/(q - q^-1),
-# and whether the A0 columns are cleared.  _CANONICAL is that of QScalars.
-# In _CLEARED, [n] is q (q^n - q^-n) / (q^2 - 1) and 1/(q - q^-1) is
-# q / (q^2 - 1), each q^2 - 1 counted in the k of a _Cleared, as the
-# symbolic Fock route keeps q^n - q^-n and counts (q - q^-1)^-1
-_CANONICAL = (sc.q_power, sc.q_integer, sc.EPS_INV, False)
-_CLEARED = (cache(lambda e: _Cleared(0, sc.laurent_q_power(e))),
-            cache(lambda n: _Cleared(1, _Q * sc.laurent_q_number(n))),
-            _Cleared(1, _Q), True)
+# the rings _act_on_state evaluates its closed forms in: q^e, [n] and
+# 1/(q - q^-1).  _CANONICAL is that of QScalars.  In _MODULE, as on the
+# symbolic Fock route, q^e and q^n - q^-n are Laurent factors and each
+# 1/(q - q^-1) goes in the coefficient, so [n] is (1/(q - q^-1), q^n - q^-n)
+_CANONICAL = (sc.q_power, sc.q_integer, sc.EPS_INV)
+_MODULE = (cache(lambda e: _Terms([(sc.ONE, sc.laurent_q_power(e))])),
+           cache(lambda n: _Terms([(sc.EPS_INV, sc.laurent_q_number(n))])),
+           _Terms([(sc.EPS_INV, sc.laurent_q_power(0))]))
 
 
-def act(g, x, rep, ring=_CANONICAL):
-    """Closed-form action of a generator on an induced-module vector.  The
-    closed forms are written once, over the functions of ring: _CANONICAL,
-    the default, takes and gives QScalars; the module check
-    (_cleared_module) passes _CLEARED, with x's coefficients and the
-    result _Cleared."""
+def _act_on_state(g, N, M, i, rep, ring):
+    """The closed forms: g on the basis state |N,M> (x) v_i, as
+    {(n, m, r): value}, written once over the q^e, [n] and 1/(q - q^-1)
+    of ring; each value is a ring value times an A0 column's QScalar."""
+    q_power, q_number, eps_inv = ring
+    out = {}
+
+    def put(n, m, coeff, *word):
+        """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
+        for r, v in rep._column(tuple((nm, 1) for nm in word), i).items():
+            accumulate(out, (n, m, r), coeff * v)
+
+    one = q_power(0)
+    if g in _K_WEIGHTS:
+        a, b = _K_WEIGHTS[g]
+        put(N, M, q_power(a * N + b * M), g)
+    elif g == "E12":
+        put(N + 1, M, one)
+    elif g == "E13":
+        if M == 0:
+            put(N, 1, q_power(-N))
+    elif g == "E23":
+        if N > 0 and M == 0:
+            put(N - 1, 1, -(q_power(1) * q_number(N)))
+        put(N, M, -q_power(N + M) if M else q_power(N + M), "E23")
+    elif g == "E32":
+        if M == 1:
+            put(N + 1, 0, q_power(-1), "K2", "K3")
+            put(N, 1, -one, "E32")
+        else:
+            put(N, 0, one, "E32")
+    elif g == "E21":
+        if N > 0:
+            base = q_number(N) * eps_inv
+            put(N - 1, M, -(base * q_power(N + M - 1)), "K1", "K2inv")
+            put(N - 1, M, base * q_power(-N - M + 1), "K1inv", "K2")
+        if M == 1:
+            put(N, 0, one, "E23", "K1inv", "K2")
+        put(N, M, one, "E21")
+    else:  # E31
+        signed = -one if M else one
+        if M == 1:
+            if N > 0:
+                put(N, 0, q_power(N - 1) * q_number(N), "K1", "K3")
+            # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
+            cartan = q_power(-1) * eps_inv
+            put(N, 0, cartan, "K1", "K3")
+            put(N, 0, -cartan, "K1inv", "K3inv")
+        if N > 0:
+            put(N - 1, M, signed * q_power(N + M - 2) * q_number(N),
+                "K1", "K2inv", "E32")
+        put(N, M, signed, "E31")
+    return out
+
+
+def act(g, x, rep):
+    """Closed-form action of a generator on an induced-module vector: the
+    linear extension of _act_on_state over x's terms, in QScalars."""
     ua.check_generator(g)
-    q_power, q_number, eps_inv, cleared = ring
     out = {}
     for (N, M, i), c in x.terms.items():
         _check_term(N, M, i, rep)
-
-        def put(n, m, coeff, *word):
-            """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
-            if coeff:
-                vec = rep._column(tuple((nm, 1) for nm in word), i, cleared)
-                for r, v in vec.items():
-                    accumulate(out, (n, m, r), coeff * v)
-
-        if g in _K_WEIGHTS:
-            a, b = _K_WEIGHTS[g]
-            put(N, M, c * q_power(a * N + b * M), g)
-        elif g == "E12":
-            put(N + 1, M, c)
-        elif g == "E13":
-            if M == 0:
-                put(N, 1, c * q_power(-N))
-        elif g == "E23":
-            if N > 0 and M == 0:
-                put(N - 1, 1, -(c * q_power(1) * q_number(N)))
-            put(N, M, (-c if M else c) * q_power(N + M), "E23")
-        elif g == "E32":
-            if M == 1:
-                put(N + 1, 0, c * q_power(-1), "K2", "K3")
-                put(N, 1, -c, "E32")
-            else:
-                put(N, 0, c, "E32")
-        elif g == "E21":
-            if N > 0:
-                base = c * q_number(N) * eps_inv
-                put(N - 1, M, -(base * q_power(N + M - 1)), "K1", "K2inv")
-                put(N - 1, M, base * q_power(-N - M + 1), "K1inv", "K2")
-            if M == 1:
-                put(N, 0, c, "E23", "K1inv", "K2")
-            put(N, M, c, "E21")
-        else:  # E31
-            signed = -c if M else c
-            if M == 1:
-                if N > 0:
-                    put(N, 0, c * q_power(N - 1) * q_number(N), "K1", "K3")
-                # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
-                cartan = c * q_power(-1) * eps_inv
-                put(N, 0, cartan, "K1", "K3")
-                put(N, 0, -cartan, "K1inv", "K3inv")
-            if N > 0:
-                put(N - 1, M, signed * q_power(N + M - 2) * q_number(N),
-                    "K1", "K2inv", "E32")
-            put(N, M, signed, "E31")
+        for key, v in _act_on_state(g, N, M, i, rep, _CANONICAL).items():
+            accumulate(out, key, c * v)
     return InducedVector(out)
 
 
@@ -365,22 +360,26 @@ def apply_uelement(el, x, rep):
 
 def _cleared_module(rep, nmax):
     """{g: (d_g, A_g)}: A_g / d_g the matrix of g on the states N <= nmax,
-    ordered by (N, M, index), one act call per state in the ring _CLEARED;
-    d_g is (q^2 - 1)^K for K the largest k among the entries."""
+    ordered by (N, M, index), from one _act_on_state call per state in the
+    ring _MODULE.  As _cleared_matrix does on the Fock route, one
+    clear_denominators call clears all of g's coefficients, and an entry
+    is the sum of its cleared coefficients times their boson factors."""
     states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
               for i in range(rep.dim)]
     index = {state: k for k, state in enumerate(states)}
-    one = _Cleared(0, sc.laurent_q_power(0))
+    zero = sc.laurent_q_power(0) - sc.laurent_q_power(0)
     cleared = {}
     for g in ACT_GENERATORS:
-        entries = [(index[target], col, v) for col, state in enumerate(states)
-                   for target, v in act(g, InducedVector({state: one}), rep,
-                                        _CLEARED).terms.items()
-                   if target in index]
-        k = max((v.k for _, _, v in entries), default=0)
-        cleared[g] = (sc.Q * sc.EPS) ** k, QMatrix.from_entries(
+        terms = [(index[target], col, c, f)
+                 for col, state in enumerate(states)
+                 for target, v in _act_on_state(g, *state, rep,
+                                                _MODULE).items()
+                 if target in index for c, f in v]
+        d, coeffs = sc.clear_denominators(c for _, _, c, _ in terms)
+        cleared[g] = d, QMatrix.from_entries(
             len(states), len(states),
-            ((i, j, v.lift(k)) for i, j, v in entries), one.L - one.L)
+            ((row, col, a * f) for (row, col, _, f), a in zip(terms, coeffs)),
+            zero)
     return cleared
 
 

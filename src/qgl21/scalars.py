@@ -67,8 +67,7 @@ each product as a Laurent, a Laurent polynomial over Z whose + and * are
 _p_add and _p_mul and which is never cancelled.  The symbolic Fock and
 module checks multiply those; laurent_q_power and laurent_q_number give
 q^e and q^m - q^-m in that ring, so its key format is spelled in this
-module only.  clear_eps, built on it, writes one value as a Laurent over
-the least power of q^2 - 1, for the module check's A0 columns.
+module only.
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -379,7 +378,7 @@ def _p_cancel(a, b):
 class Laurent:
     """A Laurent polynomial over Z, terms {exponent 4-tuple: int} with no
     zero values, that is never cancelled: the entry type of the symbolic
-    Fock check (see clear_denominators).  The zero test is an empty dict."""
+    Fock and module checks (see clear_denominators).  The zero test is an empty dict."""
 
     __slots__ = ("terms",)
 
@@ -895,17 +894,6 @@ def clear_denominators(values):
     return (_new(_lift(_ONE_POLY, c, i, j, None), 1, 0, 0, None),
             [Laurent(_lift(x._N, c // x._c, i - x._i, j - x._j, None))
              for x in values])
-
-
-def clear_eps(x):
-    """(k, L) with x = L / (q^2 - 1)^k, for the least k >= 0 and L a
-    Laurent, its coefficients Fractions only where the denominator of x
-    has an integer content; clear_denominators refuses any other x."""
-    _, (n,) = clear_denominators([x])       # n = x c (q - 1)^i (q + 1)^j
-    k = max(x._i, x._j)
-    n = _lift(n.terms, 1, k - x._i, k - x._j, None)
-    return k, Laurent(n if x._c == 1 else
-                      {m: Fraction(v, x._c) for m, v in n.items()})
 
 
 def laurent_q_power(e):

@@ -196,8 +196,11 @@ def check_cleared(relations, cleared, value, clear, cols):
     give its value in that field.  The words act on the identity of the
     cleared ring, whose unit is the image of value(1) under clear.  A
     letter with no entry in cleared is a ValueError, as in
-    check_relations, before any word is cleared."""
+    check_relations, before any word is cleared, and so is an empty
+    cleared, which leaves no matrix to size the identity."""
     _check_letters(relations, cleared)
+    if not cleared:
+        raise ValueError("no generator matrices to size the identity")
     words = []
     for rel in relations:
         terms = (rel.lhs - rel.rhs).terms

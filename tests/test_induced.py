@@ -310,12 +310,13 @@ def test_e31_is_built_once_per_rep(monkeypatch):
 def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     calls = []
+    act_on_state = induced._act_on_state
 
-    def counting(g, x, r, *ring):
+    def counting(g, N, M, i, r, ring):
         calls.append(g)
-        return act(g, x, r, *ring)
+        return act_on_state(g, N, M, i, r, ring)
 
-    monkeypatch.setattr(induced, "act", counting)
+    monkeypatch.setattr(induced, "_act_on_state", counting)
     assert all_passed(check_relations_on_module(rep, 6))
     # 12 generators x 7 levels N <= 6 x 2 values of M x dim 2
     assert len(calls) == 336
@@ -348,6 +349,13 @@ def _fock_mismatches(mode, images):
 @pytest.mark.parametrize("mode", sorted(GL11_REPS))
 def test_module_and_fock_routes_build_the_same_matrices(mode):
     assert not _fock_mismatches(mode, rz.realization_map(mode))
+    # both routes clear by one rule, so (d_g, A_g) are the same values
+    images = rz.realization_map(mode)
+    modes = rz.fock_modes(mode)
+    module = induced._cleared_module(highest_weight_a0rep(GL11_REPS[mode]()),
+                                     7)
+    for g in ACT_GENERATORS:
+        assert module[g] == rz._cleared_matrix(images[g], 8, modes)
 
 
 def test_the_matrix_comparison_catches_the_rescaling_probe():

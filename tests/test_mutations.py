@@ -198,15 +198,14 @@ E12_BY_TWO_BREAKS = {
 
 
 def _e12_by_two(monkeypatch):
-    act = ind.act
+    act_on_state = ind._act_on_state
 
-    def e12_by_two(g, x, rep, *ring):
+    def e12_by_two(g, N, M, i, rep, ring):
         if g == "E12":
-            return ind.InducedVector({(N + 2, M, i): c
-                                      for (N, M, i), c in x.terms.items()})
-        return act(g, x, rep, *ring)
+            return {(N + 2, M, i): ring[0](0)}
+        return act_on_state(g, N, M, i, rep, ring)
 
-    monkeypatch.setattr(ind, "act", e12_by_two)
+    monkeypatch.setattr(ind, "_act_on_state", e12_by_two)
 
 
 def test_module_truncation_hides_no_fault(monkeypatch):
@@ -269,13 +268,13 @@ DOUBLED_CARTAN_BREAKS = {
 def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
     # a mutant of one branch of act, made from its source: only E31 on the
     # states with M = 1 changes, so act_oracle disagrees there alone
-    line = "cartan = c * q_power(-1) * eps_inv"
-    source = inspect.getsource(ind.act)
+    line = "cartan = q_power(-1) * eps_inv"
+    source = inspect.getsource(ind._act_on_state)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "cartan = (c + c) * q_power(-1) * eps_inv"),
+    exec(compile(source.replace(line, "cartan = q_power(-1) * (eps_inv + eps_inv)"),
                  ind.__file__, "exec"), namespace)
-    monkeypatch.setattr(ind, "act", namespace["act"])
+    monkeypatch.setattr(ind, "_act_on_state", namespace["_act_on_state"])
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
                         ("fermionic", ind.fermionic_gl11_rep())):
         rep = ind.highest_weight_a0rep(gl11)
@@ -293,7 +292,7 @@ def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
 
 def test_module_clearing_keeps_the_counts_of_a_rep_with_a_halved_k2():
     # the A0 columns then have denominators with an integer content, which
-    # the module route keeps in Fraction coefficients of its Laurents
+    # the module route clears into d_g, so its Laurents stay over Z
     rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
     half = sc.QScalar.from_rational(Fraction(1, 2))
     rep = rep._replace(mats=dict(rep.mats, K2=rep.mats["K2"].scale(half)))
@@ -301,6 +300,9 @@ def test_module_clearing_keeps_the_counts_of_a_rep_with_a_halved_k2():
               for r in ind.check_relations_on_module(rep, 4)}
     assert any(counts.values())
     assert counts == _plain_module_counts(rep, 4)
+    coefficients = [type(k) for _, a in ind._cleared_module(rep, 4).values()
+                    for _, _, v in a.iter_entries() for k in v.terms.values()]
+    assert coefficients and set(coefficients) == {int}
 
 
 # -- the E21 action with its q-number's argument shifted by one --------------------
@@ -320,13 +322,13 @@ def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
     # [N] read as [N + 1] in the E21 branch of act, made from its source:
     # the module route evaluates that branch in the Laurent ring, the grid
     # in QScalars, and both see the fault, at E21 on the states N > 0 only
-    line = "base = c * q_number(N) * eps_inv"
-    source = inspect.getsource(ind.act)
+    line = "base = q_number(N) * eps_inv"
+    source = inspect.getsource(ind._act_on_state)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "base = c * q_number(N + 1) * eps_inv"),
+    exec(compile(source.replace(line, "base = q_number(N + 1) * eps_inv"),
                  ind.__file__, "exec"), namespace)
-    monkeypatch.setattr(ind, "act", namespace["act"])
+    monkeypatch.setattr(ind, "_act_on_state", namespace["_act_on_state"])
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
                         ("fermionic", ind.fermionic_gl11_rep())):
         rep = ind.highest_weight_a0rep(gl11)

@@ -388,25 +388,6 @@ def test_power_refuses_a_negative_exponent():
         sc.power(Q, -1, ONE)
 
 
-@pytest.mark.parametrize("x, k", [
-    (sc.ONE, 0), (sc.q_integer(5), 0), (sc.EPS_INV, 1),
-    (sc.EPS_INV ** 2 * sc.P2, 2), ((sc.Q - 1).invert(), 1),
-    (sc.QScalar.from_rational(Fraction(3, 4)) * sc.EPS_INV, 1),
-    ((sc.P2 * sc.P3 - (sc.P2 * sc.P3).invert()) * sc.EPS_INV, 1),
-])
-def test_clear_eps_takes_the_least_power_of_q2_minus_1(x, k):
-    q2_minus_1 = sc.Q * sc.EPS
-    assert sc.clear_eps(x)[0] == k
-    assert sc.QScalar(sc.clear_eps(x)[1].terms) == x * q2_minus_1 ** k
-    if k:
-        assert sc.clear_eps(x * q2_minus_1 ** (k - 1))[0] == 1
-
-
-def test_clear_eps_refuses_a_factor_outside_the_closed_basis():
-    with pytest.raises(ValueError, match="cannot clear"):
-        sc.clear_eps((sc.Q + 2).invert())
-
-
 @pytest.mark.parametrize("i", [0, 4, -1])
 def test_p_power_rejects_an_index_outside_one_to_three(i):
     with pytest.raises(ValueError, match="index"):

@@ -270,6 +270,17 @@ def test_cleared_check_names_a_missing_letter_as_the_plain_check_does():
                       sc.clear_denominators, None)
 
 
+@pytest.mark.parametrize("relations", [
+    [], [Relation("1 = 1", "test", UElement.one(), UElement.one())]])
+def test_cleared_check_with_no_generator_matrices_is_a_value_error(relations):
+    # no relation, or relations whose words have no letters: the plain check
+    # sizes nothing, but the cleared one has no matrix to size its identity
+    assert len(check_relations(relations, {}, QMatrix.identity(1))) \
+        == len(relations)
+    with pytest.raises(ValueError, match="no generator matrices"):
+        check_cleared(relations, {}, lambda c: c, sc.clear_denominators, None)
+
+
 # -- straightening output and input rules ----------------------------------------
 
 @pytest.mark.parametrize("route", [straighten, oracle_straighten])
