@@ -9,8 +9,8 @@ K1 -> p1 * id.  The module W has basis (N, M, v-index) with N unbounded
 Two independent action routes are implemented:
 
 * act        -- the closed-form action formulas, one per generator,
-                written once on one basis state over the functions of a
-                ring (_act_on_state) and extended linearly;
+                written once as a table of branches (_branches),
+                evaluated in QScalars and extended linearly;
 * act_oracle -- straighten g . E12^N E13^M via the rewriting engine, then
                 push the leftover A0 word into V through the matrices.
 
@@ -25,15 +25,16 @@ letter raises N by at most 1 and no relation word has more than two
 letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
 
 The module check builds those matrices directly in the Laurent ring of the
-symbolic Fock route (_cleared_module), by the Fock route's clearing rule:
-_act_on_state evaluates the closed forms in the ring _MODULE, where a value
-is a sum of terms, a QScalar coefficient times a Laurent boson factor
-(_Terms).  q^e and q^n - q^-n are factors, and 1/(q - q^-1) and the A0
-column values are coefficients, so [n] is never expanded and the entries
-stay as short as the Fock route's (at most 4 terms for both plug-ins).
-One scalars.clear_denominators call then clears all of a generator's
-coefficients, as _cleared_matrix clears c (q - q^-1)^-l, and (d_g, A_g)
-equal the Fock route's.  The words are cleared by superalgebra.check_cleared:
+symbolic Fock route (_cleared_module), by the Fock route's clearing rule.
+A branch of _branches(g, N, M) is c q^e [k]... |n,m> (x) (A0 word on v),
+the form of a Fock entry c q^(k(n-l)) [n]...[n-l+1]; it depends on no rep
+and no index of V.  act evaluates each branch in QScalars; _cleared_module
+clears every c (q - q^-1)^-len(ks) times its A0 column values with one
+scalars.clear_denominators call per generator, as _cleared_matrix clears
+c (q - q^-1)^-l, and multiplies each by the Laurent factor q^e and the
+q^k - q^-k, so [n] is never expanded, the entries stay as short as the
+Fock route's (at most 4 terms for both plug-ins) and (d_g, A_g) equal
+the Fock route's.  The words are cleared by superalgebra.check_cleared:
 the counts are those over Q(q, p), and a witness must be divided by the
 relation's L, as check_cleared says.  A rep whose matrices have a
 denominator factor outside q, q - 1 and q + 1, such as 1/(q + 2), is valid
@@ -42,7 +43,7 @@ but has no module check: clear_denominators refuses it (a ValueError).
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 from . import scalars as sc
@@ -103,6 +104,34 @@ def fermionic_gl11_rep():
         parity=(0, 1))
 
 
+_GL11_NAMES = ("e23", "e32", "k2", "k2inv", "k3", "k3inv")
+_A0_NAMES = ("E21", "E23", "E32", "K1", "K1inv", "K2", "K2inv", "K3", "K3inv")
+
+
+def _check_fields(mats, names, dim, parity):
+    """A RepresentationError naming the first malformed field: the matrix
+    names must be exactly names, each matrix a dim x dim QMatrix, and the
+    parity a tuple of dim entries, each 0 or 1."""
+    if not (isinstance(dim, int) and dim > 0):
+        raise RepresentationError("dim %r is not a positive int" % (dim,))
+    missing = [nm for nm in names if nm not in mats]
+    if missing:
+        raise RepresentationError("no matrix for %s" % missing[0])
+    extra = [nm for nm in mats if nm not in names]
+    if extra:
+        raise RepresentationError("%r is not one of %s"
+                                  % (extra[0], ", ".join(names)))
+    for nm in names:
+        m = mats[nm]
+        if not (isinstance(m, QMatrix) and m.nrows == m.ncols == dim):
+            raise RepresentationError("%s is not a %d x %d QMatrix"
+                                      % (nm, dim, dim))
+    if not (isinstance(parity, tuple) and len(parity) == dim
+            and all(p in (0, 1) for p in parity)):
+        raise RepresentationError("parity %r is not a tuple of %d entries, "
+                                  "each 0 or 1" % (parity, dim))
+
+
 def _check_rep(mats, dim, parity):
     """The relations of relation_set() whose letters all have matrices in
     mats, checked on the identity; then E23 and E32 must flip parity and
@@ -124,7 +153,9 @@ def _check_rep(mats, dim, parity):
 
 
 def validate_gl11_rep(rep):
-    """Check the defining relations among E23, E32, K2 and K3, and parity."""
+    """Check the defining relations among E23, E32, K2 and K3, and parity,
+    after _check_fields has refused a malformed rep."""
+    _check_fields(rep.mats, _GL11_NAMES, rep.dim, rep.parity)
     return _check_rep({nm.capitalize(): m for nm, m in rep.mats.items()},
                       rep.dim, rep.parity)
 
@@ -146,8 +177,10 @@ class A0Rep(_A0Fields):
 
     @cached_property
     def _mats(self):
-        """mats plus E31 = -E21 E32 + q^-1 E32 E21, built once."""
+        """mats plus E31 = -E21 E32 + q^-1 E32 E21, built once, after
+        _check_fields has refused a malformed rep."""
         m = self.mats
+        _check_fields(m, _A0_NAMES, self.dim, self.parity)
         e31 = -(m["E21"] * m["E32"]) + (m["E32"] * m["E21"]).scale(sc.QINV)
         return dict(m, E31=e31)
 
@@ -243,100 +276,68 @@ _K_WEIGHTS = {k + inv: (s * ua.k_weight(k, "E12"), s * ua.k_weight(k, "E13"))
               for k in ("K1", "K2", "K3") for inv, s in (("", 1), ("inv", -1))}
 
 
-class _Terms(tuple):
-    """A value of the module ring: a sum of terms (c, f), c a QScalar
-    coefficient and f a Laurent boson factor.  A product multiplies the
-    coefficients and the factors apart and a sum joins the terms, so
-    _cleared_module can clear all of one generator's coefficients at once."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if isinstance(other, _Terms):
-            return _Terms((c * d, f * h) for c, f in self for d, h in other)
-        return _Terms((c * other, f) for c, f in self)
-
-    def __add__(self, other):
-        return _Terms(tuple.__add__(self, other))
-
-    def __neg__(self):
-        return _Terms((-c, f) for c, f in self)
-
-
-# the rings _act_on_state evaluates its closed forms in: q^e, [n] and
-# 1/(q - q^-1).  _CANONICAL is that of QScalars.  In _MODULE, as on the
-# symbolic Fock route, q^e and q^n - q^-n are Laurent factors and each
-# 1/(q - q^-1) goes in the coefficient, so [n] is (1/(q - q^-1), q^n - q^-n)
-_CANONICAL = (sc.q_power, sc.q_integer, sc.EPS_INV)
-_MODULE = (cache(lambda e: _Terms([(sc.ONE, sc.laurent_q_power(e))])),
-           cache(lambda n: _Terms([(sc.EPS_INV, sc.laurent_q_number(n))])),
-           _Terms([(sc.EPS_INV, sc.laurent_q_power(0))]))
-
-
-def _act_on_state(g, N, M, i, rep, ring):
-    """The closed forms: g on the basis state |N,M> (x) v_i, as
-    {(n, m, r): value}, written once over the q^e, [n] and 1/(q - q^-1)
-    of ring; each value is a ring value times an A0 column's QScalar."""
-    q_power, q_number, eps_inv = ring
-    out = {}
-
-    def put(n, m, coeff, *word):
-        """coeff |n,m> (x) (the A0 word, right to left, on v_i)."""
-        for r, v in rep._column(tuple((nm, 1) for nm in word), i).items():
-            accumulate(out, (n, m, r), coeff * v)
-
-    one = q_power(0)
+def _branches(g, N, M):
+    """The closed forms: g on |N,M> (x) v as a list of branches
+    (n, m, c, e, ks, word), each c q^e prod([k] for k in ks) |n,m> (x)
+    (the A0 word, right to left, on v), with c a QScalar +-1 or
+    +-1/(q - q^-1), e an int, ks () or (N,) and word a tuple of A0 letters:
+    the form c q^(k(n-l)) [n]...[n-l+1] of a Fock entry."""
+    one, eps_inv = sc.ONE, sc.EPS_INV
     if g in _K_WEIGHTS:
         a, b = _K_WEIGHTS[g]
-        put(N, M, q_power(a * N + b * M), g)
-    elif g == "E12":
-        put(N + 1, M, one)
-    elif g == "E13":
+        return [(N, M, one, a * N + b * M, (), ((g, 1),))]
+    if g == "E12":
+        return [(N + 1, M, one, 0, (), ())]
+    if g == "E13":
+        return [(N, 1, one, -N, (), ())] if M == 0 else []
+    if g == "E23":
+        lower = [(N - 1, 1, -one, 1, (N,), ())] if N > 0 and M == 0 else []
+        return lower + [(N, M, -one if M else one, N + M, (), (("E23", 1),))]
+    if g == "E32":
         if M == 0:
-            put(N, 1, q_power(-N))
-    elif g == "E23":
-        if N > 0 and M == 0:
-            put(N - 1, 1, -(q_power(1) * q_number(N)))
-        put(N, M, -q_power(N + M) if M else q_power(N + M), "E23")
-    elif g == "E32":
-        if M == 1:
-            put(N + 1, 0, q_power(-1), "K2", "K3")
-            put(N, 1, -one, "E32")
-        else:
-            put(N, 0, one, "E32")
-    elif g == "E21":
+            return [(N, 0, one, 0, (), (("E32", 1),))]
+        return [(N + 1, 0, one, -1, (), (("K2", 1), ("K3", 1))),
+                (N, 1, -one, 0, (), (("E32", 1),))]
+    out = []
+    if g == "E21":
         if N > 0:
-            base = q_number(N) * eps_inv
-            put(N - 1, M, -(base * q_power(N + M - 1)), "K1", "K2inv")
-            put(N - 1, M, base * q_power(-N - M + 1), "K1inv", "K2")
+            base = (N,)
+            out += [(N - 1, M, -eps_inv, N + M - 1, base,
+                     (("K1", 1), ("K2inv", 1))),
+                    (N - 1, M, eps_inv, -N - M + 1, base,
+                     (("K1inv", 1), ("K2", 1)))]
         if M == 1:
-            put(N, 0, one, "E23", "K1inv", "K2")
-        put(N, M, one, "E21")
-    else:  # E31
-        signed = -one if M else one
-        if M == 1:
-            if N > 0:
-                put(N, 0, q_power(N - 1) * q_number(N), "K1", "K3")
-            # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
-            cartan = q_power(-1) * eps_inv
-            put(N, 0, cartan, "K1", "K3")
-            put(N, 0, -cartan, "K1inv", "K3inv")
+            out.append((N, 0, one, 0, (), (("E23", 1), ("K1inv", 1),
+                                           ("K2", 1))))
+        return out + [(N, M, one, 0, (), (("E21", 1),))]
+    # E31
+    signed = -one if M else one
+    if M == 1:
         if N > 0:
-            put(N - 1, M, signed * q_power(N + M - 2) * q_number(N),
-                "K1", "K2inv", "E32")
-        put(N, M, signed, "E31")
-    return out
+            out.append((N, 0, one, N - 1, (N,), (("K1", 1), ("K3", 1))))
+        # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
+        cartan = eps_inv
+        out += [(N, 0, cartan, -1, (), (("K1", 1), ("K3", 1))),
+                (N, 0, -cartan, -1, (), (("K1inv", 1), ("K3inv", 1)))]
+    if N > 0:
+        out.append((N - 1, M, signed, N + M - 2, (N,),
+                    (("K1", 1), ("K2inv", 1), ("E32", 1))))
+    return out + [(N, M, signed, 0, (), (("E31", 1),))]
 
 
 def act(g, x, rep):
     """Closed-form action of a generator on an induced-module vector: the
-    linear extension of _act_on_state over x's terms, in QScalars."""
+    branches of _branches evaluated in QScalars, extended linearly."""
     ua.check_generator(g)
     out = {}
     for (N, M, i), c in x.terms.items():
         _check_term(N, M, i, rep)
-        for key, v in _act_on_state(g, N, M, i, rep, _CANONICAL).items():
-            accumulate(out, key, c * v)
+        for n, m, b, e, ks, word in _branches(g, N, M):
+            amp = c * b * sc.q_power(e)
+            for k in ks:
+                amp = amp * sc.q_integer(k)
+            for r, v in rep._column(word, i).items():
+                accumulate(out, (n, m, r), amp * v)
     return InducedVector(out)
 
 
@@ -360,26 +361,33 @@ def apply_uelement(el, x, rep):
 
 def _cleared_module(rep, nmax):
     """{g: (d_g, A_g)}: A_g / d_g the matrix of g on the states N <= nmax,
-    ordered by (N, M, index), from one _act_on_state call per state in the
-    ring _MODULE.  As _cleared_matrix does on the Fock route, one
-    clear_denominators call clears all of g's coefficients, and an entry
-    is the sum of its cleared coefficients times their boson factors."""
-    states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
-              for i in range(rep.dim)]
-    index = {state: k for k, state in enumerate(states)}
+    ordered by (N, M, index), from one _branches call per (g, N, M).  As
+    _cleared_matrix does on the Fock route, one clear_denominators call
+    clears all of g's values c (q - q^-1)^-len(ks) times an A0 column's
+    entry, and an entry sums each cleared value times its boson factor
+    q^e prod(q^k - q^-k for k in ks)."""
+    D = 2 * rep.dim * (nmax + 1)
     zero = sc.laurent_q_power(0) - sc.laurent_q_power(0)
     cleared = {}
     for g in ACT_GENERATORS:
-        terms = [(index[target], col, c, f)
-                 for col, state in enumerate(states)
-                 for target, v in _act_on_state(g, *state, rep,
-                                                _MODULE).items()
-                 if target in index for c, f in v]
+        terms = []
+        for N in range(nmax + 1):
+            for M in (0, 1):
+                for n, m, c, e, ks, word in _branches(g, N, M):
+                    if n > nmax:
+                        continue
+                    c = c * sc.EPS_INV ** len(ks)
+                    factor = sc.laurent_q_power(e)
+                    for k in ks:
+                        factor = factor * sc.laurent_q_number(k)
+                    col, row = (2 * N + M) * rep.dim, (2 * n + m) * rep.dim
+                    terms += [(row + r, col + i, c * v, factor)
+                              for i in range(rep.dim)
+                              for r, v in rep._column(word, i).items()]
         d, coeffs = sc.clear_denominators(c for _, _, c, _ in terms)
         cleared[g] = d, QMatrix.from_entries(
-            len(states), len(states),
-            ((row, col, a * f) for (row, col, _, f), a in zip(terms, coeffs)),
-            zero)
+            D, D, ((row, col, a * f) for (row, col, _, f), a
+                   in zip(terms, coeffs)), zero)
     return cleared
 
 

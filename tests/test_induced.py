@@ -72,6 +72,39 @@ def test_corrupted_a0rep_reports_relations(fermionic_rep):
     assert any("E23, E32" in n for n in names)
 
 
+def _without(rep, *names):
+    return rep._replace(mats={nm: m for nm, m in rep.mats.items()
+                              if nm not in names})
+
+
+MALFORMED = {
+    "short parity": (fermionic_gl11_rep()._replace(parity=(0,)), "parity"),
+    "no k3": (_without(fermionic_gl11_rep(), "k3", "k3inv"), "k3"),
+    "no e32": (_without(fermionic_gl11_rep(), "e32"), "e32"),
+    "no A0 matrices": (A0Rep(dim=1, mats={}, parity=(0,)), "E21"),
+    "3 x 3 E23": (A0Rep(dim=2, mats=dict(
+        highest_weight_a0rep(fermionic_gl11_rep()).mats,
+        E23=QMatrix.zero(3)), parity=(0, 1)), "E23 is not a 2 x 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_reps_are_refused_before_any_relation(case):
+    # a rep with missing matrices, a matrix of the wrong shape or a short
+    # parity is refused by name, by every consumer of its type
+    rep, problem = MALFORMED[case]
+    if isinstance(rep, Gl11Rep):
+        uses = [validate_gl11_rep, highest_weight_a0rep]
+    else:
+        uses = [validate_a0rep, lambda r: r.mat("K2"),
+                lambda r: act("K2", state(0, 0, 0), r),
+                lambda r: act_oracle("K2", state(0, 0, 0), r),
+                lambda r: check_relations_on_module(r, 2)]
+    for use in uses:
+        with pytest.raises(RepresentationError, match=problem):
+            use(rep)
+
+
 # -- closed-form action -------------------------------------------------------
 
 def test_act_e12_raises(fermionic_rep):
@@ -310,16 +343,17 @@ def test_e31_is_built_once_per_rep(monkeypatch):
 def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     calls = []
-    act_on_state = induced._act_on_state
+    branches = induced._branches
 
-    def counting(g, N, M, i, r, ring):
+    def counting(g, N, M):
         calls.append(g)
-        return act_on_state(g, N, M, i, r, ring)
+        return branches(g, N, M)
 
-    monkeypatch.setattr(induced, "_act_on_state", counting)
+    monkeypatch.setattr(induced, "_branches", counting)
     assert all_passed(check_relations_on_module(rep, 6))
-    # 12 generators x 7 levels N <= 6 x 2 values of M x dim 2
-    assert len(calls) == 336
+    # 12 generators x 7 levels N <= 6 x 2 values of M: a branch does not
+    # depend on the index in V
+    assert len(calls) == 168
 
 
 # -- the module route builds the Fock route's cleared matrices ----------------
@@ -356,6 +390,24 @@ def test_module_and_fock_routes_build_the_same_matrices(mode):
                                      7)
     for g in ACT_GENERATORS:
         assert module[g] == rz._cleared_matrix(images[g], 8, modes)
+
+
+@pytest.mark.parametrize("mode", sorted(GL11_REPS))
+def test_act_and_the_module_route_evaluate_the_same_branches(mode):
+    # act and _cleared_module read _branches apart, in QScalars and in the
+    # Laurent ring: d_g times act's column is A_g's, entry for entry
+    rep = highest_weight_a0rep(GL11_REPS[mode]())
+    states = [(N, M, i) for N in range(8) for M in (0, 1)
+              for i in range(rep.dim)]
+    index = {s: k for k, s in enumerate(states)}
+    module = induced._cleared_module(rep, 7)
+    for g in ACT_GENERATORS:
+        d, a = module[g]
+        by_act = {(index[t], col): v * d for col, s in enumerate(states)
+                  for t, v in act(g, state(*s), rep).terms.items()
+                  if t in index}
+        assert by_act == {(i, j): sc.QScalar(v.terms)
+                          for i, j, v in a.iter_entries()}
 
 
 def test_the_matrix_comparison_catches_the_rescaling_probe():

@@ -198,14 +198,14 @@ E12_BY_TWO_BREAKS = {
 
 
 def _e12_by_two(monkeypatch):
-    act_on_state = ind._act_on_state
+    branches = ind._branches
 
-    def e12_by_two(g, N, M, i, rep, ring):
+    def e12_by_two(g, N, M):
         if g == "E12":
-            return {(N + 2, M, i): ring[0](0)}
-        return act_on_state(g, N, M, i, rep, ring)
+            return [(N + 2, M, sc.ONE, 0, (), ())]
+        return branches(g, N, M)
 
-    monkeypatch.setattr(ind, "_act_on_state", e12_by_two)
+    monkeypatch.setattr(ind, "_branches", e12_by_two)
 
 
 def test_module_truncation_hides_no_fault(monkeypatch):
@@ -268,13 +268,13 @@ DOUBLED_CARTAN_BREAKS = {
 def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
     # a mutant of one branch of act, made from its source: only E31 on the
     # states with M = 1 changes, so act_oracle disagrees there alone
-    line = "cartan = q_power(-1) * eps_inv"
-    source = inspect.getsource(ind._act_on_state)
+    line = "cartan = eps_inv"
+    source = inspect.getsource(ind._branches)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "cartan = q_power(-1) * (eps_inv + eps_inv)"),
+    exec(compile(source.replace(line, "cartan = eps_inv + eps_inv"),
                  ind.__file__, "exec"), namespace)
-    monkeypatch.setattr(ind, "_act_on_state", namespace["_act_on_state"])
+    monkeypatch.setattr(ind, "_branches", namespace["_branches"])
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
                         ("fermionic", ind.fermionic_gl11_rep())):
         rep = ind.highest_weight_a0rep(gl11)
@@ -322,13 +322,13 @@ def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
     # [N] read as [N + 1] in the E21 branch of act, made from its source:
     # the module route evaluates that branch in the Laurent ring, the grid
     # in QScalars, and both see the fault, at E21 on the states N > 0 only
-    line = "base = q_number(N) * eps_inv"
-    source = inspect.getsource(ind._act_on_state)
+    line = "base = (N,)"
+    source = inspect.getsource(ind._branches)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "base = q_number(N + 1) * eps_inv"),
+    exec(compile(source.replace(line, "base = (N + 1,)"),
                  ind.__file__, "exec"), namespace)
-    monkeypatch.setattr(ind, "_act_on_state", namespace["_act_on_state"])
+    monkeypatch.setattr(ind, "_branches", namespace["_branches"])
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
                         ("fermionic", ind.fermionic_gl11_rep())):
         rep = ind.highest_weight_a0rep(gl11)

@@ -32,6 +32,8 @@ def test_verify_all_defaults_are_the_cli_defaults(monkeypatch, capsys):
         m.setattr(sys, "argv", ["verify_all.py"])
         assert runpy.run_path(str(ROOT / "scripts" / "verify_all.py"))[
             "main"]() == 0
+    # every suite of the CLI is in the battery
+    assert {argv[1] for argv in commands} == set(cli.VERIFY_SUITES)
     # each engine returns no results, so a report is the title alone, and
     # the title names the size the suite ran at
     for module, name in ((cli.ua, "check_straightening_identities"),
