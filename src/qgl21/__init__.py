@@ -11,6 +11,7 @@ from .scalars import (
 from .walgebra import (
     WMonomial, WElement, generator, w_mul, supercommutator, substitute_gl11,
     render_element, ParityError, SubstitutionError,
+    Gl11Rep, trivial_gl11_rep, fermionic_gl11_rep,
 )
 from .superalgebra import (
     UElement, Relation, StraightenTerm, relation_set, relation_families,
@@ -18,9 +19,8 @@ from .superalgebra import (
     e13_definition, e31_definition,
 )
 from .induced import (
-    Gl11Rep, A0Rep, InducedVector, trivial_gl11_rep, fermionic_gl11_rep,
-    validate_gl11_rep, highest_weight_a0rep, validate_a0rep,
-    act, act_oracle, apply_uelement, check_relations_on_module,
+    A0Rep, InducedVector, validate_gl11_rep, highest_weight_a0rep,
+    validate_a0rep, act, act_oracle, apply_uelement, check_relations_on_module,
     RepresentationError,
 )
 from .realization import (

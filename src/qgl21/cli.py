@@ -67,7 +67,7 @@ def _build_parser():
                        help="grid bound for " + _sizes("nmax"))
     p_ver.add_argument("--dim", type=int, default=None,
                        help="Fock dimension for " + _sizes("dim"))
-    p_ver.add_argument("--mode", choices=("trivial", "fermionic"),
+    p_ver.add_argument("--mode", choices=wa.GL11_PLUG_INS,
                        help="subalgebra realization for the fock suite "
                             "(default fermionic)")
     p_ver.add_argument("--numeric", action="store_true", default=None,
@@ -79,7 +79,7 @@ def _build_parser():
     p_mat.add_argument("--dim", type=int, required=True,
                        help="boson levels of the truncated Fock space "
                             "(%d..%d)" % MATRIX_DIMS)
-    p_mat.add_argument("--mode", choices=("trivial", "fermionic"),
+    p_mat.add_argument("--mode", choices=wa.GL11_PLUG_INS,
                        default="trivial",
                        help="subalgebra realization of an abstract "
                             "generator (default trivial)")
@@ -155,10 +155,9 @@ def _cmd_verify(args):
                 "(n <= %d)" % size
     elif suite == "induced":
         results = [r._replace(name="%s: %s" % (label, r.name))
-                   for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
-                                       ("fermionic", ind.fermionic_gl11_rep()))
+                   for label, plug_in in wa.GL11_PLUG_INS.items()
                    for r in ind.check_relations_on_module(
-                       ind.highest_weight_a0rep(gl11), size)]
+                       ind.highest_weight_a0rep(plug_in()), size)]
         title = "defining relations on the induced module (Nmax = %d)" % size
     elif suite == "fock":
         mode = args.mode or "fermionic"

@@ -3,8 +3,10 @@
 A0Rep is a finite-dimensional representation of the parabolic subalgebra A0
 (generated by E21, E23, E32 and the K_i^{+-1}) on a graded space V; from a
 gl(1/1) representation one builds the highest-weight A0Rep with E21 -> 0 and
-K1 -> p1 * id.  The module W has basis (N, M, v-index) with N unbounded
-(states materialize lazily) and M in {0, 1}.
+K1 -> p1 * id.  The two plug-ins, trivial_gl11_rep and fermionic_gl11_rep,
+are defined in walgebra beside their W substitution and imported here.
+The module W has basis (N, M, v-index) with N unbounded (states
+materialize lazily) and M in {0, 1}.
 
 Two independent action routes are implemented:
 
@@ -37,8 +39,8 @@ Fock route's (at most 4 terms for both plug-ins) and (d_g, A_g) equal
 the Fock route's.  The words are cleared by superalgebra.check_cleared:
 the counts are those over Q(q, p), and a witness must be divided by the
 relation's L, as check_cleared says.  A rep whose matrices have a
-denominator factor outside q, q - 1 and q + 1, such as 1/(q + 2), is valid
-but has no module check: clear_denominators refuses it (a ValueError).
+denominator factor outside q, q - 1 and q + 1, such as 1/(q + 2), is
+cleared too: clear_denominators takes the lcm of those factors into d_g.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from . import superalgebra as ua
 from .linear import Combination, accumulate
 from .qmatrix import QMatrix
 from .reporting import CheckResult, check_size
+# the gl(1/1) plug-ins live beside their W substitution; read from here too
+from .walgebra import Gl11Rep, fermionic_gl11_rep, trivial_gl11_rep
 
 
 class RepresentationError(ValueError):
@@ -58,51 +62,8 @@ class RepresentationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# gl(1/1) plug-ins
+# checking the gl(1/1) plug-ins
 # ---------------------------------------------------------------------------
-
-class Gl11Rep(NamedTuple):
-    """Matrices for e23, e32, k2, k3 (and inverses) on a graded space."""
-    dim: int
-    mats: dict
-    parity: tuple
-
-
-def trivial_gl11_rep():
-    """One-dimensional: e's -> 0, k2 -> p2, k3 -> p2^-1."""
-    z = QMatrix.zero(1)
-    return Gl11Rep(
-        dim=1,
-        mats={
-            "e23": z, "e32": z,
-            "k2": QMatrix.identity(1, sc.P2),
-            "k2inv": QMatrix.identity(1, sc.P2.invert()),
-            "k3": QMatrix.identity(1, sc.P2.invert()),
-            "k3inv": QMatrix.identity(1, sc.P2),
-        },
-        parity=(0,))
-
-
-def fermionic_gl11_rep():
-    """Two-dimensional fermion-mode realization: e23 -> b2+,
-    e32 -> [lambda2+lambda3] b2, k2 -> p2 diag(1, q), k3 -> p3 diag(1, q^-1)."""
-    lam = (sc.P2 * sc.P3 - (sc.P2 * sc.P3).invert()) * sc.EPS_INV
-
-    def diag(a, b):
-        return QMatrix.from_entries(2, 2, [(0, 0, a), (1, 1, b)])
-
-    return Gl11Rep(
-        dim=2,
-        mats={
-            "e23": QMatrix.from_entries(2, 2, [(1, 0, sc.ONE)]),
-            "e32": QMatrix.from_entries(2, 2, [(0, 1, lam)]),
-            "k2": diag(sc.P2, sc.P2 * sc.Q),
-            "k2inv": diag(sc.P2.invert(), (sc.P2 * sc.Q).invert()),
-            "k3": diag(sc.P3, sc.P3 * sc.QINV),
-            "k3inv": diag(sc.P3.invert(), (sc.P3 * sc.QINV).invert()),
-        },
-        parity=(0, 1))
-
 
 _GL11_NAMES = ("e23", "e32", "k2", "k2inv", "k3", "k3inv")
 _A0_NAMES = ("E21", "E23", "E32", "K1", "K1inv", "K2", "K2inv", "K3", "K3inv")

@@ -58,7 +58,7 @@ from .reporting import check_size, residual_results
 from .scalars import QScalar
 from .walgebra import generator, substitute_gl11, w_mul
 
-SUBALGEBRA_MODES = ("abstract", "trivial", "fermionic")
+SUBALGEBRA_MODES = ("abstract", *wa.GL11_PLUG_INS)
 
 GENERATOR_IMAGE_NAMES = ua.GENERATORS
 
@@ -305,10 +305,13 @@ def _assigned_rational(assignment, name):
 
 def _check_assignment(assignment):
     """The assignment with Fraction values; a ValueError names the variable
-    of a missing, non-rational or singular value, or an unknown name."""
-    unknown = sorted(set(assignment) - set(sc.VAR_NAMES))
+    of a missing, non-rational or singular value, or an unknown key: the
+    first unknown name in sorted order, else the first other key given."""
+    unknown = [k for k in assignment if k not in sc.VAR_NAMES]
     if unknown:
-        raise ValueError("%s is not one of q, p1, p2, p3" % unknown[0])
+        names = sorted(k for k in unknown if isinstance(k, str))
+        raise ValueError("%s is not one of q, p1, p2, p3"
+                         % ((names or unknown)[0],))
     values = {name: _assigned_rational(assignment, name) for name in assignment}
     q = values.get("q")
     if q is None:
@@ -349,7 +352,7 @@ def check_relations_on_fock(mode, D, assignment=None):
     words raise the boson number by up to s.  One sequence for both
     fields: only the builder of (d_g, A_g) and the words' value and clear
     rule depend on whether an assignment is given."""
-    if mode not in ("trivial", "fermionic"):
+    if mode not in tuple(wa.GL11_PLUG_INS):
         raise ValueError("Fock checks need a concrete subalgebra mode")
     check_size(D, 4, "Fock dimension")
     modes = fock_modes(mode)

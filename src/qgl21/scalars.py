@@ -62,8 +62,9 @@ exponent that is not an int (a ValueError).  Every operand and every
 linear.py coefficient goes through the one rule _coerce.
 
 clear_denominators is the one way out of the field: it multiplies a set of
-values by the lcm c * (q - 1)^I * (q + 1)^J of their denominators and gives
-each product as a Laurent, a Laurent polynomial over Z whose + and * are
+values by the lcm c * (q - 1)^I * (q + 1)^J * L of their denominators (L
+the lcm of their F, 1 on the engine's own routes) and gives each product
+as a Laurent, a Laurent polynomial over Z whose + and * are
 _p_add and _p_mul and which is never cancelled.  The symbolic Fock and
 module checks multiply those; laurent_q_power and laurent_q_number give
 q^e and q^m - q^-m in that ring, so its key format is spelled in this
@@ -879,20 +880,20 @@ def q_integer(n):
 
 def clear_denominators(values):
     """(d, [x * d for x in values]) for QScalars values: d, a QScalar, is
-    the lcm c * (q - 1)^I * (q + 1)^J of their denominators (a monomial
-    of a denominator stays in the negative exponents), and each x * d is
-    a Laurent.  A value whose denominator has a factor F outside that
-    basis is a ValueError, never cleared silently."""
+    the lcm c * (q - 1)^I * (q + 1)^J * L of their denominators, with L the
+    lcm of their factors F (a monomial of a denominator stays in the
+    negative exponents), and each x * d is a Laurent."""
     values = list(values)
-    for x in values:
-        if x._F is not None:
-            raise ValueError("cannot clear %s: its denominator has a factor "
-                             "other than q, q - 1 and q + 1" % x.render())
     c = lcm(*(x._c for x in values))
     i = max((x._i for x in values), default=0)
     j = max((x._j for x in values), default=0)
-    return (_new(_lift(_ONE_POLY, c, i, j, None), 1, 0, 0, None),
-            [Laurent(_lift(x._N, c // x._c, i - x._i, j - x._j, None))
+    f = None        # L, as lcm(L, F) = L * F / gcd(L, F)
+    for x in values:
+        if x._F is not None:
+            f = x._F if f is None else _p_mul(f, _p_cancel(x._F, f)[0])
+    return (_new(_lift(_ONE_POLY, c, i, j, f), 1, 0, 0, None),
+            [Laurent(_lift(x._N, c // x._c, i - x._i, j - x._j,
+                           f if x._F is None else _p_div_exact(f, x._F)))
              for x in values])
 
 

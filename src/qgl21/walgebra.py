@@ -36,6 +36,13 @@ SYMBOLS spells this basis: one symbol per WMonomial field, in field order.
 The generator table, the rendering and the boson/fermion split of w_mul
 are read from it.
 
+The two gl(1/1) plug-ins live here, each defined once as the Gl11Rep
+matrices of e23, e32, k2, k3 that the induced module also accepts, and
+GL11_PLUG_INS is the one table of their names.  substitute_gl11 reads a
+monomial's image off those matrices: e32^eps k2^al k3^be e23^de becomes
+their product, a scalar in dimension 1 and, in dimension 2, a sum of the
+matrix units |i><j| of the mode-2 fermion.
+
 WElements are immutable values; everything here is a pure function.
 """
 
@@ -46,6 +53,7 @@ from typing import NamedTuple
 
 from . import scalars as sc
 from .linear import Combination, accumulate, render_terms
+from .qmatrix import QMatrix
 from .scalars import QScalar
 
 
@@ -335,58 +343,98 @@ def supercommutator(x, y):
 
 
 # ---------------------------------------------------------------------------
-# gl(1/1) plug-in substitution
+# gl(1/1) plug-ins and their substitution
 # ---------------------------------------------------------------------------
 
-_P2MON = WMonomial(0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0)   # b2+ b2
+class Gl11Rep(NamedTuple):
+    """Matrices for e23, e32, k2, k3 (and inverses) on a graded space."""
+    dim: int
+    mats: dict
+    parity: tuple
 
 
-def _occupation_weight(p_index, power, qexp):
-    """p^power (b2 b2+ + q^qexp b2+ b2) = p^power (1 + (q^qexp - 1) b2+ b2)."""
-    p = sc.p_power(p_index, power)
-    return WElement.term(UNIT, p) \
-        + WElement.term(_P2MON, p * (sc.q_power(qexp) - sc.ONE))
+def trivial_gl11_rep():
+    """One-dimensional: e's -> 0, k2 -> p2, k3 -> p2^-1."""
+    z = QMatrix.zero(1)
+    return Gl11Rep(
+        dim=1,
+        mats={
+            "e23": z, "e32": z,
+            "k2": QMatrix.identity(1, sc.P2),
+            "k2inv": QMatrix.identity(1, sc.P2.invert()),
+            "k3": QMatrix.identity(1, sc.P2.invert()),
+            "k3inv": QMatrix.identity(1, sc.P2),
+        },
+        parity=(0,))
+
+
+def fermionic_gl11_rep():
+    """Two-dimensional fermion-mode realization: e23 -> b2+,
+    e32 -> [lambda2+lambda3] b2, k2 -> p2 diag(1, q), k3 -> p3 diag(1, q^-1)."""
+    lam = (sc.P2 * sc.P3 - (sc.P2 * sc.P3).invert()) * sc.EPS_INV
+
+    def diag(a, b):
+        return QMatrix.from_entries(2, 2, [(0, 0, a), (1, 1, b)])
+
+    return Gl11Rep(
+        dim=2,
+        mats={
+            "e23": QMatrix.from_entries(2, 2, [(1, 0, sc.ONE)]),
+            "e32": QMatrix.from_entries(2, 2, [(0, 1, lam)]),
+            "k2": diag(sc.P2, sc.P2 * sc.Q),
+            "k2inv": diag(sc.P2.invert(), (sc.P2 * sc.Q).invert()),
+            "k3": diag(sc.P3, sc.P3 * sc.QINV),
+            "k3inv": diag(sc.P3.invert(), (sc.P3 * sc.QINV).invert()),
+        },
+        parity=(0, 1))
+
+
+# every list of plug-in names reads this table, in this order
+GL11_PLUG_INS = {"trivial": trivial_gl11_rep, "fermionic": fermionic_gl11_rep}
 
 
 @cache
-def _fermionic_odd():
-    # [lambda2 + lambda3] b2 = (p2 p3 - p2^-1 p3^-1)/(q - q^-1) b2
-    c = (sc.P2 * sc.P3 - (sc.P2 * sc.P3).invert()) * sc.EPS_INV
-    return generator("b2+"), generator("b2").scale(c)
+def _plug_in(name):
+    return GL11_PLUG_INS[name]()
+
+
+# |i><j| of a plug-in matrix as a W element: the scalar 1 in dimension 1,
+# the mode-2 fermion in dimension 2, where |0><0| = b2 b2+ = 1 - b2+ b2
+_OCCUPIED = w_mul(generator("b2+"), generator("b2"))
+_MATRIX_UNITS = {1: {(0, 0): one()},
+                 2: {(0, 0): one() - _OCCUPIED, (0, 1): generator("b2"),
+                     (1, 0): generator("b2+"), (1, 1): _OCCUPIED}}
 
 
 def substitute_gl11(x, realization):
-    """Replace the abstract gl(1/1) factor by a concrete realization.
+    """Replace the abstract gl(1/1) factor by a plug-in of GL11_PLUG_INS:
+    each monomial's e32^eps k2^al k3^be e23^de becomes the product of the
+    plug-in's matrices, read as a W element by _MATRIX_UNITS.
 
     'trivial':   e23, e32 -> 0, k2 -> p2, k3 -> p2^-1.
     'fermionic': e23 -> b2+, e32 -> [lambda2+lambda3] b2,
                  k2 -> p2 (b2 b2+ + q b2+ b2), k3 -> p3 (b2 b2+ + q^-1 b2+ b2);
                  the mode-2 slots of x must be free, they receive the image.
     """
-    if realization not in ("trivial", "fermionic"):
+    # a tuple, not the dict: an unhashable name is refused, not a TypeError
+    if realization not in tuple(GL11_PLUG_INS):
         raise SubstitutionError("unknown gl(1/1) realization %r" % realization)
+    rep = _plug_in(realization)
+    units = _MATRIX_UNITS[rep.dim]
     out = WElement.zero()
     for mon, c in x.terms.items():
-        west = WElement({mon._replace(eps=0, al=0, be=0, de=0): c})
-        if realization == "trivial":
-            if mon.eps or mon.de:
-                continue
-            out = out + west.scale(sc.p_power(2, mon.al - mon.be))
-            continue
-        if mon.i2 or mon.j2:
+        if rep.dim == 2 and (mon.i2 or mon.j2):
             raise SubstitutionError(
                 "mode-2 fermion slot occupied; it is reserved for the image")
-        img_e23, img_e32 = _fermionic_odd()
-        acc = west
-        if mon.eps:
-            acc = w_mul(acc, img_e32)
-        if mon.al:
-            acc = w_mul(acc, _occupation_weight(2, mon.al, mon.al))
-        if mon.be:
-            acc = w_mul(acc, _occupation_weight(3, mon.be, -mon.be))
-        if mon.de:
-            acc = w_mul(acc, img_e23)
-        out = out + acc
+        m = QMatrix.identity(rep.dim)
+        for name, exp in zip(_FG_SLOTS[4:], mon[7:]):   # e32, k2, k3, e23
+            if exp:
+                m = m * sc.power(rep.mats[name if exp > 0 else name + "inv"],
+                                 abs(exp))
+        image = sum((units[i, j].scale(v) for i, j, v in m.iter_entries()),
+                    WElement.zero())
+        west = WElement({mon._replace(eps=0, al=0, be=0, de=0): c})
+        out = out + w_mul(west, image)
     return out
 
 

@@ -12,7 +12,7 @@ import qgl21.scalars as sc
 from qgl21 import cli
 from qgl21 import walgebra as wa
 from qgl21.parsing import parse_scalar, parse_w
-from qgl21.realization import fock_matrix, rho
+from qgl21.realization import SUBALGEBRA_MODES, fock_matrix, rho
 from qgl21.reporting import CheckResult
 from qgl21.walgebra import w_mul
 
@@ -417,3 +417,17 @@ def test_cli_set_up_loads_no_code_generation_modules():
     loaded = set(proc.stdout.split())
     assert "qgl21.cli" in loaded
     assert not loaded & CODEGEN_MODULES
+
+
+def test_plug_in_name_lists_follow_the_plug_in_table(capsys, monkeypatch):
+    assert SUBALGEBRA_MODES == ("abstract", *wa.GL11_PLUG_INS)
+    # the table reversed: both --mode choices and the order of the induced
+    # suite's blocks follow it
+    monkeypatch.setattr(wa, "GL11_PLUG_INS",
+                        dict(reversed(wa.GL11_PLUG_INS.items())))
+    for command in ("verify", "matrix"):
+        _, out, _ = run(capsys, command, "--help")
+        assert "--mode {fermionic,trivial}" in out
+    code, out, _ = run(capsys, "verify", "induced", "--nmax", "2")
+    labels = [line.split(":")[0] for line in out.splitlines() if ": " in line]
+    assert code == 0 and labels == ["fermionic"] * 37 + ["trivial"] * 37

@@ -361,6 +361,18 @@ def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
 GL11_REPS = {"trivial": trivial_gl11_rep, "fermionic": fermionic_gl11_rep}
 
 
+def _outside_factor_rep(factor=sc.Q + 2):
+    """The fermionic plug-in with e32 over factor and e23 times it: valid,
+    with a denominator factor outside q, q - 1 and q + 1."""
+    rep = fermionic_gl11_rep()
+    mats = rep.mats
+    return rep._replace(mats=dict(mats, e32=mats["e32"].scale(factor.invert()),
+                                  e23=mats["e23"].scale(factor)))
+
+
+MODULE_REPS = dict(GL11_REPS, **{"outside-factor": _outside_factor_rep})
+
+
 def _fock_mismatches(mode, images):
     """The generators g whose cleared module matrix at nmax 7, A_mod / d_mod,
     is not the cleared Fock matrix of images[g] at D = 8, A_fock / d_fock:
@@ -392,11 +404,11 @@ def test_module_and_fock_routes_build_the_same_matrices(mode):
         assert module[g] == rz._cleared_matrix(images[g], 8, modes)
 
 
-@pytest.mark.parametrize("mode", sorted(GL11_REPS))
+@pytest.mark.parametrize("mode", sorted(MODULE_REPS))
 def test_act_and_the_module_route_evaluate_the_same_branches(mode):
     # act and _cleared_module read _branches apart, in QScalars and in the
     # Laurent ring: d_g times act's column is A_g's, entry for entry
-    rep = highest_weight_a0rep(GL11_REPS[mode]())
+    rep = highest_weight_a0rep(MODULE_REPS[mode]())
     states = [(N, M, i) for N in range(8) for M in (0, 1)
               for i in range(rep.dim)]
     index = {s: k for k, s in enumerate(states)}
@@ -408,6 +420,20 @@ def test_act_and_the_module_route_evaluate_the_same_branches(mode):
                   if t in index}
         assert by_act == {(i, j): sc.QScalar(v.terms)
                           for i, j, v in a.iter_entries()}
+
+
+@pytest.mark.parametrize("factor", [sc.Q + 2, sc.Q * sc.P1 + 1])
+@pytest.mark.parametrize("nmax", [3, 4])
+def test_module_check_clears_a_denominator_factor_outside_the_basis(factor,
+                                                                    nmax):
+    rep = highest_weight_a0rep(_outside_factor_rep(factor))
+    assert all_passed(validate_a0rep(rep))
+    results = check_relations_on_module(rep, nmax)
+    assert len(results) == 37 and all_passed(results)
+    # the plug-in's e32 carries 1/factor, so E32's d takes factor beside
+    # the q^2 - 1 it has on the engine's own reps
+    assert induced._cleared_module(rep, nmax)["E32"][0] \
+        == (sc.Q * sc.Q - 1) * factor
 
 
 def test_the_matrix_comparison_catches_the_rescaling_probe():

@@ -346,6 +346,30 @@ def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
                           for M in (0, 1) for i in range(rep.dim)}
 
 
+# -- the Dyson factor [N+1]/(N+1) read as [N+1]/(N+2) ------------------------------
+
+DYSON_FACTOR_BREAKS = {
+    "a from [N+1]/(N+1) A matches the q-boson a": 5,
+    "a a+ - q^-1 a+ a = q^x": 5,
+    "a a+ - q a+ a = q^-x": 5,
+}
+
+
+def test_dyson_check_catches_a_shifted_factor_denominator():
+    # a mutant of dyson_check, made from its source: the Dyson a then misses
+    # the q-boson a on each of its D - 1 = 5 nonzero entries, and the two
+    # q-boson relations that contain a fail with 5 residuals each
+    line = "QScalar.from_rational(n + 1)"
+    source = inspect.getsource(rz.dyson_check)
+    assert source.count(line) == 1
+    namespace = dict(vars(rz))
+    exec(compile(source.replace(line, "QScalar.from_rational(n + 2)"),
+                 rz.__file__, "exec"), namespace)
+    assert {r.name: r.residuals for r in namespace["dyson_check"](6)
+            if not r.passed} == DYSON_FACTOR_BREAKS
+    assert not _failed(rz.dyson_check(6))
+
+
 # -- E23 through E12^n with the E13 term of its closed form scaled by q ----------
 
 def test_lemma1_catches_scaled_e13_term(monkeypatch, capsys):

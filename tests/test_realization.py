@@ -221,6 +221,19 @@ def test_fock_matrix_rejects_bad_assignment_by_name(assignment, name):
         fock_matrix(g("a"), 4, assignment=assignment)
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({("q",): 2}, "('q',) is not one of q, p1, p2, p3"),
+    ({"q": 2, 1: 3, "x": 4}, "x is not one of q, p1, p2, p3"),
+    ({"q": 2, "z": 1, "b": 2}, "b is not one of q, p1, p2, p3"),
+], ids=["tuple-key", "mixed-key-types", "two-unknown-names"])
+def test_fock_matrix_names_an_unknown_key_as_given(assignment, message):
+    # a tuple key is named whole, and keys of mixed types are not sorted
+    # together (a TypeError); among unknown names the first sorted is named
+    with pytest.raises(ValueError) as exc:
+        fock_matrix(g("a"), 8, assignment)
+    assert str(exc.value) == message
+
+
 def test_fock_matches_long_boson_words():
     # high-power words exercise the a+a contraction cascade; the truncated
     # Fock representation is an independent route through the same algebra
@@ -577,6 +590,14 @@ def test_fock_requires_concrete_mode_and_min_dim():
         check_relations_on_fock("abstract", 6)
     with pytest.raises(ValueError):
         check_relations_on_fock("trivial", 3)
+
+
+@pytest.mark.parametrize("mode", [["trivial"], {"fermionic": 1}])
+def test_an_unhashable_mode_is_rejected_by_name(mode):
+    with pytest.raises(ValueError, match="need a concrete subalgebra mode"):
+        check_relations_on_fock(mode, 8)
+    with pytest.raises(ValueError, match="unknown subalgebra mode"):
+        realization_map(mode)
 
 
 @pytest.mark.parametrize("D", [4.0, 6.5, None])

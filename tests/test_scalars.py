@@ -473,8 +473,23 @@ def test_laurent_compares_with_ints_by_value():
 
 @pytest.mark.parametrize("outside", [
     sc.QScalar(sc._ONE_POLY, Q_PLUS_2), sc.QScalar(sc._ONE_POLY, P1Q_PLUS_P2)])
-def test_clear_denominators_refuses_a_factor_outside_the_basis(outside):
-    # 1/(q + 2) and 1/(q*p1 + p2) have a factor F: clearing it would leave
-    # the closed basis, so it is refused, never cleared silently
-    with pytest.raises(ValueError, match="other than q, q - 1 and q \\+ 1"):
-        sc.clear_denominators([sc.EPS_INV, outside])
+def test_clear_denominators_clears_a_factor_outside_the_basis(outside):
+    # 1/(q + 2) and 1/(q*p1 + p2) have a factor F: d takes it beside
+    # (q - 1)(q + 1), and each value is lifted by the F it lacks
+    values = [sc.EPS_INV, outside]
+    d, cleared = sc.clear_denominators(values)
+    assert_canonical(d)
+    assert d == (Q - 1) * (Q + 1) * outside.invert()
+    for x, c in zip(values, cleared):
+        assert sc.QScalar(c.terms) == x * d
+
+
+def test_clear_denominators_takes_the_lcm_of_the_outside_factors():
+    # F = q + 2 is shared, so d holds it once: (q + 2)(q*p1 + p2), not
+    # (q + 2)^2 (q*p1 + p2)
+    f, g = sc.QScalar(Q_PLUS_2), sc.QScalar(P1Q_PLUS_P2)
+    values = [f.invert(), (f * g).invert(), sc.P1 / (3 * f)]
+    d, cleared = sc.clear_denominators(values)
+    assert d == 3 * f * g
+    for x, c in zip(values, cleared):
+        assert sc.QScalar(c.terms) == x * d

@@ -229,6 +229,26 @@ def test_unknown_realization_rejected():
         substitute_gl11(g("k2"), "adjoint")
 
 
+@pytest.mark.parametrize("name", [["trivial"], {"fermionic": 1}])
+def test_an_unhashable_realization_is_rejected_by_name(name):
+    with pytest.raises(SubstitutionError, match=r"unknown gl\(1/1\) realiz"):
+        substitute_gl11(g("k2"), name)
+
+
+def test_cartan_powers_follow_the_occupation_rule():
+    # the W images are read off the plug-in matrices; the oracle is the rule
+    # k2^al k3^be -> p2^al p3^be (b2 b2+ + q^(al - be) b2+ b2), that is
+    # p2^al p3^be (1 + (q^(al - be) - 1) b2+ b2), and p2^(al - be) trivially
+    occupied = w_mul(g("b2+"), g("b2"))
+    for al, be in itertools.product(range(-3, 4), repeat=2):
+        x = elem(UNIT._replace(al=al, be=be))
+        p = sc.p_power(2, al) * sc.p_power(3, be)
+        assert substitute_gl11(x, "fermionic") \
+            == p * (one() + (sc.q_power(al - be) - sc.ONE) * occupied)
+        assert substitute_gl11(x, "trivial") \
+            == elem(UNIT, sc.p_power(2, al - be))
+
+
 @pytest.mark.parametrize("mode", ["trivial", "fermionic"])
 def test_substitution_is_a_morphism(mode):
     rng = random.Random(77)
