@@ -1,8 +1,12 @@
 """Sparse exact matrices, stored as dict-of-rows, of QScalars, of Fractions
 or ints on the numeric Fock route, or of integer Laurent polynomials
-(scalars.Laurent) on the cleared routes.  A matrix is built with the zero
-of its entries' ring, which a missing entry reads as; cleared derives the
-zero of the cleared ring from it.
+(scalars.Laurent) on the cleared routes.  A Laurent keys its terms by
+packed ints, one signed 64-bit field per variable, with every exponent
+below 2^30 in magnitude where it is packed, so an entry product adds ints,
+not 4-tuples, and a product of at most 2^33 packed factors never carries
+between fields.  A matrix is built with the zero of its entries' ring,
+which a missing entry reads as; cleared derives the zero of the cleared
+ring from it.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a

@@ -326,7 +326,14 @@ def _check_assignment(assignment):
 
 
 def fock_modes(mode):
-    return (1,) if mode == "trivial" else (1, 2)
+    """The fermion modes of the Fock basis of a plug-in of GL11_PLUG_INS:
+    mode 1, and mode 2 when the plug-in is two-dimensional.  Any other
+    mode, "abstract" included, is a ValueError."""
+    # a tuple, not the dict: an unhashable mode is refused, not a TypeError
+    if mode not in tuple(wa.GL11_PLUG_INS):
+        raise ValueError("Fock checks need a concrete subalgebra mode, not %r"
+                         % (mode,))
+    return (1, 2)[:wa.plug_in(mode).dim]
 
 
 def relation_shifts(mode):
@@ -352,10 +359,8 @@ def check_relations_on_fock(mode, D, assignment=None):
     words raise the boson number by up to s.  One sequence for both
     fields: only the builder of (d_g, A_g) and the words' value and clear
     rule depend on whether an assignment is given."""
-    if mode not in tuple(wa.GL11_PLUG_INS):
-        raise ValueError("Fock checks need a concrete subalgebra mode")
-    check_size(D, 4, "Fock dimension")
     modes = fock_modes(mode)
+    check_size(D, 4, "Fock dimension")
     fdim = 2 ** len(modes)
     shifts = relation_shifts(mode)
     if assignment is None:

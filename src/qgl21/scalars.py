@@ -2,7 +2,8 @@
 
 Every coefficient in the engine lives here.  q is the deformation parameter
 and p1, p2, p3 stand for the weight factors q^{lambda_i}, so all exponents
-stay integral.  Polynomials are dicts {exponent 4-tuple: int}.
+stay integral.  Polynomials are dicts {exponent 4-tuple: int}, except in
+the cleared ring below.
 
 A QScalar stores N / (c * (q - 1)^i * (q + 1)^j * F):
 
@@ -64,11 +65,16 @@ linear.py coefficient goes through the one rule _coerce.
 clear_denominators is the one way out of the field: it multiplies a set of
 values by the lcm c * (q - 1)^I * (q + 1)^J * L of their denominators (L
 the lcm of their F, 1 on the engine's own routes) and gives each product
-as a Laurent, a Laurent polynomial over Z whose + and * are
-_p_add and _p_mul and which is never cancelled.  The symbolic Fock and
-module checks multiply those; laurent_q_power and laurent_q_number give
-q^e and q^m - q^-m in that ring, so its key format is spelled in this
-module only.
+as a Laurent, a Laurent polynomial over Z which is never cancelled.  The
+symbolic Fock and module checks multiply those, so a Laurent keys its
+terms by packed ints, not 4-tuples: a monomial is one int with a signed
+64-bit field per variable, and a product of monomials is a sum of ints.
+_pack takes exponents of magnitude below 2^30 and refuses the rest, so no
+product the engine forms carries from one field into the next (see
+Laurent).  The constructor packs, monomials() unpacks, and
+laurent_q_power and laurent_q_number give q^e and q^m - q^-m in that
+ring, so its key format is spelled in this module only.  QScalar and the
+gcd keep their 4-tuples.
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -77,6 +83,7 @@ q_power and q_integer are memoized.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
@@ -350,16 +357,15 @@ def _p_gcd(a, b):
         A, B = _prs_div(a, ca), _prs_div(b, cb)
         if _p_deg(A, v) < _p_deg(B, v):
             A, B = B, A
-        one = Laurent(_ONE_POLY)
-        g = h = one
+        g = h = _ONE_POLY
         while (d := _p_deg(B, v)) > 0:
             delta = _p_deg(A, v) - d
             A, B = B, _prs_div(_p_prem(A, B, v),
-                               (g * power(h, delta, one)).terms)
-            g = Laurent(_p_part(A, v, d, 0))
+                               _p_mul(g, power(h, delta, _ONE_POLY, _p_mul)))
+            g = _p_part(A, v, d, 0)
             if delta:
-                h = Laurent(_prs_div(power(g, delta).terms,
-                                     power(h, delta - 1, one).terms))
+                h = _prs_div(power(g, delta, None, _p_mul),
+                             power(h, delta - 1, _ONE_POLY, _p_mul))
         # B is zero, and A the last nonzero remainder, or B is free of v
         pp = _prs_div(A, _p_content(A, v)) if not B else _ONE_POLY
         core = _p_positive(_p_mul(_p_gcd(ca, cb), pp))
@@ -376,39 +382,120 @@ def _p_cancel(a, b):
     return _p_div_exact(a, g), _p_div_exact(b, g), g
 
 
+# ---------------------------------------------------------------------------
+# the cleared ring: Laurent polynomials over Z on packed monomial keys
+# ---------------------------------------------------------------------------
+
+_FIELD = 64         # bits per signed exponent field of a packed key
+_BOUND = 1 << 30    # _pack refuses an exponent of magnitude _BOUND or more
+
+
+def _pack(mono):
+    """The packed key sum(e_v * 2^(_FIELD * v)) of an exponent 4-tuple,
+    each field signed; a vector that is not four ints, or an exponent of
+    magnitude _BOUND or more, is a ValueError."""
+    if not (isinstance(mono, tuple) and len(mono) == NVARS
+            and all(isinstance(e, int) for e in mono)):
+        raise ValueError("exponent vector %r is not four ints" % (mono,))
+    key = 0
+    for e in reversed(mono):
+        if not -_BOUND < e < _BOUND:
+            raise ValueError("exponent %r of %r is outside the Laurent "
+                             "ring's bound 2^30" % (e, mono))
+        key = (key << _FIELD) + e
+    return key
+
+
+def _unpack(key):
+    """The exponent 4-tuple of a packed key: each field is the balanced
+    residue of what is left of the key modulo 2^_FIELD, the last field the
+    rest."""
+    half = 1 << (_FIELD - 1)
+    mask = (1 << _FIELD) - 1
+    mono = []
+    for _ in range(NVARS - 1):
+        e = ((key + half) & mask) - half
+        mono.append(e)
+        key = (key - e) >> _FIELD
+    return (*mono, key)
+
+
 class Laurent:
-    """A Laurent polynomial over Z, terms {exponent 4-tuple: int} with no
-    zero values, that is never cancelled: the entry type of the symbolic
-    Fock and module checks (see clear_denominators).  The zero test is an empty dict."""
+    """A Laurent polynomial over Z that is never cancelled: the entry type
+    of the symbolic Fock and module checks (see clear_denominators).  The
+    zero test is an empty dict.
+
+    terms maps packed keys to nonzero ints.  The monomial
+    q^e0 p1^e1 p2^e2 p3^e3 is the one int e0 + e1 2^64 + e2 2^128 + e3 2^192,
+    each 64-bit field signed, so a product of monomials is the sum of
+    their keys, 1 is the key 0, and a q-only monomial is its exponent.
+    The constructor takes {exponent 4-tuple: int} and packs every key
+    (_pack); monomials() unpacks them (_unpack).  Nothing else looks inside
+    a key: + and - are _p_add and _p_neg, and * has its own loop.
+
+    Bound: _pack refuses an exponent of magnitude 2^30 or more, and a field
+    holds the magnitudes below 2^63.  Sums add no exponents, so every term
+    of a product of k Laurents that _pack built has exponents below
+    k 2^30, and a field carries into the next only in a product of more
+    than 2^33 such factors.  The longest product the engine forms has
+    seven: a relation word has at most two letters, and its cleared
+    coefficient multiplies one matrix entry per letter, each a cleared
+    value times q^e and at most one q-number q^m - q^-m (the Fock entries
+    of both plug-ins' images, which lower the boson number by at most one,
+    and the module entries, whose branches carry at most one [N])."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = terms
+        self.terms = {_pack(m): c for m, c in terms.items()}
+
+    def monomials(self):
+        """The terms as {exponent 4-tuple: int}."""
+        return {_unpack(k): c for k, c in self.terms.items()}
 
     def __add__(self, other):
-        return Laurent(_p_add(self.terms, other.terms))
+        return _laurent(_p_add(self.terms, other.terms))
 
     def __sub__(self, other):
-        return Laurent(_p_add(self.terms, _p_neg(other.terms)))
+        return _laurent(_p_add(self.terms, _p_neg(other.terms)))
 
     def __neg__(self):
-        return Laurent(_p_neg(self.terms))
+        return _laurent(_p_neg(self.terms))
 
     def __mul__(self, other):
-        return Laurent(_p_mul(self.terms, other.terms))
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                mono = ma + mb
+                s = out.get(mono)
+                s = ca * cb if s is None else s + ca * cb
+                if s:
+                    out[mono] = s
+                elif mono in out:
+                    del out[mono]
+        return _laurent(out)
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == ({_UNIT_MONO: other} if other else {})
+            return self.terms == ({0: other} if other else {})
         if isinstance(other, Laurent):
             return self.terms == other.terms
         return NotImplemented
 
     __hash__ = None
+
+
+def _laurent(terms):
+    """The Laurent of packed terms."""
+    x = object.__new__(Laurent)
+    x.terms = terms
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -784,19 +871,19 @@ def signed_sum(pieces):
     return "".join(parts)
 
 
-def power(x, n, one=None):
-    """x ** n for an int n >= 0 by square and multiply with x's own *:
-    one for n == 0 and x itself for n == 1; a negative n is a
+def power(x, n, one=None, mul=operator.mul):
+    """x ** n for an int n >= 0 by square and multiply with mul, x's own *
+    by default: one for n == 0 and x itself for n == 1; a negative n is a
     ValueError."""
     if n < 0:
         raise ValueError("power exponent %r is negative" % (n,))
     out = None
     while n:
         if n & 1:
-            out = x if out is None else out * x
+            out = x if out is None else mul(out, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return one if out is None else out
 
 
@@ -903,5 +990,5 @@ def laurent_q_power(e):
 
 
 def laurent_q_number(m):
-    """q^m - q^-m in the Laurent ring: [m] times q - q^-1."""
-    return Laurent({(m, 0, 0, 0): 1, (-m, 0, 0, 0): -1})
+    """q^m - q^-m in the Laurent ring: [m] times q - q^-1, so 0 for m = 0."""
+    return laurent_q_power(m) - laurent_q_power(-m)

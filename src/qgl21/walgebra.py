@@ -394,7 +394,8 @@ GL11_PLUG_INS = {"trivial": trivial_gl11_rep, "fermionic": fermionic_gl11_rep}
 
 
 @cache
-def _plug_in(name):
+def plug_in(name):
+    """The Gl11Rep of a name of GL11_PLUG_INS, built once per process."""
     return GL11_PLUG_INS[name]()
 
 
@@ -419,7 +420,7 @@ def substitute_gl11(x, realization):
     # a tuple, not the dict: an unhashable name is refused, not a TypeError
     if realization not in tuple(GL11_PLUG_INS):
         raise SubstitutionError("unknown gl(1/1) realization %r" % realization)
-    rep = _plug_in(realization)
+    rep = plug_in(realization)
     units = _MATRIX_UNITS[rep.dim]
     out = WElement.zero()
     for mon, c in x.terms.items():

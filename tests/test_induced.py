@@ -381,7 +381,8 @@ def _fock_mismatches(mode, images):
                                      7)
 
     def times(a, d):
-        return {(i, j): sc.QScalar(v.terms) * d for i, j, v in a.iter_entries()}
+        return {(i, j): sc.QScalar(v.monomials()) * d
+                for i, j, v in a.iter_entries()}
 
     mismatches = set()
     for g in ACT_GENERATORS:
@@ -418,7 +419,7 @@ def test_act_and_the_module_route_evaluate_the_same_branches(mode):
         by_act = {(index[t], col): v * d for col, s in enumerate(states)
                   for t, v in act(g, state(*s), rep).terms.items()
                   if t in index}
-        assert by_act == {(i, j): sc.QScalar(v.terms)
+        assert by_act == {(i, j): sc.QScalar(v.monomials())
                           for i, j, v in a.iter_entries()}
 
 

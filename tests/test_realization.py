@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgl21.induced as ind
+import qgl21.realization as rz
 import qgl21.scalars as sc
 import qgl21.superalgebra as ua
 from conftest import substitute_monomial
@@ -598,6 +599,34 @@ def test_an_unhashable_mode_is_rejected_by_name(mode):
         check_relations_on_fock(mode, 8)
     with pytest.raises(ValueError, match="unknown subalgebra mode"):
         realization_map(mode)
+
+
+@pytest.mark.parametrize("mode", ["bogus", ["a"], "abstract"])
+def test_fock_modes_refuses_a_mode_that_is_not_a_plug_in(mode):
+    assert (fock_modes("trivial"), fock_modes("fermionic")) == ((1,), (1, 2))
+    with pytest.raises(ValueError, match="need a concrete subalgebra mode"):
+        fock_modes(mode)
+
+
+def test_the_q_numbers_fill_receives_vanish_at_zero(monkeypatch):
+    # [0] = q^0 - q^-0 = 0 in the canonical, numeric and Laurent rings: a
+    # Laurent dict literal {q^m: 1, q^-m: -1} merges into -1 at m = 0
+    q_numbers = []
+    fill = rz._fill
+
+    def spy(terms, D, modes, q_power, q_number):
+        q_numbers.append(q_number)
+        return fill(terms, D, modes, q_power, q_number)
+
+    monkeypatch.setattr(rz, "_fill", spy)
+    x = rho("E21", "fermionic")
+    fock_matrix(x, 4)
+    fock_matrix(x, 4, DEFAULT_ASSIGNMENT)
+    rz._cleared_matrix(x, 4, (1, 2))
+    assert len(q_numbers) == 3
+    for q_number in q_numbers:
+        zero = q_number(0)
+        assert zero == 0 and not zero
 
 
 @pytest.mark.parametrize("D", [4.0, 6.5, None])

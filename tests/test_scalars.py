@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -447,7 +448,7 @@ def test_clear_denominators_multiplies_by_the_lcm_in_the_closed_basis():
     assert_canonical(d)
     for x, c in zip(values, cleared):
         assert type(c) is sc.Laurent
-        assert sc.QScalar(c.terms) == x * d
+        assert sc.QScalar(c.monomials()) == x * d
     assert cleared[-1].terms == {} and not cleared[-1]
     assert sc.clear_denominators([]) == (ONE, [])
 
@@ -460,7 +461,7 @@ def test_laurent_arithmetic_matches_qscalar_arithmetic(x, y, i, k):
     for got, want in ((a + b, (x + y) * d), (a - b, (x - y) * d),
                       (-a, -x * d), (a * b, x * y * d * d)):
         assert type(got) is sc.Laurent
-        assert sc.QScalar(got.terms) == want
+        assert sc.QScalar(got.monomials()) == want
         assert bool(got) == bool(want)
 
 
@@ -469,6 +470,81 @@ def test_laurent_compares_with_ints_by_value():
     assert one == 1 and sc.Laurent({}) == 0
     assert sc.Laurent({(1, 0, 0, 0): 1}) != 1 and one != 2
     assert one == sc.Laurent({(0, 0, 0, 0): 1})
+
+
+# -- the packed keys of the Laurent ring ----------------------------------------
+
+LAURENT_TOP = 2 ** 30 - 1       # the largest exponent magnitude _pack takes
+
+
+def _random_laurent(rng):
+    """A Laurent of one to four terms, with exponents of either sign in
+    every field, small or within a few steps of the bound, and signed
+    coefficients of up to 40 digits."""
+    def exponent():
+        e = rng.choice((rng.randint(0, 3), LAURENT_TOP - rng.randint(0, 3)))
+        return rng.choice((e, -e))
+
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice((1, rng.randint(1, 10 ** 40)))
+        terms[tuple(exponent() for _ in range(4))] = rng.choice((c, -c))
+    return sc.Laurent(terms)
+
+
+def _check_laurent_against_qscalar(seed):
+    """Sums, differences and products of random Laurents, read through
+    monomials(), are those of QScalar polynomials; so are sums and
+    products that cancel to zero, and the product of 2^33 factors at the
+    bound that the field width is chosen for."""
+    rng = random.Random(seed)
+
+    def value(x):
+        return sc.QScalar(x.monomials())
+
+    for _ in range(60):
+        a, b = _random_laurent(rng), _random_laurent(rng)
+        x, y = value(a), value(b)
+        for got, want in ((a + b, x + y), (a - b, x - y), (-a, -x),
+                          (a * b, x * y), (a - a, ZERO), (a + -a, ZERO),
+                          ((a + b) * (a - b), x * x - y * y),
+                          (a * (b - b), ZERO)):
+            assert value(got) == want
+            assert bool(got) == bool(want)
+    top = (LAURENT_TOP, -LAURENT_TOP, LAURENT_TOP, -LAURENT_TOP)
+    got = sc.power(sc.Laurent({top: -1}), 2 ** 33)
+    assert value(got) == sc.QScalar({top: -1}) ** (2 ** 33)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_laurent_arithmetic_on_packed_keys_matches_qscalar(seed):
+    _check_laurent_against_qscalar(seed)
+
+
+def test_a_field_one_bit_short_fails_the_packed_key_check(monkeypatch):
+    # the product of 2^33 factors at the bound has exponents just below
+    # 2^63; one bit less per field carries them into the next field
+    monkeypatch.setattr(sc, "_FIELD", sc._FIELD - 1)
+    with pytest.raises(AssertionError):
+        _check_laurent_against_qscalar(0)
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_keys_round_trip_up_to_the_bound(field, sign):
+    def mono(e):
+        return tuple(e if v == field else -LAURENT_TOP for v in range(4))
+
+    top = mono(sign * LAURENT_TOP)
+    assert sc.Laurent({top: 7}).monomials() == {top: 7}
+    with pytest.raises(ValueError, match="bound 2\\^30"):
+        sc.Laurent({mono(sign * 2 ** 30): 7})
+
+
+@pytest.mark.parametrize("mono", [(1, 2), (0.5, 0, 0, 0), [0, 0, 0, 0]])
+def test_packing_refuses_an_exponent_vector_that_is_not_four_ints(mono):
+    with pytest.raises(ValueError, match="not four ints"):
+        sc._pack(mono)
 
 
 @pytest.mark.parametrize("outside", [
@@ -481,7 +557,7 @@ def test_clear_denominators_clears_a_factor_outside_the_basis(outside):
     assert_canonical(d)
     assert d == (Q - 1) * (Q + 1) * outside.invert()
     for x, c in zip(values, cleared):
-        assert sc.QScalar(c.terms) == x * d
+        assert sc.QScalar(c.monomials()) == x * d
 
 
 def test_clear_denominators_takes_the_lcm_of_the_outside_factors():
@@ -492,4 +568,4 @@ def test_clear_denominators_takes_the_lcm_of_the_outside_factors():
     d, cleared = sc.clear_denominators(values)
     assert d == 3 * f * g
     for x, c in zip(values, cleared):
-        assert sc.QScalar(c.terms) == x * d
+        assert sc.QScalar(c.monomials()) == x * d
