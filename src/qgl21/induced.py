@@ -28,19 +28,23 @@ letters, so from N <= nmax - 2 a word passes only through states N <= nmax.
 
 The module check builds those matrices directly in the Laurent ring of the
 symbolic Fock route (_cleared_module), by the Fock route's clearing rule.
-A branch of _branches(g, N, M) is c q^e [k]... |n,m> (x) (A0 word on v),
-the form of a Fock entry c q^(k(n-l)) [n]...[n-l+1]; it depends on no rep
-and no index of V.  act evaluates each branch in QScalars; _cleared_module
-clears every c (q - q^-1)^-len(ks) times its A0 column values with one
+A branch of _branches(g, M) is c q^(aN + b) [N + k]... |N + dn, m> (x)
+(A0 word on v), the form of a Fock entry c q^(k(n-l)) [n]...[n-l+1]; it
+depends on no level N, no rep and no index of V, and holds for every
+N >= 0: a branch whose target lies below level 0 carries [N] = [0] = 0.
+act puts each term's level into the branches and evaluates them in
+QScalars; _cleared_module reads the table once per (g, M), clears every
+c (q - q^-1)^-len(ks) times its A0 column values once, with one
 scalars.clear_denominators call per generator, as _cleared_matrix clears
-c (q - q^-1)^-l, and multiplies each by the Laurent factor q^e and the
-q^k - q^-k, so [n] is never expanded, the entries stay as short as the
-Fock route's (at most 4 terms for both plug-ins) and (d_g, A_g) equal
-the Fock route's.  The words are cleared by superalgebra.check_cleared:
-the counts are those over Q(q, p), and a witness must be divided by the
-relation's L, as check_cleared says.  A rep whose matrices have a
-denominator factor outside q, q - 1 and q + 1, such as 1/(q + 2), is
-cleared too: clear_denominators takes the lcm of those factors into d_g.
+c (q - q^-1)^-l, and places each on every level N, times the Laurent
+factor q^(aN + b) and the q^(N + k) - q^-(N + k), so [n] is never
+expanded, the entries stay as short as the Fock route's (at most 4 terms
+for both plug-ins) and (d_g, A_g) equal the Fock route's.  The words are
+cleared by superalgebra.check_cleared: the counts are those over Q(q, p),
+and a witness must be divided by the relation's L, as check_cleared says.
+A rep whose matrices have a denominator factor outside q, q - 1 and q + 1,
+such as 1/(q + 2), is cleared too: clear_denominators takes the lcm of
+those factors into d_g.
 """
 
 from __future__ import annotations
@@ -187,9 +191,18 @@ def highest_weight_a0rep(gl11rep):
     return A0Rep(dim=d, mats=mats, parity=gl11rep.parity)
 
 
+def _a0_mats(rep):
+    """rep._mats, kept after its first use, so _check_fields runs once; a
+    RepresentationError for anything that is not an A0Rep."""
+    if isinstance(rep, A0Rep):
+        return rep._mats
+    raise RepresentationError("a %s is not an A0Rep: highest_weight_a0rep "
+                              "builds one" % type(rep).__name__)
+
+
 def validate_a0rep(rep):
     """Report on every defining relation that lives inside A0, and parity."""
-    return _check_rep(rep._mats, rep.dim, rep.parity)
+    return _check_rep(_a0_mats(rep), rep.dim, rep.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +237,9 @@ ACT_GENERATORS = ua.GENERATORS
 
 
 def _check_term(N, M, i, rep):
-    """The state of a term follows the basis_state rule, with i inside V."""
+    """rep is a well-formed A0Rep, and the state of a term follows the
+    basis_state rule, with i inside V."""
+    _a0_mats(rep)
     ua.check_state(N, M)
     if not (isinstance(i, int) and 0 <= i < rep.dim):
         raise ValueError("state index %r is outside the %d-dimensional "
@@ -237,68 +252,65 @@ _K_WEIGHTS = {k + inv: (s * ua.k_weight(k, "E12"), s * ua.k_weight(k, "E13"))
               for k in ("K1", "K2", "K3") for inv, s in (("", 1), ("inv", -1))}
 
 
-def _branches(g, N, M):
-    """The closed forms: g on |N,M> (x) v as a list of branches
-    (n, m, c, e, ks, word), each c q^e prod([k] for k in ks) |n,m> (x)
-    (the A0 word, right to left, on v), with c a QScalar +-1 or
-    +-1/(q - q^-1), e an int, ks () or (N,) and word a tuple of A0 letters:
-    the form c q^(k(n-l)) [n]...[n-l+1] of a Fock entry."""
+def _branches(g, M):
+    """The closed forms, for every level N at once: g on |N,M> (x) v as a
+    list of branches (dn, m, c, a, b, ks, word), each
+    c q^(aN + b) prod([N + k] for k in ks) |N + dn, m> (x) (the A0 word,
+    right to left, on v), with c a QScalar +-1 or +-1/(q - q^-1), a and b
+    ints, ks () or (0,) and word a tuple of A0 letters: the form
+    c q^(k(n-l)) [n]...[n-l+1] of a Fock entry.  Each lowering branch
+    (dn = -1) carries [N], so its target below level 0 has amplitude 0."""
     one, eps_inv = sc.ONE, sc.EPS_INV
     if g in _K_WEIGHTS:
         a, b = _K_WEIGHTS[g]
-        return [(N, M, one, a * N + b * M, (), ((g, 1),))]
+        return [(0, M, one, a, b * M, (), ((g, 1),))]
     if g == "E12":
-        return [(N + 1, M, one, 0, (), ())]
+        return [(1, M, one, 0, 0, (), ())]
     if g == "E13":
-        return [(N, 1, one, -N, (), ())] if M == 0 else []
+        return [(0, 1, one, -1, 0, (), ())] if M == 0 else []
     if g == "E23":
-        lower = [(N - 1, 1, -one, 1, (N,), ())] if N > 0 and M == 0 else []
-        return lower + [(N, M, -one if M else one, N + M, (), (("E23", 1),))]
+        lower = [(-1, 1, -one, 0, 1, (0,), ())] if M == 0 else []
+        return lower + [(0, M, -one if M else one, 1, M, (), (("E23", 1),))]
     if g == "E32":
-        if M == 0:
-            return [(N, 0, one, 0, (), (("E32", 1),))]
-        return [(N + 1, 0, one, -1, (), (("K2", 1), ("K3", 1))),
-                (N, 1, -one, 0, (), (("E32", 1),))]
-    out = []
+        raised = [(1, 0, one, 0, -1, (), (("K2", 1), ("K3", 1)))] if M else []
+        return raised + [(0, M, -one if M else one, 0, 0, (), (("E32", 1),))]
     if g == "E21":
-        if N > 0:
-            base = (N,)
-            out += [(N - 1, M, -eps_inv, N + M - 1, base,
-                     (("K1", 1), ("K2inv", 1))),
-                    (N - 1, M, eps_inv, -N - M + 1, base,
-                     (("K1inv", 1), ("K2", 1)))]
+        base = (0,)
+        out = [(-1, M, -eps_inv, 1, M - 1, base, (("K1", 1), ("K2inv", 1))),
+               (-1, M, eps_inv, -1, 1 - M, base, (("K1inv", 1), ("K2", 1)))]
         if M == 1:
-            out.append((N, 0, one, 0, (), (("E23", 1), ("K1inv", 1),
-                                           ("K2", 1))))
-        return out + [(N, M, one, 0, (), (("E21", 1),))]
-    # E31
+            out.append((0, 0, one, 0, 0, (), (("E23", 1), ("K1inv", 1),
+                                              ("K2", 1))))
+        return out + [(0, M, one, 0, 0, (), (("E21", 1),))]
+    # E31; (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1)) is its Cartan term on M = 1
+    cartan = eps_inv
+    out = [(0, 0, one, 1, -1, (0,), (("K1", 1), ("K3", 1))),
+           (0, 0, cartan, 0, -1, (), (("K1", 1), ("K3", 1))),
+           (0, 0, -cartan, 0, -1, (), (("K1inv", 1), ("K3inv", 1)))] \
+        if M else []
     signed = -one if M else one
-    if M == 1:
-        if N > 0:
-            out.append((N, 0, one, N - 1, (N,), (("K1", 1), ("K3", 1))))
-        # (K1 K3 - K1^-1 K3^-1) / (q (q - q^-1))
-        cartan = eps_inv
-        out += [(N, 0, cartan, -1, (), (("K1", 1), ("K3", 1))),
-                (N, 0, -cartan, -1, (), (("K1inv", 1), ("K3inv", 1)))]
-    if N > 0:
-        out.append((N - 1, M, signed, N + M - 2, (N,),
-                    (("K1", 1), ("K2inv", 1), ("E32", 1))))
-    return out + [(N, M, signed, 0, (), (("E31", 1),))]
+    return out + [(-1, M, signed, 1, M - 2, (0,),
+                   (("K1", 1), ("K2inv", 1), ("E32", 1))),
+                  (0, M, signed, 0, 0, (), (("E31", 1),))]
 
 
 def act(g, x, rep):
     """Closed-form action of a generator on an induced-module vector: the
-    branches of _branches evaluated in QScalars, extended linearly."""
+    branches of _branches at each term's level N, evaluated in QScalars
+    and extended linearly; a target below level 0 is skipped, as its
+    amplitude carries [0] = 0."""
     ua.check_generator(g)
     out = {}
-    for (N, M, i), c in x.terms.items():
+    for (N, M, i), coeff in x.terms.items():
         _check_term(N, M, i, rep)
-        for n, m, b, e, ks, word in _branches(g, N, M):
-            amp = c * b * sc.q_power(e)
+        for dn, m, c, a, b, ks, word in _branches(g, M):
+            if N + dn < 0:
+                continue
+            amp = coeff * c * sc.q_power(a * N + b)
             for k in ks:
-                amp = amp * sc.q_integer(k)
+                amp = amp * sc.q_integer(N + k)
             for r, v in rep._column(word, i).items():
-                accumulate(out, (n, m, r), amp * v)
+                accumulate(out, (N + dn, m, r), amp * v)
     return InducedVector(out)
 
 
@@ -322,33 +334,32 @@ def apply_uelement(el, x, rep):
 
 def _cleared_module(rep, nmax):
     """{g: (d_g, A_g)}: A_g / d_g the matrix of g on the states N <= nmax,
-    ordered by (N, M, index), from one _branches call per (g, N, M).  As
+    ordered by (N, M, index), from one _branches call per (g, M).  As
     _cleared_matrix does on the Fock route, one clear_denominators call
-    clears all of g's values c (q - q^-1)^-len(ks) times an A0 column's
-    entry, and an entry sums each cleared value times its boson factor
-    q^e prod(q^k - q^-k for k in ks)."""
+    clears g's values c (q - q^-1)^-len(ks) times an A0 column's entry,
+    once per (M, branch, index, row); each is placed on every level N whose
+    target lies in [0, nmax], times its boson factor
+    q^(aN + b) prod(q^(N + k) - q^-(N + k) for k in ks)."""
     D = 2 * rep.dim * (nmax + 1)
     zero = sc.laurent_q_power(0) - sc.laurent_q_power(0)
     cleared = {}
     for g in ACT_GENERATORS:
-        terms = []
-        for N in range(nmax + 1):
-            for M in (0, 1):
-                for n, m, c, e, ks, word in _branches(g, N, M):
-                    if n > nmax:
-                        continue
-                    c = c * sc.EPS_INV ** len(ks)
-                    factor = sc.laurent_q_power(e)
+        terms = [(M, dn, m, a, b, ks, i, r, c * sc.EPS_INV ** len(ks) * v)
+                 for M in (0, 1)
+                 for dn, m, c, a, b, ks, word in _branches(g, M)
+                 for i in range(rep.dim)
+                 for r, v in rep._column(word, i).items()]
+        d, coeffs = sc.clear_denominators(t[-1] for t in terms)
+        entries = []
+        for N in range(nmax + 1):   # level-major: rows list entries by N
+            for (M, dn, m, a, b, ks, i, r, _), x in zip(terms, coeffs):
+                if 0 <= N + dn <= nmax:
+                    f = sc.laurent_q_power(a * N + b)
                     for k in ks:
-                        factor = factor * sc.laurent_q_number(k)
-                    col, row = (2 * N + M) * rep.dim, (2 * n + m) * rep.dim
-                    terms += [(row + r, col + i, c * v, factor)
-                              for i in range(rep.dim)
-                              for r, v in rep._column(word, i).items()]
-        d, coeffs = sc.clear_denominators(c for _, _, c, _ in terms)
-        cleared[g] = d, QMatrix.from_entries(
-            D, D, ((row, col, a * f) for (row, col, _, f), a
-                   in zip(terms, coeffs)), zero)
+                        f = f * sc.laurent_q_number(N + k)
+                    entries.append(((2 * (N + dn) + m) * rep.dim + r,
+                                    (2 * N + M) * rep.dim + i, x * f))
+        cleared[g] = d, QMatrix.from_entries(D, D, entries, zero)
     return cleared
 
 
@@ -357,6 +368,7 @@ def check_relations_on_module(rep, nmax):
     the generators as matrices on the states N <= nmax, built in the
     Laurent ring by _cleared_module (see the module docstring for why this
     is exact), then the words cleared as on the symbolic Fock route."""
+    _a0_mats(rep)
     check_size(nmax, 2, "nmax")
     checked = range(2 * rep.dim * (nmax - 1))      # the states N <= nmax - 2
     return ua.check_cleared(ua.relation_set(), _cleared_module(rep, nmax),

@@ -77,29 +77,40 @@ def _without(rep, *names):
                               if nm not in names})
 
 
+GL11_USES = [validate_gl11_rep, highest_weight_a0rep]
+# E12's and E13's words are empty, so act must check the rep itself
+A0_USES = [validate_a0rep,
+           lambda r: act("K2", state(0, 0, 0), r),
+           lambda r: act("E12", state(0, 0, 0), r),
+           lambda r: act_oracle("K2", state(0, 0, 0), r),
+           lambda r: check_relations_on_module(r, 2)]
+# only an A0Rep has mat
+A0REP_USES = A0_USES + [lambda r: r.mat("K2")]
+
 MALFORMED = {
-    "short parity": (fermionic_gl11_rep()._replace(parity=(0,)), "parity"),
-    "no k3": (_without(fermionic_gl11_rep(), "k3", "k3inv"), "k3"),
-    "no e32": (_without(fermionic_gl11_rep(), "e32"), "e32"),
-    "no A0 matrices": (A0Rep(dim=1, mats={}, parity=(0,)), "E21"),
+    "short parity": (fermionic_gl11_rep()._replace(parity=(0,)), "parity",
+                     GL11_USES),
+    "no k3": (_without(fermionic_gl11_rep(), "k3", "k3inv"), "k3",
+              GL11_USES),
+    "no e32": (_without(fermionic_gl11_rep(), "e32"), "e32", GL11_USES),
+    "no A0 matrices": (A0Rep(dim=1, mats={}, parity=(0,)), "E21",
+                       A0REP_USES),
     "3 x 3 E23": (A0Rep(dim=2, mats=dict(
         highest_weight_a0rep(fermionic_gl11_rep()).mats,
-        E23=QMatrix.zero(3)), parity=(0, 1)), "E23 is not a 2 x 2"),
+        E23=QMatrix.zero(3)), parity=(0, 1)), "E23 is not a 2 x 2",
+        A0REP_USES),
+    "gl(1/1) rep as an A0Rep": (fermionic_gl11_rep(),
+                                "not an A0Rep: highest_weight_a0rep",
+                                A0_USES),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_reps_are_refused_before_any_relation(case):
     # a rep with missing matrices, a matrix of the wrong shape or a short
-    # parity is refused by name, by every consumer of its type
-    rep, problem = MALFORMED[case]
-    if isinstance(rep, Gl11Rep):
-        uses = [validate_gl11_rep, highest_weight_a0rep]
-    else:
-        uses = [validate_a0rep, lambda r: r.mat("K2"),
-                lambda r: act("K2", state(0, 0, 0), r),
-                lambda r: act_oracle("K2", state(0, 0, 0), r),
-                lambda r: check_relations_on_module(r, 2)]
+    # parity, or a rep of the wrong type, is refused by name, by every
+    # consumer of the type it is passed as
+    rep, problem, uses = MALFORMED[case]
     for use in uses:
         with pytest.raises(RepresentationError, match=problem):
             use(rep)
@@ -145,7 +156,8 @@ def test_act_oracle_e21_matches_theorem_at_n1(trivial_rep):
 
 @pytest.mark.parametrize("g", ACT_GENERATORS)
 def test_act_matches_oracle(g, trivial_rep, fermionic_rep):
-    for rep in (trivial_rep, fermionic_rep):
+    outside_factor = highest_weight_a0rep(_outside_factor_rep())
+    for rep in (trivial_rep, fermionic_rep, outside_factor):
         for N in range(4):
             for M in (0, 1):
                 for i in range(rep.dim):
@@ -340,20 +352,42 @@ def test_e31_is_built_once_per_rep(monkeypatch):
     assert len(products) == 2
 
 
-def test_module_check_calls_act_once_per_generator_and_state(monkeypatch):
+def test_module_check_reads_the_branch_table_once_per_generator_and_m(
+        monkeypatch):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     calls = []
     branches = induced._branches
 
-    def counting(g, N, M):
+    def counting(g, M):
         calls.append(g)
-        return branches(g, N, M)
+        return branches(g, M)
 
     monkeypatch.setattr(induced, "_branches", counting)
     assert all_passed(check_relations_on_module(rep, 6))
-    # 12 generators x 7 levels N <= 6 x 2 values of M: a branch does not
-    # depend on the index in V
-    assert len(calls) == 168
+    # 12 generators x 2 values of M: a branch depends on neither the level
+    # N nor the index in V
+    assert len(calls) == 24
+
+
+def _unsound_branches(branches):
+    """The (g, M) of the table branches whose ks is neither () nor (0,), or
+    with a lowering branch (dn = -1) that does not carry [N]."""
+    return {(g, M) for g in ACT_GENERATORS for M in (0, 1)
+            for dn, _m, _c, _a, _b, ks, _w in branches(g, M)
+            if ks not in ((), (0,)) or (dn == -1 and ks != (0,))}
+
+
+def test_the_branch_table_drops_only_targets_of_amplitude_zero():
+    # act and _cleared_module skip a target below level 0; that is sound
+    # exactly when every lowering branch carries [N], which is [0] = 0 there
+    assert not _unsound_branches(induced._branches)
+
+    def e21_without_its_q_number(g, M):
+        return [(dn, m, c, a, b, () if g == "E21" else ks, w)
+                for dn, m, c, a, b, ks, w in induced._branches(g, M)]
+
+    assert _unsound_branches(e21_without_its_q_number) \
+        == {("E21", 0), ("E21", 1)}
 
 
 # -- the module route builds the Fock route's cleared matrices ----------------

@@ -200,10 +200,10 @@ E12_BY_TWO_BREAKS = {
 def _e12_by_two(monkeypatch):
     branches = ind._branches
 
-    def e12_by_two(g, N, M):
+    def e12_by_two(g, M):
         if g == "E12":
-            return [(N + 2, M, sc.ONE, 0, (), ())]
-        return branches(g, N, M)
+            return [(2, M, sc.ONE, 0, 0, (), ())]
+        return branches(g, M)
 
     monkeypatch.setattr(ind, "_branches", e12_by_two)
 
@@ -322,11 +322,12 @@ def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
     # [N] read as [N + 1] in the E21 branch of act, made from its source:
     # the module route evaluates that branch in the Laurent ring, the grid
     # in QScalars, and both see the fault, at E21 on the states N > 0 only
-    line = "base = (N,)"
+    # (at N = 0 the branch's target lies below level 0, so both skip it)
+    line = "base = (0,)"
     source = inspect.getsource(ind._branches)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "base = (N + 1,)"),
+    exec(compile(source.replace(line, "base = (1,)"),
                  ind.__file__, "exec"), namespace)
     monkeypatch.setattr(ind, "_branches", namespace["_branches"])
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
