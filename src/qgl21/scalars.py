@@ -71,10 +71,11 @@ terms by packed ints, not 4-tuples: a monomial is one int with a signed
 64-bit field per variable, and a product of monomials is a sum of ints.
 _pack takes exponents of magnitude below 2^30 and refuses the rest, so no
 product the engine forms carries from one field into the next (see
-Laurent).  The constructor packs, monomials() unpacks, and
+Laurent).  The constructor packs, monomials() unpacks,
 laurent_q_power and laurent_q_number give q^e and q^m - q^-m in that
-ring, so its key format is spelled in this module only.  QScalar and the
-gcd keep their 4-tuples.
+ring, and _row_key and _key_column add and read the column of the packed
+row keys of qmatrix.PackedRows, so the key format is spelled in this
+module only.  QScalar and the gcd keep their 4-tuples.
 
 All values are immutable, and the coefficient dicts are never mutated once
 built, so scalars may share them; every operation is a pure function, and
@@ -420,6 +421,24 @@ def _unpack(key):
     return (*mono, key)
 
 
+# a packed row key puts a matrix column beside a packed monomial key: the
+# monomial key plus j << _COLUMN.  Every field of the monomial key stays below
+# 2^63 in magnitude (see Laurent), so adding 2^63 to each makes every field a
+# digit in [0, 2^64), and the column is what lies above them.
+_COLUMN = NVARS * _FIELD
+_BIAS = sum(1 << (_FIELD * v + _FIELD - 1) for v in range(NVARS))
+
+
+def _row_key(key, j):
+    """The packed row key of the monomial of packed key key in column j."""
+    return key + (j << _COLUMN)
+
+
+def _key_column(key):
+    """The column of a packed row key."""
+    return (key + _BIAS) >> _COLUMN
+
+
 class Laurent:
     """A Laurent polynomial over Z that is never cancelled: the entry type
     of the symbolic Fock and module checks (see clear_denominators).  The
@@ -430,8 +449,11 @@ class Laurent:
     each 64-bit field signed, so a product of monomials is the sum of
     their keys, 1 is the key 0, and a q-only monomial is its exponent.
     The constructor takes {exponent 4-tuple: int} and packs every key
-    (_pack); monomials() unpacks them (_unpack).  Nothing else looks inside
-    a key: + and - are _p_add and _p_neg, and * has its own loop.
+    (_pack); monomials() unpacks them (_unpack).  Only this module looks
+    inside a key: + and - are _p_add and _p_neg, * has its own loop,
+    laurent_q_power and laurent_q_number write q-only keys as their
+    exponents, and _row_key and _key_column add and read the column field
+    of a packed row key (qmatrix.PackedRows).
 
     Bound: _pack refuses an exponent of magnitude 2^30 or more, and a field
     holds the magnitudes below 2^63.  Sums add no exponents, so every term
@@ -984,11 +1006,19 @@ def clear_denominators(values):
              for x in values])
 
 
+def _q_key(e):
+    """The packed key of q^e: e itself, refused as _pack refuses it."""
+    if isinstance(e, int) and -_BOUND < e < _BOUND:
+        return e
+    return _pack((e, 0, 0, 0))      # raises the ValueError
+
+
 def laurent_q_power(e):
     """q^e in the Laurent ring of clear_denominators."""
-    return Laurent({(e, 0, 0, 0): 1})
+    return _laurent({_q_key(e): 1})
 
 
 def laurent_q_number(m):
     """q^m - q^-m in the Laurent ring: [m] times q - q^-1, so 0 for m = 0."""
-    return laurent_q_power(m) - laurent_q_power(-m)
+    m = _q_key(m)
+    return _laurent({m: 1, -m: -1} if m else {})

@@ -17,7 +17,9 @@ the one relation checker of all four verification routes: W images on the
 W identity, the Fock matrices, the generator matrices of the induced
 module and the A0 matrices; on matrices that step is QMatrix._addmul.
 The Fock and module routes reach it through check_cleared, which clears
-the words and builds the identity of the cleared ring.
+the words and builds the identity of the cleared ring; on the Laurent
+ring of the symbolic routes it packs the matrices into qmatrix.PackedRows,
+whose _addmul is that step there.
 
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
 E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 from . import scalars as sc
 from .linear import Combination, accumulate, render_terms
-from .qmatrix import QMatrix
+from .qmatrix import PackedRows, QMatrix
 from .reporting import check_size, residual_results
 from .scalars import QScalar
 
@@ -197,7 +199,11 @@ def check_cleared(relations, cleared, value, clear, cols):
     cleared ring, whose unit is the image of value(1) under clear.  A
     letter with no entry in cleared is a ValueError, as in
     check_relations, before any word is cleared, and so is an empty
-    cleared, which leaves no matrix to size the identity."""
+    cleared, which leaves no matrix to size the identity.  When the
+    cleared ring is the Laurent ring (its unit is a Laurent), the A_g and
+    the identity are converted once to PackedRows, and every product is
+    taken on their packed rows; the int ring of the numeric route stays on
+    QMatrix, where packed rows would cost more."""
     _check_letters(relations, cleared)
     if not cleared:
         raise ValueError("no generator matrices to size the identity")
@@ -212,8 +218,11 @@ def check_cleared(relations, cleared, value, clear, cols):
                                   rhs=UElement.zero()))
     mats = {g: a for g, (_, a) in cleared.items()}
     _, (one,) = clear([value(sc.ONE)])
-    n = next(iter(mats.values())).nrows
-    return check_relations(words, mats, QMatrix.identity(n, one), cols)
+    unit = QMatrix.identity(next(iter(mats.values())).nrows, one)
+    if isinstance(one, sc.Laurent):
+        mats = {g: PackedRows.packed(a) for g, a in mats.items()}
+        unit = PackedRows.packed(unit)
+    return check_relations(words, mats, unit, cols)
 
 
 def render_word(word):

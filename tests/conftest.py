@@ -6,6 +6,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
+import qgl21.superalgebra as ua
+from qgl21.qmatrix import PackedRows, QMatrix
 from qgl21.walgebra import WElement, WMonomial
 
 SCALAR_POOL = (
@@ -150,3 +152,70 @@ wmonomials = st.builds(
     bit, bit, bit, bit, bit,
     st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2),
     bit)
+
+
+def record_check_matrices(mp):
+    """Patch mp, a pytest.MonkeyPatch, so that the relation checks record
+    into the lists (relations, mats) it returns: the relations handed to
+    check_relations, and every matrix handed on or made: each A_g handed to
+    check_cleared, the generator matrices and the unit handed to
+    check_relations, the operands of each fused step (_addmul and _iadd of
+    QMatrix and of PackedRows) and a copy of the sum after it, and each
+    residual."""
+    relations, mats = [], []
+    check, cleared_check = ua.check_relations, ua.check_cleared
+    evaluate = ua.evaluate
+
+    def clearing(rels, cleared, *args):
+        mats.extend(a for _, a in cleared.values())
+        return cleared_check(rels, cleared, *args)
+
+    def checking(rels, gens, unit, cols=None):
+        relations.extend(rels)
+        mats.extend((*gens.values(), unit))
+        return check(rels, gens, unit, cols)
+
+    def copy(m):
+        rows = {i: dict(r) for i, r in m.rows.items()}
+        if isinstance(m, QMatrix):
+            return m._like(rows)
+        return PackedRows(m.nrows, m.ncols, rows)
+
+    def evaluating(el, apply, start, addmul=None):
+        mats.append(evaluate(el, apply, start, addmul))
+        return mats[-1]
+
+    for cls in (QMatrix, PackedRows):
+        def multiplying(self, a, b, c=None, addmul=cls._addmul):
+            mats.extend((a, b, copy(addmul(self, a, b, c))))
+            return self
+
+        def adding(self, other, c=None, iadd=cls._iadd):
+            mats.extend((other, copy(iadd(self, other, c))))
+            return self
+
+        mp.setattr(cls, "_addmul", multiplying)
+        mp.setattr(cls, "_iadd", adding)
+    mp.setattr(ua, "check_cleared", clearing)
+    mp.setattr(ua, "check_relations", checking)
+    mp.setattr(ua, "evaluate", evaluating)
+    return relations, mats
+
+
+def assert_packed_laurent_check(mats, ngens):
+    """The matrices of record_check_matrices for a cleared check on the
+    Laurent ring: ngens A_g, each a QMatrix of Laurents whose missing
+    entry is the Laurent zero, and PackedRows with int coefficients for the
+    rest, with no QScalar anywhere."""
+    laurent = [m for m in mats if type(m) is QMatrix]
+    assert len(laurent) == ngens
+    for m in laurent:
+        assert all(type(v) is sc.Laurent for _, _, v in m.iter_entries())
+        missing = m.entry(m.nrows - 1, 0)       # no word reaches it
+        assert type(missing) is sc.Laurent and not missing
+    packed = [m for m in mats if type(m) is not QMatrix]
+    assert len(packed) > ngens + 1
+    for m in packed:
+        assert type(m) is PackedRows
+        assert all(type(x) is int for row in m.rows.values()
+                   for x in row.values())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import qgl21.scalars as sc
+from conftest import assert_packed_laurent_check, record_check_matrices
 from qgl21 import induced
 from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
@@ -225,43 +226,14 @@ def test_weight_consistency(trivial_rep, fermionic_rep):
 @pytest.mark.parametrize("gl11", [trivial_gl11_rep, fermionic_gl11_rep])
 def test_module_check_multiplies_only_laurent_entries(gl11, monkeypatch):
     # as on the symbolic Fock route, the module route builds no QScalar
-    # entry: every operand of every fused step, the unit included, holds
-    # Laurent polynomials, and a missing entry reads as the Laurent zero
+    # entry: every A_g holds Laurent polynomials, a missing entry reads as
+    # the Laurent zero, and every operand and sum of every fused step, the
+    # unit included, is packed rows with int coefficients
     rep = highest_weight_a0rep(gl11())
     assert "E31" in rep._mats       # its QScalar product is taken here
-    mats = []
-    check, evaluate = ua.check_relations, ua.evaluate
-    addmul, iadd = QMatrix._addmul, QMatrix._iadd
-
-    def checking(rels, gens, unit, cols=None):
-        mats.extend((*gens.values(), unit))
-        return check(rels, gens, unit, cols)
-
-    def copy(m):
-        return m._like({i: dict(r) for i, r in m.rows.items()})
-
-    def multiplying(self, a, b, c=None):
-        mats.extend((a, b, copy(addmul(self, a, b, c))))
-        return self
-
-    def adding(self, other, c=None):
-        mats.extend((other, copy(iadd(self, other, c))))
-        return self
-
-    def evaluating(el, apply, start, addmul=None):
-        mats.append(evaluate(el, apply, start, addmul))
-        return mats[-1]
-
-    monkeypatch.setattr(ua, "check_relations", checking)
-    monkeypatch.setattr(QMatrix, "_addmul", multiplying)
-    monkeypatch.setattr(QMatrix, "_iadd", adding)
-    monkeypatch.setattr(ua, "evaluate", evaluating)
+    _, mats = record_check_matrices(monkeypatch)
     assert all_passed(check_relations_on_module(rep, 4))
-    assert len(mats) > len(ACT_GENERATORS) + 1
-    for m in mats:
-        assert all(type(v) is sc.Laurent for _, _, v in m.iter_entries())
-        missing = m.entry(m.nrows - 1, 0)       # no word reaches it
-        assert type(missing) is sc.Laurent and not missing
+    assert_packed_laurent_check(mats, len(ACT_GENERATORS))
 
 
 def test_check_relations_rejects_small_nmax(trivial_rep):

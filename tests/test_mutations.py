@@ -13,7 +13,7 @@ from qgl21 import induced as ind
 from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
 from qgl21 import walgebra as wa
-from qgl21.qmatrix import QMatrix
+from qgl21.qmatrix import PackedRows, QMatrix
 from conftest import assert_canonical
 
 
@@ -131,8 +131,9 @@ def test_module_route_catches_doubled_k2():
 # -- the fused multiply-add with its coefficient on a row's first entry -------
 
 # each word's leftmost letter is added into the residual as c * M_g * acc by
-# QMatrix._addmul; the mutant multiplies only the first entry of each row of
-# M_g by c.  The K scaling relations of E21, E23 and E32, the commutators
+# QMatrix._addmul, or by PackedRows._addmul on the cleared Laurent ring; the
+# mutant multiplies only the first entry of each row of M_g by c, in M_g's
+# row order.  The K scaling relations of E21, E23 and E32, the commutators
 # [E12, E32], [E21, E23] and [E12, E21], E21 E31 = q E31 E21 and the E13 and
 # E31 definitions break, as M_g has rows of two entries: on the fermionic
 # images and on the module (the fermionic gl(1/1) plug-in), never on the
@@ -155,7 +156,17 @@ def _c_on_first_entries_only(monkeypatch):
         return addmul(self, a._like({i: dict(r[1:])
                                      for i, r in rows.items() if r[1:]}), b)
 
+    packed_addmul = PackedRows._addmul
+
+    def packed_mutant(self, a, b, c=None):
+        rows = a._by_col
+        packed_addmul(self, PackedRows(a.nrows, a.ncols, None, {
+            i: r[:1] for i, r in rows.items()}), b, c)
+        return packed_addmul(self, PackedRows(a.nrows, a.ncols, None, {
+            i: r[1:] for i, r in rows.items() if r[1:]}), b)
+
     monkeypatch.setattr(QMatrix, "_addmul", mutant)
+    monkeypatch.setattr(PackedRows, "_addmul", packed_mutant)
 
 
 def test_fock_and_module_routes_catch_a_partly_applied_coefficient(

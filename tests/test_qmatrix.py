@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qgl21.scalars as sc
 from conftest import SCALAR_POOL, qscalars
-from qgl21.qmatrix import QMatrix
+from qgl21.qmatrix import PackedRows, QMatrix
 
 
 def entries_3x3():
@@ -204,3 +204,117 @@ def test_sums_and_fused_products_check_shapes(step):
     # smaller matrix, and so does a product added into another shape
     with pytest.raises(ValueError, match="shape mismatch"):
         step()
+
+
+# -- a fused step whose sum is one of its own operands --------------------------
+
+def _probe(packed):
+    """m = [[1, q], [1, 0]]: over QScalar, or as the PackedRows of its
+    cleared Laurent matrix."""
+    m = QMatrix.from_entries(2, 2, [(0, 0, sc.ONE), (0, 1, sc.Q),
+                                    (1, 0, sc.ONE)])
+    return PackedRows.packed(m.cleared(sc.clear_denominators)[1]) \
+        if packed else m
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["QMatrix", "PackedRows"])
+@pytest.mark.parametrize("self_as", ["a", "b"])
+def test_fused_product_refuses_its_sum_as_an_operand(packed, self_as):
+    # unrefused, r._addmul(m, r) reads rows of r it has already changed and
+    # gives something other than r + m r, and r._addmul(r, m) grows the row
+    # it iterates over
+    m, r = _probe(packed), _probe(packed)
+    with pytest.raises(ValueError, match="one of its operands"):
+        if self_as == "a":
+            r._addmul(r, m)
+        else:
+            r._addmul(m, r)
+
+
+def test_qmatrix_sum_with_itself_doubles_it():
+    m, r = _probe(False), _probe(False)
+    assert r._iadd(r) is r
+    assert r == m + m
+
+
+def test_packed_sum_refuses_itself():
+    r = _probe(True)
+    with pytest.raises(ValueError, match="into itself"):
+        r._iadd(r, sc.laurent_q_number(1))
+
+
+# -- packed rows against QMatrix on Laurent entries -----------------------------
+
+TOP = 2 ** 30 - 1       # the largest exponent magnitude _pack takes
+
+
+def _wide_laurent(rng):
+    """One to three terms with signed coefficients and exponents of either
+    sign in every variable, some at +-TOP."""
+    def exponent():
+        e = rng.choice((0, 1, 2, TOP))
+        return rng.choice((e, -e))
+
+    return sc.Laurent({tuple(exponent() for _ in range(4)):
+                       rng.choice((-3, -1, 1, 2, 10 ** 20))
+                       for _ in range(rng.randint(1, 3))})
+
+
+def _decoded(p):
+    """The entries {(i, j): packed monomial terms} of PackedRows p."""
+    out = {}
+    for i, row in p.rows.items():
+        for key, x in row.items():
+            j = sc._key_column(key)
+            out.setdefault((i, j), {})[key - sc._row_key(0, j)] = x
+    return out
+
+
+def _laurent_terms(m):
+    return {(i, j): v.terms for i, j, v in m.iter_entries()}
+
+
+def test_packed_rows_match_qmatrix_on_laurent_entries():
+    # total + c a (b d) + c other, with total minus c a (b d) on some rows,
+    # so entries cancel to zero there; b d is a packed product as the right
+    # operand of the fused step, as in a 3-letter word
+    zero, cancelled = sc.Laurent({}), 0
+    packed = PackedRows.packed
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, k, l, m = (rng.randint(1, 5) for _ in range(4))
+        a, b, d = (_random(rng, _wide_laurent, zero, r, c)
+                   for r, c in ((n, k), (k, l), (l, m)))
+        other = _random(rng, _wide_laurent, zero, n, m)
+        c = rng.choice((None, sc.Laurent({(-1, 2, -TOP, 0): -5}),
+                        _wide_laurent(rng) + _wide_laurent(rng) or None))
+        product = a * (b * d)
+        minus = product.scale(-sc.Laurent({(0, 0, 0, 0): 1})
+                              if c is None else -c)
+        keep = {i for i in minus.rows if rng.random() < 0.7}
+        total = QMatrix(n, m, {i: r for i, r in minus.rows.items()
+                               if i in keep}, zero)
+        got = packed(total)._addmul(packed(a), packed(b) * packed(d), c)
+        got._iadd(packed(other), c)
+        want = total._addmul(a, b * d, c)._iadd(other, c)
+        assert _decoded(got) == _laurent_terms(want)
+        assert all(type(x) is int for row in got.rows.values()
+                   for x in row.values())
+        cols = rng.sample(range(m), rng.randint(0, m))
+        for cs in (None, range(m), cols):
+            assert got.nnz(cs) == want.nnz(cs)
+        cancelled += sum(1 for i, j, _ in product.iter_entries()
+                         if i in keep and not want.entry(i, j))
+    assert cancelled
+
+
+@pytest.mark.parametrize("j", [0, 1, 2 ** 40 + 3])
+def test_row_keys_give_back_their_column(j):
+    # a field's magnitude stays below 2^63 (see scalars.Laurent), so a
+    # key whose fields sit near it in either sign still decodes
+    for mono in ((0, 0, 0, 0), (0, 0, 0, -1), (TOP, -TOP, TOP, -TOP),
+                 (-TOP, TOP, -TOP, TOP), (5, 0, -2, -TOP)):
+        for key in (sc._pack(mono), sc._pack(mono) * 2 ** 32):
+            row_key = sc._row_key(key, j)
+            assert sc._key_column(row_key) == j
+            assert row_key - sc._row_key(0, j) == key

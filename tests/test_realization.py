@@ -11,9 +11,10 @@ import qgl21.induced as ind
 import qgl21.realization as rz
 import qgl21.scalars as sc
 import qgl21.superalgebra as ua
-from conftest import substitute_monomial
+from conftest import (
+    assert_packed_laurent_check, record_check_matrices, substitute_monomial)
 from qgl21.parsing import parse_w
-from qgl21.qmatrix import QMatrix
+from qgl21.qmatrix import PackedRows, QMatrix
 from qgl21.realization import (
     DEFAULT_ASSIGNMENT, GENERATOR_IMAGE_NAMES, check_relations_on_fock,
     dyson_check, fock_matrix, fock_modes, image_of_uelement,
@@ -401,39 +402,10 @@ def test_fock_numeric_missing_entry_is_a_fraction_zero():
 
 def _fock_check_matrices(mode, D, assignment=None):
     """The results of check_relations_on_fock(mode, D, assignment), the
-    relations it checks, and every matrix it hands on or makes: the
-    generator matrices and the unit, the operands of each fused step
-    (QMatrix._addmul and _iadd) and a copy of the sum after it, and each
-    residual."""
-    relations, mats = [], []
-    check, evaluate = ua.check_relations, ua.evaluate
-    addmul, iadd = QMatrix._addmul, QMatrix._iadd
-
-    def checking(rels, gens, unit, cols=None):
-        relations.extend(rels)
-        mats.extend((*gens.values(), unit))
-        return check(rels, gens, unit, cols)
-
-    def copy(m):
-        return m._like({i: dict(r) for i, r in m.rows.items()})
-
-    def multiplying(self, a, b, c=None):
-        mats.extend((a, b, copy(addmul(self, a, b, c))))
-        return self
-
-    def adding(self, other, c=None):
-        mats.extend((other, copy(iadd(self, other, c))))
-        return self
-
-    def evaluating(el, apply, start, addmul=None):
-        mats.append(evaluate(el, apply, start, addmul))
-        return mats[-1]
-
+    relations it checks, and every matrix it hands on or makes, as
+    conftest.record_check_matrices records them."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ua, "check_relations", checking)
-        mp.setattr(QMatrix, "_addmul", multiplying)
-        mp.setattr(QMatrix, "_iadd", adding)
-        mp.setattr(ua, "evaluate", evaluating)
+        relations, mats = record_check_matrices(mp)
         return check_relations_on_fock(mode, D, assignment), relations, mats
 
 
@@ -496,16 +468,16 @@ def test_fock_numeric_evaluates_each_coefficient_and_boson_factor_once(
 def test_fock_relation_check_skips_identity_products(monkeypatch):
     # each word starts from the identity; its first letter is the
     # generator's matrix itself, not a product with the identity, so the
-    # 73 two-letter words take one fused product each and no other word
-    # takes one
+    # 73 two-letter words take one fused product each (on the packed rows
+    # of the cleared Laurent ring) and no other word takes one
     calls = []
-    addmul = QMatrix._addmul
+    addmul = PackedRows._addmul
 
     def counting(self, a, b, c=None):
         calls.append(None)
         return addmul(self, a, b, c)
 
-    monkeypatch.setattr(QMatrix, "_addmul", counting)
+    monkeypatch.setattr(PackedRows, "_addmul", counting)
     results = check_relations_on_fock("fermionic", 16)
     assert all_passed(results)
     assert len(calls) == 73
@@ -513,14 +485,12 @@ def test_fock_relation_check_skips_identity_products(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["trivial", "fermionic"])
 def test_symbolic_fock_check_multiplies_only_laurent_entries(mode):
-    # the symbolic route builds no QScalar entry: every operand of every
-    # product holds Laurent polynomials, so no q^2 - 1 is ever cancelled
+    # the symbolic route builds no QScalar entry: every A_g holds Laurent
+    # polynomials, and every operand and sum of every product is their
+    # packed rows with int coefficients, so no q^2 - 1 is ever cancelled
     results, _, mats = _fock_check_matrices(mode, 8)
     assert all_passed(results)
-    for m in mats:
-        assert all(type(v) is sc.Laurent for _, _, v in m.iter_entries())
-        missing = m.entry(m.nrows - 1, 0)       # no word reaches it
-        assert type(missing) is sc.Laurent and not missing
+    assert_packed_laurent_check(mats, len(ua.GENERATORS))
 
 
 def test_fock_relation_check_never_scales_by_one(monkeypatch):

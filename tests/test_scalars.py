@@ -541,6 +541,24 @@ def test_packed_keys_round_trip_up_to_the_bound(field, sign):
         sc.Laurent({mono(sign * 2 ** 30): 7})
 
 
+@pytest.mark.parametrize("sign", (1, -1))
+def test_q_builders_take_exponents_up_to_the_bound(sign):
+    e = sign * LAURENT_TOP
+    assert sc.laurent_q_power(e) == sc.Laurent({(e, 0, 0, 0): 1})
+    assert sc.laurent_q_number(e) == sc.Laurent({(e, 0, 0, 0): 1,
+                                                  (-e, 0, 0, 0): -1})
+    for build in (sc.laurent_q_power, sc.laurent_q_number):
+        with pytest.raises(ValueError, match="bound 2\\^30"):
+            build(sign * 2 ** 30)
+
+
+@pytest.mark.parametrize("e", [0.0, 1.5, Fraction(2), "1"])
+def test_q_builders_refuse_an_exponent_that_is_not_an_int(e):
+    for build in (sc.laurent_q_power, sc.laurent_q_number):
+        with pytest.raises(ValueError, match="not four ints"):
+            build(e)
+
+
 @pytest.mark.parametrize("mono", [(1, 2), (0.5, 0, 0, 0), [0, 0, 0, 0]])
 def test_packing_refuses_an_exponent_vector_that_is_not_four_ints(mono):
     with pytest.raises(ValueError, match="not four ints"):
