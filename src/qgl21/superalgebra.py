@@ -32,6 +32,12 @@ E12^N' E13^M' . (word over the parabolic subalgebra A0) two ways:
                       letter swap at a time; coefficients of longer runs
                       emerge by cancellation, never from closed forms.
 
+Both rewrite through normalize_word, which expands each word once per
+memo: a memo local to one straighten or oracle_straighten call, and in
+check_straightening_identities one per identity and mode, kept across
+n = 0..nmax, so g . base^n reuses g . base^(n-1).  Nothing is cached
+between checks, and the two modes never share a memo.
+
 Their term-by-term agreement over the verification grid is the machine
 proof of the closed straightening identities at desk scale.
 """
@@ -421,9 +427,10 @@ def _cross(x, base, n):
     raise ValueError("no straightening rule for %s through %s" % (name, base))
 
 
-def _find_violation(word, bases):
-    rank = {b: i for i, b in enumerate(bases)}
-    big = len(bases)
+def _find_violation(word, rank, big):
+    """The index of the rightmost letter standing before a letter of
+    lower rank, rank being the index of each base and big that of every
+    other letter; None when word is in order."""
     for idx in range(len(word) - 2, -1, -1):
         nm_next = word[idx + 1][0]
         r_next = rank.get(nm_next)
@@ -437,33 +444,85 @@ def _find_violation(word, bases):
     return None
 
 
-def normalize_word(coeff, word, bases=("E12", "E13"), single=False):
-    """Rewrite into the PBW order (runs of `bases` first), returning a dict
-    word -> coefficient.  With single=True only n = 1 swaps are used."""
-    done = {}
-    stack = [(coeff, tuple(word))]
-    guard = 0
+_STEP_LIMIT = 2_000_000
+
+
+def _normal_form(word, rank, big, single, memo):
+    """The normal form {word: coeff} of 1 * word, from and into memo.
+
+    A word is always rewritten at its rightmost violation idx, so its
+    normal form does not depend on the path that reached it and can be
+    shared.  At idx = 0 the letter crosses its run once by
+    _cross (a run of 1 when single) and the normal form is that of the
+    replacements.  At idx > 0, every rewrite lands inside tail = word[idx:]
+    while tail is out of order, so nf(word) = sum over u of nf(tail) of
+    c_u nf(word[:idx] + u); g base^n thus reuses the normal form of
+    g base^(n-1).  Each word is expanded once per memo, on an explicit
+    stack, so the depth of Python frames stays flat in the word length.
+    memo must serve one (rank, single) only; its values are shared and
+    never edited.  A word asked for while its own normal form is open is
+    a cycle, and so is a run of more than _STEP_LIMIT expansions: both
+    raise RuntimeError."""
+    steps = 0
+    opened = set()
+    # entries (w, None, None) to visit w, (w, idx, None) once nf of
+    # w[idx:] is known, (w, None, terms) once nf of each term's word is
+    stack = [(word, None, None)]
     while stack:
-        guard += 1
-        if guard > 2_000_000:
-            raise RuntimeError("straightening did not terminate")
-        c, w = stack.pop()
-        idx = _find_violation(w, bases)
-        if idx is None:
-            accumulate(done, w, c)
+        w, idx, terms = stack.pop()
+        if terms is not None:
+            out = {}
+            for c, v in terms:
+                for u, cu in memo[v].items():
+                    accumulate(out, u, c * cu)
+            memo[w] = out
+            opened.discard(w)
             continue
-        base = w[idx + 1][0]
-        if single:
-            run = 1
+        if idx is not None:
+            head = w[:idx]
+            terms = [(c, head + u) for u, c in memo[w[idx:]].items()]
         else:
+            if w in memo:
+                continue
+            if w in opened:
+                raise RuntimeError("straightening did not terminate")
+            idx = _find_violation(w, rank, big)
+            if idx is None:
+                memo[w] = {w: sc.ONE}
+                continue
+            steps += 1
+            if steps > _STEP_LIMIT:
+                raise RuntimeError("straightening did not terminate")
+            opened.add(w)
+            if idx:
+                stack.append((w, idx, None))
+                stack.append((w[idx:], None, None))
+                continue
+            base = w[1][0]
             run = 1
-            while idx + 1 + run < len(w) and w[idx + 1 + run][0] == base:
-                run += 1
-        tail = w[idx + 1 + run:]
-        head = w[:idx]
-        for cc, repl in _cross(w[idx], base, run):
-            stack.append((c * cc, head + repl + tail))
-    return done
+            if not single:
+                while run + 1 < len(w) and w[run + 1][0] == base:
+                    run += 1
+            tail = w[1 + run:]
+            terms = [(c, repl + tail) for c, repl in _cross(w[0], base, run)]
+        stack.append((w, None, terms))
+        stack.extend((v, None, None) for _c, v in terms if v not in memo)
+    return memo[word]
+
+
+def normalize_word(coeff, word, bases=("E12", "E13"), single=False,
+                   memo=None):
+    """Rewrite into the PBW order (runs of `bases` first), returning a
+    fresh dict word -> coefficient.  With single=True only n = 1 swaps
+    are used.  memo, {word: normal form of 1 * word}, may be shared by
+    calls with the same bases and single; by default each call has its
+    own."""
+    rank = {b: i for i, b in enumerate(bases)}
+    nf = _normal_form(tuple(word), rank, len(bases), single,
+                      {} if memo is None else memo)
+    if not coeff:
+        return {}
+    return {w: coeff * c for w, c in nf.items()}
 
 
 def _gletter(g):
@@ -547,13 +606,15 @@ def check_straightening_identities(nmax):
     check_size(nmax, 2, "nmax")
     bases_for = {"E12": ("E12", "E13"), "E13": ("E12", "E13"), "E23": ("E23",)}
 
-    def expansion(g, base, n, single):
-        word = ((g, 1),) + ((base, 1),) * n
-        terms = normalize_word(sc.ONE, word, bases_for[base], single=single)
-        return Combination({(n, w): c for w, c in terms.items()})
+    def expansions(g, base, single):
+        memo = {}
+        return Combination({
+            (n, w): c for n in range(nmax + 1)
+            for w, c in normalize_word(sc.ONE, ((g, 1),) + ((base, 1),) * n,
+                                       bases_for[base], single,
+                                       memo).items()})
 
     return residual_results(
         ("%s through %s^n" % (g, base),
-         sum((expansion(g, base, n, False) - expansion(g, base, n, True)
-              for n in range(nmax + 1)), Combination()), None)
+         expansions(g, base, False) - expansions(g, base, True), None)
         for g, base in STRAIGHTENING_IDENTITIES)
