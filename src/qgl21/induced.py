@@ -55,7 +55,7 @@ from typing import NamedTuple
 from . import scalars as sc
 from . import superalgebra as ua
 from .linear import Combination, accumulate
-from .qmatrix import QMatrix
+from .qmatrix import PackedRows, QMatrix
 from .reporting import CheckResult, check_size
 # the gl(1/1) plug-ins live beside their W substitution; read from here too
 from .walgebra import Gl11Rep, fermionic_gl11_rep, trivial_gl11_rep
@@ -339,9 +339,9 @@ def _cleared_module(rep, nmax):
     clears g's values c (q - q^-1)^-len(ks) times an A0 column's entry,
     once per (M, branch, index, row); each is placed on every level N whose
     target lies in [0, nmax], times its boson factor
-    q^(aN + b) prod(q^(N + k) - q^-(N + k) for k in ks)."""
+    q^(aN + b) prod(q^(N + k) - q^-(N + k) for k in ks), and A_g is built
+    once from those Laurent entries, straight into qmatrix.PackedRows."""
     D = 2 * rep.dim * (nmax + 1)
-    zero = sc.laurent_q_power(0) - sc.laurent_q_power(0)
     cleared = {}
     for g in ACT_GENERATORS:
         terms = [(M, dn, m, a, b, ks, i, r, c * sc.EPS_INV ** len(ks) * v)
@@ -359,7 +359,7 @@ def _cleared_module(rep, nmax):
                         f = f * sc.laurent_q_number(N + k)
                     entries.append(((2 * (N + dn) + m) * rep.dim + r,
                                     (2 * N + M) * rep.dim + i, x * f))
-        cleared[g] = d, QMatrix.from_entries(D, D, entries, zero)
+        cleared[g] = d, PackedRows.from_entries(D, D, entries)
     return cleared
 
 

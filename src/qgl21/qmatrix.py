@@ -17,14 +17,18 @@ into a fresh matrix; the one sum loop is _iadd, self += c * other.
 _addmul refuses a sum that is one of its operands, which it would read
 while changing it; m._iadd(m) doubles m.
 
-PackedRows is the relation check's matrix on the Laurent ring:
-superalgebra.check_cleared converts the cleared generator matrices and the
-identity to it once per check.  It keeps each row as one dict from packed
-row keys, a monomial's packed key plus its column shifted above the four
-exponent fields (scalars._row_key), to int coefficients, so a row of a
-product is one multiply-accumulate over ints and builds no Laurent.  It
-has only the steps check_relations and evaluate take: scale, _iadd,
-_addmul, * and nnz.
+PackedRows is the relation check's matrix on the Laurent ring: the
+cleared generator matrices of the symbolic routes are built straight into
+it (PackedRows.from_entries, from the Laurent entries of
+realization._fill or induced._cleared_module), once per generator, and
+so is the identity of the check; no QMatrix of Laurents is built for
+them.  It keeps each row as one dict from packed row keys, a monomial's
+packed key plus its column shifted above the four exponent fields
+(scalars._row_key), to int coefficients, so a row of a product is one
+multiply-accumulate over ints and builds no Laurent.  Its sums leave the
+zeros of cancelled terms in place, and nnz skips them once, when the
+residual is counted.  It has only the steps check_relations and evaluate
+take: scale, _iadd, _addmul, * and nnz, plus iter_entries and ==.
 """
 
 from __future__ import annotations
@@ -210,10 +214,13 @@ class PackedRows:
     for the relation check of the cleared routes: row i is one dict
     {sc._row_key(m, j): x} over the terms x m of its entries, m the packed
     key of a monomial and j its column, so a row of a product is one
-    multiply-accumulate over ints.  packed() converts a Laurent QMatrix and
-    keeps its rows by column, the view a left operand of _addmul is read
-    through; a sum or product has no such view and is only a right
-    operand.  Only what check_relations and evaluate call is here."""
+    multiply-accumulate over ints.  from_entries builds a generator matrix
+    and keeps its rows by column, the view a left operand of _addmul is
+    read through; a sum or product has no such view and is only a right
+    operand.  A sum keeps the zero coefficients its cancelled terms leave:
+    they are skipped once, where the rows are read, by nnz, iter_entries
+    and ==.  Only what check_relations and evaluate call is here, plus the
+    reads the tests compare by."""
 
     __slots__ = ("nrows", "ncols", "rows", "_by_col")
 
@@ -224,27 +231,63 @@ class PackedRows:
         self._by_col = by_col
 
     @classmethod
-    def packed(cls, m):
-        """The packed rows of m, a QMatrix of Laurents, with its view
-        {i: [(j, [(key, x), ...]), ...]} over the packed terms of each
-        entry, in m's row order."""
+    def from_entries(cls, nrows, ncols, entries):
+        """The matrix whose entry (i, j) is the sum of the Laurents v of
+        entries (i, j, v), their packed terms summed as ints by Laurent's
+        +, and the rows and the view {i: [(j, [(key, x), ...]), ...]} made
+        once from those sums, with no zero entry, in the order entries
+        first reach each row and each entry."""
+        sums = {}
+        for i, j, v in entries:
+            row = sums.get(i)
+            if row is None:
+                row = sums[i] = {}
+            w = row.get(j)
+            row[j] = v if w is None else w + v
+        by_col = {}
+        for i, row in sums.items():
+            row = [(j, list(v.terms.items())) for j, v in row.items() if v]
+            if row:
+                by_col[i] = row
         key = sc._row_key
-        return cls(m.nrows, m.ncols,
-                   {i: {key(k, j): x for j, v in r.items()
-                        for k, x in v.terms.items()}
-                    for i, r in m.rows.items()},
-                   {i: [(j, list(v.terms.items())) for j, v in r.items()]
-                    for i, r in m.rows.items()})
+        return cls(nrows, ncols,
+                   {i: {key(k, j): x for j, terms in row for k, x in terms}
+                    for i, row in by_col.items()}, by_col)
+
+    @classmethod
+    def identity(cls, n, scale):
+        """scale, a Laurent, times the n x n identity."""
+        return cls.from_entries(n, n, ((i, i, scale) for i in range(n)))
+
+    def iter_entries(self):
+        """(i, j, Laurent) for each nonzero entry, row by row."""
+        col, key = sc._key_column, sc._row_key
+        for i, row in self.rows.items():
+            entries = {}
+            for k, x in row.items():
+                if x:
+                    j = col(k)
+                    entries.setdefault(j, {})[k - key(0, j)] = x
+            for j, terms in entries.items():
+                yield i, j, sc._laurent(terms)
 
     def nnz(self, cols=None):
         """Number of nonzero entries, optionally only those in the given
         columns."""
         col = sc._key_column
-        entries = ({col(key) for key in row} for row in self.rows.values())
+        entries = ({col(key) for key, x in row.items() if x}
+                   for row in self.rows.values() if any(row.values()))
         if cols is None:
             return sum(map(len, entries))
         cols = set(cols)
         return sum(len(js & cols) for js in entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, PackedRows):
+            return NotImplemented
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and \
+            {(i, j): v.terms for i, j, v in self.iter_entries()} \
+            == {(i, j): v.terms for i, j, v in other.iter_entries()}
 
     def scale(self, c):
         out = PackedRows(self.nrows, self.ncols)
@@ -260,21 +303,20 @@ class PackedRows:
         rows = self.rows
         cterms = [(0, 1)] if c is None else c.terms.items()
         for i, orow in other.rows.items():
-            row = rows.get(i, {})
-            _add_product(row, cterms, orow)
-            _store(rows, i, {key: x for key, x in row.items() if x})
+            _add_product(rows.setdefault(i, {}), cterms, orow)
         return self
 
     def _addmul(self, a, b, c=None):
-        """self += c * a * b, c None meaning 1 or a Laurent, with a packed
-        by packed()."""
+        """self += c * a * b, c None meaning 1 or a Laurent, with a built
+        by from_entries."""
         _check_addmul(self, a, b)
         if a._by_col is None:
-            raise ValueError("the left operand of a product is not packed()")
+            raise ValueError("the left operand of a product is not a "
+                             "matrix from from_entries")
         rows, brows = self.rows, b.rows
         cterms = None if c is None else c.terms.items()
         for i, arow in a._by_col.items():
-            row = rows.get(i, {})
+            row = rows.setdefault(i, {})
             for k, terms in arow:
                 brow = brows.get(k)
                 if brow:
@@ -282,7 +324,6 @@ class PackedRows:
                         terms = [(m + n, x * y) for m, x in terms
                                  for n, y in cterms]
                     _add_product(row, terms, brow)
-            _store(rows, i, {key: x for key, x in row.items() if x})
         return self
 
     def __mul__(self, other):

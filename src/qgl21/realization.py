@@ -31,7 +31,8 @@ matrices (on the identity matrix) acting from the left.  Neither Fock
 check multiplies over a field: each generator matrix is A_g / d_g, built
 by _cleared_matrix (symbolic: A_g over integer Laurent polynomials,
 scalars.Laurent, d_g = C (q - 1)^I (q + 1)^J, each boson factor [n] kept
-as q^n - q^-n, never divided by q^2 - 1, so entries stay short) or by
+as q^n - q^-n, never divided by q^2 - 1, so entries stay short; A_g is
+built once, straight into qmatrix.PackedRows from _fill's entries) or by
 QMatrix.cleared with _clear_rationals (numeric: the Fraction matrix, see
 fock_matrix, times d_g, the lcm of its denominators, over Z).  Then
 superalgebra.check_cleared clears the relation words and checks them on
@@ -53,7 +54,7 @@ from typing import NamedTuple
 from . import scalars as sc
 from . import superalgebra as ua
 from . import walgebra as wa
-from .qmatrix import QMatrix
+from .qmatrix import PackedRows, QMatrix
 from .reporting import check_size, residual_results
 from .scalars import QScalar
 from .walgebra import generator, substitute_gl11, w_mul
@@ -223,8 +224,11 @@ def fock_matrix(x, D, assignment=None, modes=None):
     if modes not in ((), (1,), (2,), (1, 2)):
         raise ValueError("fermion modes %r are not one of (), (1,), (2,) "
                          "and (1, 2)" % (modes,))
+    occupations = tuple(product((0, 1), repeat=len(modes)))
+    dim = D * len(occupations)
     if assignment is None:
-        mat = _fill(x.terms, D, modes, sc.q_power, sc.q_integer)
+        mat = QMatrix.from_entries(dim, dim, _fill(x.terms, D, modes,
+                                                   sc.q_power, sc.q_integer))
     else:
         q = assignment["q"]
         try:
@@ -236,28 +240,30 @@ def fock_matrix(x, D, assignment=None, modes=None):
                 (i, j, v.evaluate(**assignment))
                 for i, j, v in symbolic.iter_entries()), Fraction(0))
         else:
-            mat = _fill(terms, D, modes, q.__pow__,
-                        lambda m: (q ** m - q ** -m) / (q - 1 / q))
-    occupations = tuple(product((0, 1), repeat=len(modes)))
+            mat = QMatrix.from_entries(dim, dim, _fill(
+                terms, D, modes, q.__pow__,
+                lambda m: (q ** m - q ** -m) / (q - 1 / q)), Fraction(0))
     fdim = len(occupations)
     raising = min(D, max(0, x.max_raising()))
     return FockMatrix(
-        dim=D * fdim, boson_dim=D, modes=modes, matrix=mat,
+        dim=dim, boson_dim=D, modes=modes, matrix=mat,
         basis=tuple((n,) + occ for n in range(D) for occ in occupations),
         boundary_columns=tuple(range((D - raising) * fdim, D * fdim)))
 
 
 def _fill(terms, D, modes, q_power, q_number):
-    """The one monomial loop of the Fock matrices: the matrix whose
-    entries sum c * q_power(k(n - l)) * q_number(n) ... q_number(n - l + 1)
+    """The one monomial loop of the Fock matrices: the entries
+    (row, column, amplitude) whose sums per (row, column) are
+    c * q_power(k(n - l)) * q_number(n) ... q_number(n - l + 1) summed
     over the monomials c a+^m t^k a^l of terms, each c already in the
-    entries' ring, with q_power(0) - q_power(0) its zero.  The boson
-    factor is taken once per (l, k, n), the only cache, and an amplitude
-    once per (monomial, n).  The canonical, numeric and cleared matrices
-    differ only in the coefficients and the boson factor they put in."""
+    entries' ring, yielded for the caller's matrix to sum
+    (QMatrix.from_entries for the canonical and numeric matrices,
+    PackedRows.from_entries for the cleared ones).  The boson factor is
+    taken once per (l, k, n), the only cache, and an amplitude once per
+    (monomial, n).  The three fields differ only in the coefficients and
+    the boson factor they put in."""
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
-    mat = QMatrix.zero(D * fdim, zero=q_power(0) - q_power(0))
     boson = {}      # (l, k, n) -> the boson factor
     for mon, c in terms.items():
         moves = _fermion_moves(mon, modes, occupations)
@@ -274,9 +280,7 @@ def _fill(terms, D, modes, q_power, q_number):
             amp = c * boson[key]
             row, col = (n - mon.l + mon.m) * fdim, n * fdim
             for f_in, f_out, negate in moves:
-                mat.add_entry(row + f_out, col + f_in,
-                              -amp if negate else amp)
-    return mat
+                yield row + f_out, col + f_in, -amp if negate else amp
 
 
 def _cleared_matrix(x, D, modes):
@@ -285,11 +289,14 @@ def _cleared_matrix(x, D, modes):
     c a+^m t^k a^l, each cleared by d, and the boson factor is
     q^(k(n-l)) (q^n - q^-n) ... (q^(n-l+1) - q^-(n-l+1)), that is
     [n] ... [n-l+1] q^(k(n-l)) times (q - q^-1)^l, with q^2 - 1 never
-    divided out of a numerator."""
+    divided out of a numerator.  A is built once, straight into
+    PackedRows: each amplitude of _fill adds its packed terms."""
     d, cleared = sc.clear_denominators(c * sc.EPS_INV ** mon.l
                                        for mon, c in x.terms.items())
-    return d, _fill(dict(zip(x.terms, cleared)), D, modes,
-                    sc.laurent_q_power, sc.laurent_q_number)
+    n = D * 2 ** len(modes)
+    return d, PackedRows.from_entries(n, n, _fill(
+        dict(zip(x.terms, cleared)), D, modes, sc.laurent_q_power,
+        sc.laurent_q_number))
 
 
 def _assigned_rational(assignment, name):

@@ -18,7 +18,7 @@ W identity, the Fock matrices, the generator matrices of the induced
 module and the A0 matrices; on matrices that step is QMatrix._addmul.
 The Fock and module routes reach it through check_cleared, which clears
 the words and builds the identity of the cleared ring; on the Laurent
-ring of the symbolic routes it packs the matrices into qmatrix.PackedRows,
+ring of the symbolic routes the matrices come built as qmatrix.PackedRows,
 whose _addmul is that step there.
 
 The straightening engine rewrites g . E12^N . E13^M into the ordered basis
@@ -50,7 +50,6 @@ from typing import NamedTuple
 
 from . import scalars as sc
 from .linear import Combination, accumulate, render_terms
-from .qmatrix import PackedRows, QMatrix
 from .reporting import check_size, residual_results
 from .scalars import QScalar
 
@@ -201,34 +200,36 @@ def check_cleared(relations, cleared, value, clear, cols):
     value(c_w), entry by entry: an entry is zero exactly when that value
     is, and the residual counts are those over Q(q, p) (symbolic) or Q
     (numeric).  A witness from such a residual must be divided by L to
-    give its value in that field.  The words act on the identity of the
-    cleared ring, whose unit is the image of value(1) under clear.  A
-    letter with no entry in cleared is a ValueError, as in
-    check_relations, before any word is cleared, and so is an empty
-    cleared, which leaves no matrix to size the identity.  When the
-    cleared ring is the Laurent ring (its unit is a Laurent), the A_g and
-    the identity are converted once to PackedRows, and every product is
-    taken on their packed rows; the int ring of the numeric route stays on
-    QMatrix, where packed rows would cost more."""
+    give its value in that field.  Each d_g is inverted once per check,
+    as value(1) / d_g (QScalar.invert on the symbolic routes, the
+    Fraction 1/d_g on the numeric one, never a float), and lhs - rhs is
+    taken once per relation.  The words act on the identity of the
+    cleared ring, whose unit is the image of value(1) under clear, built
+    by the A_g's own class: the A_g are PackedRows on the Laurent ring of
+    the symbolic routes, built so by their builders and never converted
+    here, and QMatrix on the int ring of the numeric route, where packed
+    rows would cost more.  A letter with no entry in cleared is a
+    ValueError, as in check_relations, before any word is cleared, and so
+    is an empty cleared, which leaves no matrix to size the identity."""
     _check_letters(relations, cleared)
     if not cleared:
         raise ValueError("no generator matrices to size the identity")
+    one = value(sc.ONE)
+    inverse = {g: one / d for g, (d, _) in cleared.items()}
     words = []
     for rel in relations:
         terms = (rel.lhs - rel.rhs).terms
         _, coeffs = clear([
-            value(c) / prod((cleared[letter(nm, e)][0] ** abs(e)
-                             for nm, e in w))
+            prod((inverse[letter(nm, e)] for nm, e in w
+                  for _ in range(abs(e))), start=value(c))
             for w, c in terms.items()])
         words.append(rel._replace(lhs=UElement(dict(zip(terms, coeffs))),
                                   rhs=UElement.zero()))
     mats = {g: a for g, (_, a) in cleared.items()}
-    _, (one,) = clear([value(sc.ONE)])
-    unit = QMatrix.identity(next(iter(mats.values())).nrows, one)
-    if isinstance(one, sc.Laurent):
-        mats = {g: PackedRows.packed(a) for g, a in mats.items()}
-        unit = PackedRows.packed(unit)
-    return check_relations(words, mats, unit, cols)
+    _, (unit_scale,) = clear([one])
+    a = next(iter(mats.values()))
+    return check_relations(words, mats, type(a).identity(a.nrows, unit_scale),
+                           cols)
 
 
 def render_word(word):

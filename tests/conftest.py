@@ -204,18 +204,21 @@ def record_check_matrices(mp):
 
 def assert_packed_laurent_check(mats, ngens):
     """The matrices of record_check_matrices for a cleared check on the
-    Laurent ring: ngens A_g, each a QMatrix of Laurents whose missing
-    entry is the Laurent zero, and PackedRows with int coefficients for the
-    rest, with no QScalar anywhere."""
-    laurent = [m for m in mats if type(m) is QMatrix]
-    assert len(laurent) == ngens
-    for m in laurent:
-        assert all(type(v) is sc.Laurent for _, _, v in m.iter_entries())
-        missing = m.entry(m.nrows - 1, 0)       # no word reaches it
-        assert type(missing) is sc.Laurent and not missing
-    packed = [m for m in mats if type(m) is not QMatrix]
-    assert len(packed) > ngens + 1
-    for m in packed:
-        assert type(m) is PackedRows
+    Laurent ring: every one PackedRows with int coefficients, no QMatrix
+    and no QScalar anywhere; the ngens A_g and the unit are the only ones
+    built by PackedRows.from_entries (with their rows by column), each
+    entry a nonzero Laurent over Z, and the rest are sums and products."""
+    assert all(type(m) is PackedRows for m in mats)
+    for m in mats:
         assert all(type(x) is int for row in m.rows.values()
                    for x in row.values())
+    built = {id(m): m for m in mats if m._by_col is not None}
+    assert len(built) == ngens + 1
+    for m in built.values():
+        entries = list(m.iter_entries())
+        assert entries and all(type(v) is sc.Laurent and v
+                               for _, _, v in entries)
+        assert all(type(x) is int for row in m._by_col.values()
+                   for _, terms in row for _, x in terms)
+    # each A_g is recorded twice, by check_cleared and check_relations
+    assert len(mats) > 2 * ngens + 1

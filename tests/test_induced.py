@@ -14,7 +14,7 @@ from qgl21.induced import (
     fermionic_gl11_rep, highest_weight_a0rep, trivial_gl11_rep,
     validate_a0rep, validate_gl11_rep,
 )
-from qgl21.qmatrix import QMatrix
+from qgl21.qmatrix import PackedRows, QMatrix
 from qgl21.superalgebra import UElement, relation_set
 from qgl21.reporting import all_passed
 
@@ -236,6 +236,45 @@ def test_module_check_multiplies_only_laurent_entries(gl11, monkeypatch):
     assert_packed_laurent_check(mats, len(ACT_GENERATORS))
 
 
+@pytest.mark.parametrize("mode", ["fermionic", "trivial"])
+@pytest.mark.parametrize("route", ["fock", "module"])
+def test_each_generator_matrix_is_built_once(route, mode, monkeypatch):
+    # check_relations_on_fock(mode, 16) and check_relations_on_module(rep,
+    # 12) build every A_g and the unit once, straight into PackedRows, and
+    # hand those very matrices to check_relations: no QMatrix of Laurents
+    # is made and no matrix is converted on the way
+    built, laurent, handed = [], [], []
+    from_entries = PackedRows.from_entries.__func__
+    init, check = QMatrix.__init__, ua.check_relations
+
+    def building(cls, *args):
+        built.append(from_entries(cls, *args))
+        return built[-1]
+
+    def making(self, nrows, ncols, rows=None, zero=sc.ZERO):
+        init(self, nrows, ncols, rows, zero)
+        if isinstance(zero, sc.Laurent):
+            laurent.append(self)
+
+    def checking(rels, gens, unit, cols=None):
+        if type(unit) is PackedRows:    # not the A0 checks of the rep
+            handed.extend((*gens.values(), unit))
+        return check(rels, gens, unit, cols)
+
+    monkeypatch.setattr(PackedRows, "from_entries", classmethod(building))
+    monkeypatch.setattr(QMatrix, "__init__", making)
+    monkeypatch.setattr(ua, "check_relations", checking)
+    if route == "fock":
+        results = rz.check_relations_on_fock(mode, 16)
+    else:
+        rep = highest_weight_a0rep(GL11_REPS[mode]())
+        results = check_relations_on_module(rep, 12)
+    assert len(results) == 37 and all_passed(results)
+    assert not laurent
+    assert len(built) == len(ACT_GENERATORS) + 1
+    assert [id(m) for m in handed] == [id(m) for m in built]
+
+
 def test_check_relations_rejects_small_nmax(trivial_rep):
     with pytest.raises(ValueError):
         check_relations_on_module(trivial_rep, 1)
@@ -402,31 +441,36 @@ def _fock_mismatches(mode, images):
 @pytest.mark.parametrize("mode", sorted(GL11_REPS))
 def test_module_and_fock_routes_build_the_same_matrices(mode):
     assert not _fock_mismatches(mode, rz.realization_map(mode))
-    # both routes clear by one rule, so (d_g, A_g) are the same values
+    # both routes clear by one rule, so (d_g, A_g) are the same values:
+    # the same d_g and the same nonzero packed entries
     images = rz.realization_map(mode)
     modes = rz.fock_modes(mode)
-    module = induced._cleared_module(highest_weight_a0rep(GL11_REPS[mode]()),
-                                     7)
-    for g in ACT_GENERATORS:
-        assert module[g] == rz._cleared_matrix(images[g], 8, modes)
+    rep = highest_weight_a0rep(GL11_REPS[mode]())
+    for nmax in (2, 7, 12):
+        module = induced._cleared_module(rep, nmax)
+        for g in ACT_GENERATORS:
+            assert module[g] == rz._cleared_matrix(images[g], nmax + 1, modes)
 
 
 @pytest.mark.parametrize("mode", sorted(MODULE_REPS))
 def test_act_and_the_module_route_evaluate_the_same_branches(mode):
     # act and _cleared_module read _branches apart, in QScalars and in the
-    # Laurent ring: d_g times act's column is A_g's, entry for entry
+    # Laurent ring: d_g times act's column is A_g's, entry for entry; the
+    # reference of the 1/(q + 2) rep, which has no Fock route
     rep = highest_weight_a0rep(MODULE_REPS[mode]())
-    states = [(N, M, i) for N in range(8) for M in (0, 1)
-              for i in range(rep.dim)]
-    index = {s: k for k, s in enumerate(states)}
-    module = induced._cleared_module(rep, 7)
-    for g in ACT_GENERATORS:
-        d, a = module[g]
-        by_act = {(index[t], col): v * d for col, s in enumerate(states)
-                  for t, v in act(g, state(*s), rep).terms.items()
-                  if t in index}
-        assert by_act == {(i, j): sc.QScalar(v.monomials())
-                          for i, j, v in a.iter_entries()}
+    for nmax in (2, 7, 12):
+        states = [(N, M, i) for N in range(nmax + 1) for M in (0, 1)
+                  for i in range(rep.dim)]
+        index = {s: k for k, s in enumerate(states)}
+        module = induced._cleared_module(rep, nmax)
+        for g in ACT_GENERATORS:
+            d, a = module[g]
+            by_act = {(index[t], col): v * d for col, s in enumerate(states)
+                      for t, v in act(g, state(*s), rep).terms.items()
+                      if t in index}
+            assert by_act == {(i, j): sc.QScalar(v.monomials())
+                              for i, j, v in a.iter_entries()}
+            assert a.nnz() == len(by_act)
 
 
 @pytest.mark.parametrize("factor", [sc.Q + 2, sc.Q * sc.P1 + 1])

@@ -208,13 +208,17 @@ def test_sums_and_fused_products_check_shapes(step):
 
 # -- a fused step whose sum is one of its own operands --------------------------
 
+def _packed(m):
+    """The PackedRows of m, a QMatrix of Laurents, built from its entries."""
+    return PackedRows.from_entries(m.nrows, m.ncols, m.iter_entries())
+
+
 def _probe(packed):
     """m = [[1, q], [1, 0]]: over QScalar, or as the PackedRows of its
     cleared Laurent matrix."""
     m = QMatrix.from_entries(2, 2, [(0, 0, sc.ONE), (0, 1, sc.Q),
                                     (1, 0, sc.ONE)])
-    return PackedRows.packed(m.cleared(sc.clear_denominators)[1]) \
-        if packed else m
+    return _packed(m.cleared(sc.clear_denominators)[1]) if packed else m
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["QMatrix", "PackedRows"])
@@ -261,12 +265,14 @@ def _wide_laurent(rng):
 
 
 def _decoded(p):
-    """The entries {(i, j): packed monomial terms} of PackedRows p."""
+    """The entries {(i, j): packed monomial terms} of PackedRows p, decoded
+    from its rows, whose zero coefficients are skipped."""
     out = {}
     for i, row in p.rows.items():
         for key, x in row.items():
-            j = sc._key_column(key)
-            out.setdefault((i, j), {})[key - sc._row_key(0, j)] = x
+            if x:
+                j = sc._key_column(key)
+                out.setdefault((i, j), {})[key - sc._row_key(0, j)] = x
     return out
 
 
@@ -279,7 +285,7 @@ def test_packed_rows_match_qmatrix_on_laurent_entries():
     # so entries cancel to zero there; b d is a packed product as the right
     # operand of the fused step, as in a 3-letter word
     zero, cancelled = sc.Laurent({}), 0
-    packed = PackedRows.packed
+    packed = _packed
     for seed in range(40):
         rng = random.Random(seed)
         n, k, l, m = (rng.randint(1, 5) for _ in range(4))
@@ -297,7 +303,8 @@ def test_packed_rows_match_qmatrix_on_laurent_entries():
         got = packed(total)._addmul(packed(a), packed(b) * packed(d), c)
         got._iadd(packed(other), c)
         want = total._addmul(a, b * d, c)._iadd(other, c)
-        assert _decoded(got) == _laurent_terms(want)
+        assert _decoded(got) == _laurent_terms(want) == _laurent_terms(got)
+        assert got == packed(want)
         assert all(type(x) is int for row in got.rows.values()
                    for x in row.values())
         cols = rng.sample(range(m), rng.randint(0, m))
@@ -306,6 +313,31 @@ def test_packed_rows_match_qmatrix_on_laurent_entries():
         cancelled += sum(1 for i, j, _ in product.iter_entries()
                          if i in keep and not want.entry(i, j))
     assert cancelled
+
+
+def test_packed_sums_count_no_cancelled_zero():
+    # a sum leaves the zero coefficients of its cancelled terms in its rows
+    # and nnz skips them: a sum that cancels completely counts nothing,
+    # and one surviving entry among cancelled zeros counts exactly 1
+    x = sc.Laurent({(1, 0, 0, 0): 2, (0, -1, 0, 3): -1})
+    y = sc.Laurent({(-2, 0, 1, 0): 5})
+    minus = sc.Laurent({(0, 0, 0, 0): -1})
+    a = PackedRows.from_entries(2, 3, [(0, 0, x), (0, 2, y), (1, 1, x + y)])
+    b = PackedRows.from_entries(3, 3, [(0, 1, y), (1, 0, x), (2, 2, x)])
+    total = a.scale(x)
+    total._addmul(a, b, y)
+    total._iadd(a, -x)
+    total._addmul(a, b, -y)
+    assert any(0 in row.values() for row in total.rows.values())
+    assert total.nnz() == total.nnz(range(3)) == 0
+    assert total == PackedRows(2, 3) and not list(total.iter_entries())
+    total._iadd(PackedRows.from_entries(2, 3, [(1, 2, y)]))
+    total._iadd(a, minus)
+    total._iadd(a)
+    assert total.nnz() == total.nnz(range(3)) == total.nnz([2]) == 1
+    assert total.nnz([0, 1]) == 0
+    assert [(i, j, v.terms) for i, j, v in total.iter_entries()] \
+        == [(1, 2, y.terms)]
 
 
 @pytest.mark.parametrize("j", [0, 1, 2 ** 40 + 3])

@@ -493,6 +493,54 @@ def test_symbolic_fock_check_multiplies_only_laurent_entries(mode):
     assert_packed_laurent_check(mats, len(ua.GENERATORS))
 
 
+@pytest.mark.parametrize("D", [4, 8, 16])
+@pytest.mark.parametrize("mode", ["trivial", "fermionic"])
+def test_packed_cleared_matrices_are_the_canonical_ones_times_d(mode, D):
+    # the reference: the canonical QScalar matrix of fock_matrix times d_g,
+    # cleared to Laurents with nothing left to clear; the packed A_g holds
+    # the same nonzero entries, in its rows and in its rows by column
+    modes = fock_modes(mode)
+    for x in realization_map(mode).values():
+        d, a = rz._cleared_matrix(x, D, modes)
+        canonical = fock_matrix(x, D, modes=modes).matrix
+        entries = list(canonical.iter_entries())
+        lcm, values = sc.clear_denominators([v * d for _, _, v in entries])
+        assert lcm == 1 and all(values)
+        want = {(i, j): v.terms for (i, j, _), v in zip(entries, values)}
+        assert {(i, j): v.terms for i, j, v in a.iter_entries()} == want
+        assert {(i, j): dict(terms) for i, row in a._by_col.items()
+                for j, terms in row} == want
+        assert (a.nrows, a.ncols) == (canonical.nrows, canonical.ncols)
+        assert a.nnz() == canonical.nnz()
+
+
+def test_numeric_fock_check_clears_fractions_into_ints(monkeypatch):
+    # each d_g is inverted as a Fraction, never as the float 1 / d_g: every
+    # value the numeric route clears is a Fraction, every cleared word
+    # coefficient and every d_g an int
+    handed, scales, words = [], [], []
+    clear, check = rz._clear_rationals, ua.check_relations
+
+    def clearing(values):
+        handed.extend(values)
+        d, out = clear(values)
+        scales.append(d)
+        return d, out
+
+    def checking(rels, gens, unit, cols=None):
+        words.extend(c for rel in rels for el in (rel.lhs, rel.rhs)
+                     for c in el.terms.values())
+        return check(rels, gens, unit, cols)
+
+    monkeypatch.setattr(rz, "_clear_rationals", clearing)
+    monkeypatch.setattr(ua, "check_relations", checking)
+    assert all_passed(check_relations_on_fock("fermionic", 8,
+                                              DEFAULT_ASSIGNMENT))
+    assert handed and all(type(v) is Fraction for v in handed)
+    assert scales and all(type(d) is int for d in scales)
+    assert words and all(type(c) is int for c in words)
+
+
 def test_fock_relation_check_never_scales_by_one(monkeypatch):
     # every fused step gets the word's coefficient, None for 1; no product
     # and no scaled copy of a matrix is built, and scale only makes the
