@@ -5,8 +5,7 @@ packed ints, one signed 64-bit field per variable, with every exponent
 below 2^30 in magnitude where it is packed, so an entry product adds ints,
 not 4-tuples, and a product of at most 2^33 packed factors never carries
 between fields.  A matrix is built with the zero of its entries' ring,
-which a missing entry reads as; cleared derives the zero of the cleared
-ring from it.
+which a missing entry reads as.
 
 Small and deliberately simple: the verification layers only need addition,
 multiplication, scaling and exact comparison (optionally restricted to a
@@ -89,16 +88,6 @@ class QMatrix:
         for i, j, v in entries:
             m.add_entry(i, j, v)
         return m
-
-    def cleared(self, clear):
-        """(d, A) with A / d equal to self: clear(values) gives d and the
-        values times d, for the entries and then self's zero, whose image
-        is A's zero."""
-        entries = list(self.iter_entries())
-        d, values = clear([v for _, _, v in entries] + [self._zero])
-        return d, QMatrix.from_entries(
-            self.nrows, self.ncols,
-            ((i, j, a) for (i, j, _), a in zip(entries, values)), values[-1])
 
     def add_entry(self, i, j, v):
         row = self.rows.get(i, {})

@@ -33,11 +33,14 @@ by _cleared_matrix (symbolic: A_g over integer Laurent polynomials,
 scalars.Laurent, d_g = C (q - 1)^I (q + 1)^J, each boson factor [n] kept
 as q^n - q^-n, never divided by q^2 - 1, so entries stay short; A_g is
 built once, straight into qmatrix.PackedRows from _fill's entries) or by
-QMatrix.cleared with _clear_rationals (numeric: the Fraction matrix, see
-fock_matrix, times d_g, the lcm of its denominators, over Z).  Then
+_numeric_matrix (numeric: A_g over Z, filled with ints, d_g = L a^alpha
+b^beta at q = a/b, L the lcm of the evaluated c, each boson factor an int
+over a power of a and b, see fock_matrix; no Fraction is built per
+entry).  Then
 superalgebra.check_cleared clears the relation words and checks them on
 the identity of the cleared ring, so the residual counts are those over
-Q(q, p) or Q.  fock_matrix and the matrix exports stay canonical or in Q.
+Q(q, p) or Q.  fock_matrix and the matrix exports stay canonical or in Q:
+the numeric fock_matrix reads the same (d_g, A_g), entry v as v / d_g.
 
 dyson_check confirms that an ordinary boson A with a = ([N+1]/(N+1)) A and
 q^x = q^N reproduces the q-boson matrices entry for entry.
@@ -203,17 +206,23 @@ def fock_matrix(x, D, assignment=None, modes=None):
     _fill builds the matrix.
 
     With an assignment, entries are Fractions (q = 0, +1, -1 are rejected
-    as deformation singularities, p_i = 0 as well), and they are evaluated
-    first: the value of c, taken once per monomial before the matrix is
-    filled, times the value of the boson factor, computed from q alone with
-    [m] = (q^m - q^-m)/(q - q^-1).  That equals the value of
-    the product, because the boson factor's numerator has no rational root
-    other than 0 and +-1, so it cancels no pole of c at an accepted
-    assignment.  A c with a pole there, or with a variable the assignment
-    leaves out, may still give no entry, and a pole may cancel between
-    monomials; so then the entries of the symbolic matrix are evaluated
-    instead, and only a pole or a variable that survives in an entry
-    raises PoleError or ValueError."""
+    as deformation singularities, p_i = 0 as well): the entries v / d of
+    the int matrix A and the int d of _numeric_matrix, which the numeric
+    relation check clears by.  There the value of each c is taken once per
+    monomial, before the matrix is filled, and cleared to an int by L, the
+    lcm of those values' denominators; the boson factor is read off
+    q = a/b in lowest terms alone, q^e = a^e / b^e and
+    [m] = P_m / (ab)^(m-1) with P_m = (a^2m - b^2m)/(a^2 - b^2) an int
+    (_q_numerators), so it is an int over a^alpha b^beta, and each
+    amplitude is c L times that factor scaled by the largest a^alpha b^beta
+    of the matrix: an int times an int.  A / d is the value of the
+    symbolic matrix, because P_m vanishes only at q = +-1, so the boson
+    factor's numerator cancels no pole of c at an accepted assignment.  A
+    c with a pole there, or with a variable the assignment leaves out, may
+    still give no entry, and a pole may cancel between monomials; so then
+    the entries of the symbolic matrix are evaluated instead (and cleared
+    by _clear_rationals), and only a pole or a variable that survives in
+    an entry raises PoleError or ValueError."""
     check_size(D, 2, "Fock dimension")
     if x.has_gl11():
         raise ValueError(
@@ -228,21 +237,11 @@ def fock_matrix(x, D, assignment=None, modes=None):
     dim = D * len(occupations)
     if assignment is None:
         mat = QMatrix.from_entries(dim, dim, _fill(x.terms, D, modes,
-                                                   sc.q_power, sc.q_integer))
+                                                   _CANONICAL_BOSON))
     else:
-        q = assignment["q"]
-        try:
-            terms = {mon: c.evaluate(**assignment)
-                     for mon, c in x.terms.items()}
-        except (sc.PoleError, ValueError):
-            symbolic = fock_matrix(x, D, modes=modes).matrix
-            mat = QMatrix.from_entries(symbolic.nrows, symbolic.ncols, (
-                (i, j, v.evaluate(**assignment))
-                for i, j, v in symbolic.iter_entries()), Fraction(0))
-        else:
-            mat = QMatrix.from_entries(dim, dim, _fill(
-                terms, D, modes, q.__pow__,
-                lambda m: (q ** m - q ** -m) / (q - 1 / q)), Fraction(0))
+        d, ints = _numeric_matrix(x, D, modes, assignment)
+        mat = QMatrix(dim, dim, {i: {j: Fraction(v, d) for j, v in row.items()}
+                                 for i, row in ints.rows.items()}, Fraction(0))
     fdim = len(occupations)
     raising = min(D, max(0, x.max_raising()))
     return FockMatrix(
@@ -251,36 +250,56 @@ def fock_matrix(x, D, assignment=None, modes=None):
         boundary_columns=tuple(range((D - raising) * fdim, D * fdim)))
 
 
-def _fill(terms, D, modes, q_power, q_number):
+def _levels(mon, D):
+    """The boson levels n a monomial c a+^m t^k a^l maps into the D-level
+    space: l <= n < D - m + l."""
+    return range(mon.l, min(D, D - mon.m + mon.l))
+
+
+def _fill(terms, D, modes, boson):
     """The one monomial loop of the Fock matrices: the entries
     (row, column, amplitude) whose sums per (row, column) are
-    c * q_power(k(n - l)) * q_number(n) ... q_number(n - l + 1) summed
-    over the monomials c a+^m t^k a^l of terms, each c already in the
-    entries' ring, yielded for the caller's matrix to sum
-    (QMatrix.from_entries for the canonical and numeric matrices,
-    PackedRows.from_entries for the cleared ones).  The boson factor is
-    taken once per (l, k, n), the only cache, and an amplitude once per
-    (monomial, n).  The three fields differ only in the coefficients and
-    the boson factor they put in."""
+    c * boson(l, k, n) summed over the monomials c a+^m t^k a^l of terms
+    and their _levels n, each c already in the entries' ring, yielded for
+    the caller's matrix to sum (QMatrix.from_entries for the canonical and
+    numeric matrices, PackedRows.from_entries for the cleared ones).
+    boson(l, k, n) is the boson factor q^(k(n-l)) [n] ... [n-l+1] in that
+    ring, up to the one scale the caller clears: it is taken once per
+    (l, k, n), the only cache, and an amplitude once per (monomial, n).
+    The three fields differ only in the coefficients and the boson factor
+    they put in."""
     occupations = tuple(product((0, 1), repeat=len(modes)))
     fdim = len(occupations)
-    boson = {}      # (l, k, n) -> the boson factor
+    factors = {}    # (l, k, n) -> boson(l, k, n)
     for mon, c in terms.items():
         moves = _fermion_moves(mon, modes, occupations)
-        levels = range(mon.l, min(D, D - mon.m + mon.l))
+        levels = _levels(mon, D)
         if not (moves and levels):
             continue        # annihilated or truncated on every column
         for n in levels:
             key = (mon.l, mon.k, n)
-            if key not in boson:
-                factor = q_power(mon.k * (n - mon.l))
-                for j in range(mon.l):
-                    factor = factor * q_number(n - j)
-                boson[key] = factor
-            amp = c * boson[key]
+            if key not in factors:
+                factors[key] = boson(*key)
+            amp = c * factors[key]
             row, col = (n - mon.l + mon.m) * fdim, n * fdim
             for f_in, f_out, negate in moves:
                 yield row + f_out, col + f_in, -amp if negate else amp
+
+
+def _boson(q_power, q_number):
+    """The boson factor q_power(k(n-l)) q_number(n) ... q_number(n-l+1)
+    as a function of (l, k, n)."""
+    def boson(l, k, n):
+        factor = q_power(k * (n - l))
+        for j in range(l):
+            factor = factor * q_number(n - j)
+        return factor
+    return boson
+
+
+_CANONICAL_BOSON = _boson(sc.q_power, sc.q_integer)
+# [m] times q - q^-1: the cleared matrices take (q - q^-1)^-l into c
+_LAURENT_BOSON = _boson(sc.laurent_q_power, sc.laurent_q_number)
 
 
 def _cleared_matrix(x, D, modes):
@@ -295,8 +314,76 @@ def _cleared_matrix(x, D, modes):
                                        for mon, c in x.terms.items())
     n = D * 2 ** len(modes)
     return d, PackedRows.from_entries(n, n, _fill(
-        dict(zip(x.terms, cleared)), D, modes, sc.laurent_q_power,
-        sc.laurent_q_number))
+        dict(zip(x.terms, cleared)), D, modes, _LAURENT_BOSON))
+
+
+def _q_numerators(a, b, top):
+    """[P_0, ..., P_top] for q = a/b in lowest terms, where
+    P_m = sum of a^(2i) b^(2(m-1-i)) over i < m = (a^2m - b^2m)/(a^2 - b^2),
+    so that [m] = P_m / (ab)^(m-1) (and [-m] = -[m])."""
+    a2, b2 = a * a, b * b
+    nums, b2m = [0], 1
+    for _ in range(top):
+        nums.append(a2 * nums[-1] + b2m)
+        b2m *= b2
+    return nums
+
+
+def _numeric_boson(q, terms, D):
+    """(scale, boson) at q = a/b: boson(l, k, n) is the int scale times
+    the boson factor q^(k(n-l)) [n] ... [n-l+1] of every monomial of terms
+    at each of its _levels n.  That factor is
+    P_n ... P_(n-l+1) / (a^alpha b^beta) (_q_numerators), with
+    alpha = s_l - k(n-l), beta = s_l + k(n-l) and
+    (ab)^s_l = (ab)^((n-1) + ... + (n-l)) the denominator of the q-numbers;
+    both are linear in n, so their largest values over a monomial's levels,
+    alpha_max and beta_max, are taken at its two ends, and
+    scale = a^alpha_max b^beta_max, which is negative for an odd power of
+    an a < 0."""
+    a, b = q.numerator, q.denominator
+    nums = _q_numerators(a, b, D)
+
+    def exponents(l, k, n):
+        s_l = l * (n - 1) - l * (l - 1) // 2
+        return s_l - k * (n - l), s_l + k * (n - l)
+
+    ends = [exponents(mon.l, mon.k, n) for mon in terms
+            for levels in [_levels(mon, D)] if levels
+            for n in (levels[0], levels[-1])]
+    top_a = max([0] + [alpha for alpha, _ in ends])
+    top_b = max([0] + [beta for _, beta in ends])
+
+    def boson(l, k, n):
+        alpha, beta = exponents(l, k, n)
+        factor = a ** (top_a - alpha) * b ** (top_b - beta)
+        for j in range(l):
+            factor *= nums[n - j]
+        return factor
+    return a ** top_a * b ** top_b, boson
+
+
+def _numeric_matrix(x, D, modes, assignment):
+    """(d, A) with A / d the matrix of x at a checked assignment, d a
+    nonzero int and A a QMatrix over Z: the c of x's monomials are
+    evaluated once each and cleared by L, the lcm of their denominators,
+    and each amplitude is c L times the int boson factor of
+    _numeric_boson, so d = L scale.  A c with a pole at the assignment, or a
+    variable it leaves out, gives the entries of the symbolic matrix
+    evaluated instead, cleared by _clear_rationals (see fock_matrix)."""
+    n = D * 2 ** len(modes)
+    try:
+        values = [c.evaluate(**assignment) for c in x.terms.values()]
+    except (sc.PoleError, ValueError):
+        entries = list(fock_matrix(x, D, modes=modes).matrix.iter_entries())
+        d, values = _clear_rationals([v.evaluate(**assignment)
+                                      for _, _, v in entries])
+        return d, QMatrix.from_entries(n, n, (
+            (i, j, v) for (i, j, _), v in zip(entries, values)), 0)
+    lcm_c = lcm(*(v.denominator for v in values))
+    scale, boson = _numeric_boson(assignment["q"], x.terms, D)
+    return lcm_c * scale, QMatrix.from_entries(n, n, _fill(
+        {mon: v.numerator * (lcm_c // v.denominator)
+         for mon, v in zip(x.terms, values)}, D, modes, boson), 0)
 
 
 def _assigned_rational(assignment, name):
@@ -374,9 +461,9 @@ def check_relations_on_fock(mode, D, assignment=None):
         build, value, clear = (_cleared_matrix, lambda c: c,
                                sc.clear_denominators)
     else:
+        assignment = _check_assignment(assignment)
         build, value, clear = (
-            lambda x, D, modes: fock_matrix(x, D, assignment, modes)
-            .matrix.cleared(_clear_rationals),
+            lambda x, D, modes: _numeric_matrix(x, D, modes, assignment),
             lambda c: c.evaluate(**assignment), _clear_rationals)
     results = ua.check_cleared(
         ua.relation_set(), {nm: build(el, D, modes)

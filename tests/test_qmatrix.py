@@ -215,10 +215,13 @@ def _packed(m):
 
 def _probe(packed):
     """m = [[1, q], [1, 0]]: over QScalar, or as the PackedRows of its
-    cleared Laurent matrix."""
-    m = QMatrix.from_entries(2, 2, [(0, 0, sc.ONE), (0, 1, sc.Q),
-                                    (1, 0, sc.ONE)])
-    return _packed(m.cleared(sc.clear_denominators)[1]) if packed else m
+    entries cleared to Laurents."""
+    entries = [(0, 0, sc.ONE), (0, 1, sc.Q), (1, 0, sc.ONE)]
+    if not packed:
+        return QMatrix.from_entries(2, 2, entries)
+    _, values = sc.clear_denominators(v for _, _, v in entries)
+    return PackedRows.from_entries(2, 2, (
+        (i, j, v) for (i, j, _), v in zip(entries, values)))
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["QMatrix", "PackedRows"])

@@ -541,6 +541,79 @@ def test_numeric_fock_check_clears_fractions_into_ints(monkeypatch):
     assert words and all(type(c) is int for c in words)
 
 
+# the accepted points of the int build: q = a/b with a > b, a < b and a < 0
+INT_BUILD_POINTS = [
+    DEFAULT_ASSIGNMENT,
+    dict(DEFAULT_ASSIGNMENT, q=Fraction(1, 4)),
+    dict(DEFAULT_ASSIGNMENT, q=Fraction(9, 2)),
+    dict(DEFAULT_ASSIGNMENT, q=Fraction(-7, 3), p1=Fraction(-2)),
+]
+
+
+@pytest.mark.parametrize("D", [4, 8, 32])
+@pytest.mark.parametrize("mode", ["trivial", "fermionic"])
+def test_numeric_int_matrices_are_the_canonical_ones_evaluated(mode, D):
+    # the reference: the canonical QScalar matrix of fock_matrix, each entry
+    # evaluated by QScalar.evaluate; A_g / d_g holds the same values, with
+    # d_g and every entry of A_g an int
+    modes = fock_modes(mode)
+    for name, x in realization_map(mode).items():
+        canonical = fock_matrix(x, D, modes=modes).matrix
+        for point in INT_BUILD_POINTS:
+            d, a = rz._numeric_matrix(x, D, modes, point)
+            assert type(d) is int and d != 0
+            assert (a.nrows, a.ncols) == (canonical.nrows, canonical.ncols)
+            assert all(type(v) is int for _, _, v in a.iter_entries())
+            want = {(i, j): v.evaluate(**point)
+                    for i, j, v in canonical.iter_entries()}
+            assert {(i, j): Fraction(v, d) for i, j, v in a.iter_entries()} \
+                == {key: v for key, v in want.items() if v}, (name, point)
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(1, 4), Fraction(9, 2),
+                               Fraction(2), Fraction(-7, 3), Fraction(-1, 5)])
+def test_q_numerators_give_the_q_numbers(q):
+    # [m] = P_m / (ab)^(m - 1) at q = a/b, and [-m] = -[m]
+    a, b = q.numerator, q.denominator
+    nums = rz._q_numerators(a, b, 40)
+    assert len(nums) == 41 and all(type(p) is int for p in nums)
+    ab = Fraction(a * b)
+    for m in range(-6, 41):
+        if m >= 0:
+            value = nums[m] / ab ** (m - 1)
+        else:
+            value = -nums[-m] / ab ** (-m - 1)
+        assert value == (q ** m - q ** -m) / (q - 1 / q), m
+        assert value == sc.q_integer(m).evaluate(q=q), m
+
+
+def test_numeric_fock_check_fills_and_multiplies_only_ints(monkeypatch):
+    # no Fraction reaches the numeric check's matrices: every amplitude of
+    # the numeric fill, every d_g and every entry of every A_g is an int
+    amplitudes, cleared = [], []
+    fill, check = rz._fill, ua.check_cleared
+
+    def filling(terms, D, modes, boson):
+        for i, j, amp in fill(terms, D, modes, boson):
+            amplitudes.append(amp)
+            yield i, j, amp
+
+    def checking(relations, mats, *args):
+        cleared.extend(mats.values())
+        return check(relations, mats, *args)
+
+    monkeypatch.setattr(rz, "_fill", filling)
+    monkeypatch.setattr(ua, "check_cleared", checking)
+    assert all_passed(check_relations_on_fock("fermionic", 16,
+                                              DEFAULT_ASSIGNMENT))
+    assert amplitudes and all(type(v) is int for v in amplitudes)
+    assert len(cleared) == len(GENERATOR_IMAGE_NAMES)
+    for d, a in cleared:
+        assert type(d) is int and d != 0
+        assert a.nnz() and all(type(v) is int for _, _, v in a.iter_entries())
+        assert type(a.entry(a.nrows - 1, 0)) is int
+
+
 def test_fock_relation_check_never_scales_by_one(monkeypatch):
     # every fused step gets the word's coefficient, None for 1; no product
     # and no scaled copy of a matrix is built, and scale only makes the
@@ -628,22 +701,24 @@ def test_fock_modes_refuses_a_mode_that_is_not_a_plug_in(mode):
 
 def test_the_q_numbers_fill_receives_vanish_at_zero(monkeypatch):
     # [0] = q^0 - q^-0 = 0 in the canonical, numeric and Laurent rings: a
-    # Laurent dict literal {q^m: 1, q^-m: -1} merges into -1 at m = 0
-    q_numbers = []
+    # Laurent dict literal {q^m: 1, q^-m: -1} merges into -1 at m = 0, and
+    # the numeric factor is P_0 = 0 times a power of a and b; boson(1, 0, 0)
+    # is q^0 [0]
+    bosons = []
     fill = rz._fill
 
-    def spy(terms, D, modes, q_power, q_number):
-        q_numbers.append(q_number)
-        return fill(terms, D, modes, q_power, q_number)
+    def spy(terms, D, modes, boson):
+        bosons.append(boson)
+        return fill(terms, D, modes, boson)
 
     monkeypatch.setattr(rz, "_fill", spy)
     x = rho("E21", "fermionic")
     fock_matrix(x, 4)
     fock_matrix(x, 4, DEFAULT_ASSIGNMENT)
     rz._cleared_matrix(x, 4, (1, 2))
-    assert len(q_numbers) == 3
-    for q_number in q_numbers:
-        zero = q_number(0)
+    assert len(bosons) == 3
+    for boson in bosons:
+        zero = boson(1, 0, 0)
         assert zero == 0 and not zero
 
 
