@@ -16,7 +16,8 @@ Two independent action routes are implemented:
 * act_oracle -- straighten g . E12^N E13^M via the rewriting engine, then
                 push the leftover A0 word into V through the matrices.
 
-Their agreement over the verification grid certifies the closed formulas.
+Their agreement over the verification grid is a cross-check of the
+closed formulas; the argument below certifies them for every N.
 The relation checks are calls to superalgebra.check_relations: the gl(1/1)
 plug-ins against the defining relations among E23, E32, K2 and K3
 (validate_gl11_rep), the A0 representation against those inside A0
@@ -45,15 +46,47 @@ and a witness must be divided by the relation's L, as check_cleared says.
 A rep whose matrices have a denominator factor outside q, q - 1 and q + 1,
 such as 1/(q + 2), is cleared too: clear_denominators takes the lcm of
 those factors into d_g.
+
+module_image(g) reads g's branches into W by the highest-weight
+dictionary: q^N -> t, |N+1> -> a+, [N] |N-1> -> a, |m><M| -> the matrix
+units of the mode-1 fermion, the A0 letters -> W's gl(1/1) letters,
+K1 -> p1, and E21, E31 -> 0.  realization takes its abstract images from
+it, so the table is the one source of the generator action, and what the
+table claims holds on every level N.  Let T be the action the table
+defines on span{|N, M> (x) v}, for a gl(1/1) rep V:
+
+1. relations-abstract (realization.verify_realization("abstract")) gives
+   all 37 defining relations for the module_image's with residual exactly
+   zero, an equality in W, since every rewrite step of W is one.
+2. validate_gl11_rep checks the relations of relation_set among E23, E32,
+   K2 and K3, which are W's gl(1/1) rules, plus parity.  A rep that passes
+   makes Fock (x) V a W-module, its odd matrices Koszul-signed against
+   b1, and on that module module_image(g) acts as T(g), term by term.
+3. So T satisfies every defining relation on every level N.
+4. At level 0, T(E12)^N T(E13)^M sends |0, 0> (x) v to |N, M> (x) v with
+   coefficient 1, and T on |0, 0> (x) V is the A0 rep: a finite check read
+   off the table at N = 0, made for both plug-ins and the 1/(q + 2) rep
+   by the test suite.
+5. By Frobenius reciprocity, v -> |0, 0> (x) v extends to a U-map from
+   U (x)_A0 V onto T.  It sends the PBW basis E12^N E13^M (x) v to the
+   basis |N, M> (x) v, so T is the induced module.
+
+So the table is the induced action for every N and every rep that passes
+validate_gl11_rep.  The act == act_oracle grid, lemma1 and the module
+check are cross-checks, not links of this chain; a table rescaled as
+E12, E13 -> 2x and E21, E31 -> x/2 keeps every relation, and the grid and
+the level-0 check are what see it.  Not covered: an A0 rep with E21 != 0,
+which highest_weight_a0rep never builds and the dictionary sends to 0.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 from . import scalars as sc
 from . import superalgebra as ua
+from . import walgebra as wa
 from .linear import Combination, accumulate
 from .qmatrix import PackedRows, QMatrix
 from .reporting import CheckResult, check_size
@@ -292,6 +325,52 @@ def _branches(g, M):
     return out + [(-1, M, signed, 1, M - 2, (0,),
                    (("K1", 1), ("K2inv", 1), ("E32", 1))),
                   (0, M, signed, 0, 0, (), (("E31", 1),))]
+
+
+# the A0 letters that are no letter of W, as they act on every
+# highest-weight rep: K1^+-1 as the scalar p1^+-1, E21 and E31 as 0
+_A0_SCALARS = {"K1": wa.one().scale(sc.P1),
+               "K1inv": wa.one().scale(sc.P1.invert()),
+               "E21": wa.WElement.zero(), "E31": wa.WElement.zero()}
+_MODE1_UNITS = wa.matrix_units(1)
+
+
+def _x_plus(k):
+    """[x + k] = (q^k t - q^-k t^-1)/(q - q^-1) in W, from _ladder(k, 1)."""
+    return wa.WElement({wa.UNIT._replace(k=tp): c
+                        for tp, c in wa._ladder(k, 1).items()})
+
+
+def module_image(g):
+    """g's image in W, read off _branches by the highest-weight dictionary
+    q^N -> t, |N+1> -> a+, [N] |N-1> -> a and |m><M| -> the mode-1
+    fermion's matrix units: the sum over M in {0, 1} of each branch
+    (dn, m, c, a, b, ks, word) of _branches(g, M) as
+    c q^b L t^a prod([x + k]) |m><M| (the A0 word in W).  L is a+^dn for
+    dn >= 0; for dn = -1 it is a, which takes the [N] of the shift 0 of ks
+    (a|N> = [N]|N-1>), and a lowering branch without it is a ValueError.
+    The A0 word is spelled in W's letters and _A0_SCALARS, so a branch
+    whose word has E21 or E31 adds 0.  An odd word on M = 1 takes the
+    Koszul sign -1 of passing the mode-1 fermion."""
+    ua.check_generator(g)
+    image = wa.WElement.zero()
+    for M in (0, 1):
+        for branch in _branches(g, M):
+            dn, m, c, a, b, ks, word = branch
+            ks = list(ks)
+            if dn < 0:
+                if dn != -1 or 0 not in ks:
+                    raise ValueError("the lowering branch %r of %s does not "
+                                     "carry [N]" % (branch, g))
+                ks.remove(0)
+            letters = [(_A0_SCALARS[nm] if nm in _A0_SCALARS
+                        else wa.generator(nm.lower())) ** e for nm, e in word]
+            lead = wa.generator("a") if dn < 0 else wa.generator("a+") ** dn
+            sign = -1 if M and sum(x.parity() for x in letters) & 1 else 1
+            image = image + reduce(wa.w_mul, [
+                lead, wa.generator("t") ** a, *map(_x_plus, ks),
+                _MODE1_UNITS[m, M], *letters]).scale(c * sc.q_power(b) * sign)
+    return image
 
 
 def act(g, x, rep):

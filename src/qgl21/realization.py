@@ -3,8 +3,9 @@ verification layers.
 
 rho sends the abstract generators to normal-ordered W elements (one q-boson
 mode, the mode-1 fermion, and either the abstract gl(1/1) factor or one of
-its two concrete realizations).  The images are the transcription of the
-induced-module action under the highest-weight dictionary
+its two concrete realizations).  The images are induced.module_image's:
+the induced-module action, written once as the branch table
+induced._branches, read into W by the highest-weight dictionary
 
     q^{+-N} -> q^{+-x} = t^{+-1}        |N+1,M>         -> a+
     [N] |N-1,M>  -> a                   |N,M+1>         -> b+
@@ -13,9 +14,9 @@ induced-module action under the highest-weight dictionary
     (-1)^M phi(E23) -> e23              (-1)^M phi(E32) -> e32
     phi(E21), phi(E31) -> 0
 
-so e.g. the E13 action q^-N |N,M+1> becomes t^-1 b+.  The dictionary is a
-derivation device, not an executable transformation: the images are stored
-directly and then machine-verified.  Verification is dual-route:
+so e.g. the E13 action q^-N |N,M+1> becomes t^-1 b+; a plug-in mode's
+images are substitute_gl11 of the abstract ones.  Verification is
+dual-route:
 
 * verify_realization -- every defining relation is mapped through rho and
   reduced in W; the residual must be exactly zero.
@@ -57,6 +58,7 @@ from typing import NamedTuple
 from . import scalars as sc
 from . import superalgebra as ua
 from . import walgebra as wa
+from .induced import module_image
 from .qmatrix import PackedRows, QMatrix
 from .reporting import check_size, residual_results
 from .scalars import QScalar
@@ -70,50 +72,6 @@ DEFAULT_ASSIGNMENT = {"q": Fraction(3, 2), "p1": Fraction(2),
                        "p2": Fraction(3), "p3": Fraction(5)}
 
 
-def _abstract_images():
-    g = generator
-    one = wa.one()
-    proj = w_mul(g("b+"), g("b"))                  # b+ b
-    fplus = one + proj.scale(sc.Q - sc.ONE)        # b b+ + q b+ b
-    fminus = one + proj.scale(sc.QINV - sc.ONE)    # b b+ + q^-1 b+ b
-    p1 = sc.P1
-    p1inv = sc.P1.invert()
-
-    def prod(*els):
-        out = one
-        for e in els:
-            out = w_mul(out, e)
-        return out
-
-    images = {
-        "E12": g("a+"),
-        "E13": prod(g("tinv"), g("b+")),
-        "E23": prod(g("a"), g("b+")).scale(-sc.Q)
-        + prod(g("t"), fplus, g("e23")),
-        "K1": prod(g("t"), fplus).scale(p1),
-        "K1inv": prod(g("tinv"), fminus).scale(p1inv),
-        "K2": prod(g("tinv"), g("k2")),
-        "K2inv": prod(g("t"), g("k2inv")),
-        "K3": prod(fminus, g("k3")),
-        "K3inv": prod(fplus, g("k3inv")),
-        "E32": prod(g("a+"), g("b"), g("k2"), g("k3")).scale(sc.QINV)
-        + g("e32"),
-        "E21": prod(g("a"), g("t"), fplus, g("k2inv")).scale(
-            -(p1 * sc.QINV * sc.EPS_INV))
-        + prod(g("a"), g("tinv"), fminus, g("k2")).scale(
-            p1inv * sc.Q * sc.EPS_INV)
-        - prod(g("b"), g("e23"), g("k2")).scale(p1inv),
-        "E31": prod(g("a+"), g("a"), g("b"), g("t"), g("k3")).scale(
-            p1 * sc.QINV)
-        + prod(g("a"), g("t"), fplus, g("k2inv"), g("e32")).scale(
-            p1 * sc.q_power(-2))
-        + (prod(g("b"), g("k3")).scale(p1)
-           - prod(g("b"), g("k3inv")).scale(p1inv)).scale(
-            sc.QINV * sc.EPS_INV),
-    }
-    return images
-
-
 def realization_map(mode="abstract"):
     """The generator -> W image dict of a subalgebra mode, built once."""
     if mode not in SUBALGEBRA_MODES:
@@ -124,7 +82,7 @@ def realization_map(mode="abstract"):
 @cache
 def _images(mode):
     if mode == "abstract":
-        return _abstract_images()
+        return {g: module_image(g) for g in ua.GENERATORS}
     return {name: substitute_gl11(el, mode)
             for name, el in _images("abstract").items()}
 
@@ -132,8 +90,7 @@ def _images(mode):
 def rho(g, mode="abstract"):
     """Image of an abstract generator under the realization map."""
     images = realization_map(mode)
-    if g not in images:
-        raise ValueError("unknown generator %r" % g)
+    ua.check_generator(g)
     return images[g]
 
 

@@ -307,11 +307,10 @@ GENERATOR_NAMES = tuple(_GEN_TABLE) + tuple(_GEN_ALIASES)
 
 def generator(name):
     """The unit-coefficient generator element for a symbol name."""
-    key = _GEN_ALIASES.get(name, name)
-    mon = _GEN_TABLE.get(key)
-    if mon is None:
-        raise SubstitutionError("unknown W generator %r" % name)
-    return WElement.term(mon)
+    # a tuple, not the dicts: an unhashable name is refused, not a TypeError
+    if name not in GENERATOR_NAMES:
+        raise SubstitutionError("unknown W generator %r" % (name,))
+    return WElement.term(_GEN_TABLE[_GEN_ALIASES.get(name, name)])
 
 
 def w_mul(x, y):
@@ -399,12 +398,19 @@ def plug_in(name):
     return GL11_PLUG_INS[name]()
 
 
+def matrix_units(mode):
+    """{(i, j): |i><j|} on the occupations of a fermion mode, 1 or 2, as W
+    elements: |1><0| = b+, |0><1| = b, |1><1| = b+ b and
+    |0><0| = b b+ = 1 - b+ b."""
+    plus, minus = generator("b%d+" % mode), generator("b%d" % mode)
+    occupied = w_mul(plus, minus)
+    return {(0, 0): one() - occupied, (0, 1): minus, (1, 0): plus,
+            (1, 1): occupied}
+
+
 # |i><j| of a plug-in matrix as a W element: the scalar 1 in dimension 1,
-# the mode-2 fermion in dimension 2, where |0><0| = b2 b2+ = 1 - b2+ b2
-_OCCUPIED = w_mul(generator("b2+"), generator("b2"))
-_MATRIX_UNITS = {1: {(0, 0): one()},
-                 2: {(0, 0): one() - _OCCUPIED, (0, 1): generator("b2"),
-                     (1, 0): generator("b2+"), (1, 1): _OCCUPIED}}
+# the mode-2 fermion in dimension 2
+_MATRIX_UNITS = {1: {(0, 0): one()}, 2: matrix_units(2)}
 
 
 def substitute_gl11(x, realization):

@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 import qgl21.scalars as sc
 import qgl21.superalgebra as ua
+from qgl21 import induced as ind
+from qgl21 import realization as rz
 from qgl21.qmatrix import PackedRows, QMatrix
 from qgl21.walgebra import WElement, WMonomial
 
@@ -222,3 +225,37 @@ def assert_packed_laurent_check(mats, ngens):
                    for _, terms in row for _, x in terms)
     # each A_g is recorded twice, by check_cleared and check_relations
     assert len(mats) > 2 * ngens + 1
+
+
+# the rescaling probe: E12 and E13 times 2, E21 and E31 times 1/2.  Every
+# defining relation still holds under it, in W and on the module, so only a
+# check that ties the action to the induced module itself can see it
+RESCALING_PROBE = {"E12": 2, "E13": 2,
+                   "E21": sc.QScalar.from_rational(Fraction(1, 2)),
+                   "E31": sc.QScalar.from_rational(Fraction(1, 2))}
+
+
+def rescaled_branches(factors):
+    """induced._branches with each branch of a generator g times
+    factors[g]."""
+    branches = ind._branches
+
+    def rescaled(g, M):
+        f = factors.get(g, 1)
+        return [(dn, m, c * f, a, b, ks, w)
+                for dn, m, c, a, b, ks, w in branches(g, M)]
+    return rescaled
+
+
+@pytest.fixture
+def patch_branches(monkeypatch):
+    """A setter of induced._branches for a table mutant.  The abstract
+    images are module_image's, read off that table and cached by
+    realization._images, so the cache is cleared at the patch and after
+    the test: the mutant's images are built from the mutant, and no later
+    test reads them."""
+    def patch(branches):
+        rz._images.cache_clear()
+        monkeypatch.setattr(ind, "_branches", branches)
+    yield patch
+    rz._images.cache_clear()

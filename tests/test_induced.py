@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 import qgl21.scalars as sc
-from conftest import assert_packed_laurent_check, record_check_matrices
+from conftest import (
+    RESCALING_PROBE, assert_packed_laurent_check, record_check_matrices,
+    rescaled_branches,
+)
 from qgl21 import induced
 from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
@@ -364,7 +367,7 @@ def test_e31_is_built_once_per_rep(monkeypatch):
 
 
 def test_module_check_reads_the_branch_table_once_per_generator_and_m(
-        monkeypatch):
+        patch_branches):
     rep = highest_weight_a0rep(fermionic_gl11_rep())
     calls = []
     branches = induced._branches
@@ -373,7 +376,7 @@ def test_module_check_reads_the_branch_table_once_per_generator_and_m(
         calls.append(g)
         return branches(g, M)
 
-    monkeypatch.setattr(induced, "_branches", counting)
+    patch_branches(counting)
     assert all_passed(check_relations_on_module(rep, 6))
     # 12 generators x 2 values of M: a branch depends on neither the level
     # N nor the index in V
@@ -490,11 +493,66 @@ def test_module_check_clears_a_denominator_factor_outside_the_basis(factor,
 def test_the_matrix_comparison_catches_the_rescaling_probe():
     # E12 and E13 times 2, E21 and E31 times 1/2: every relation still holds
     # on the Fock route, but the images are no longer the module's
-    half = sc.QScalar.from_rational(Fraction(1, 2))
-    factors = {"E12": 2, "E13": 2, "E21": half, "E31": half}
-    images = {g: x.scale(factors.get(g, 1))
+    images = {g: x.scale(RESCALING_PROBE.get(g, 1))
               for g, x in rz.realization_map("fermionic").items()}
-    assert _fock_mismatches("fermionic", images) == set(factors)
+    assert _fock_mismatches("fermionic", images) == set(RESCALING_PROBE)
+
+
+# -- level 0: E12 and E13 create the basis, and A0 acts as the rep ------------
+
+def _level_zero_faults(rep):
+    """Where the table at level 0 is not the induced module's: the
+    (N, M, i) for which act(E12)^N act(E13)^M on |0, 0> (x) v_i is not
+    |N, M> (x) v_i with coefficient 1, for N <= 4, and the (g, i) for which
+    a letter g of A0 on |0, 0> (x) v_i is not the rep's column."""
+    faults = set()
+    for i in range(rep.dim):
+        for M in (0, 1):
+            x = act("E13", state(0, 0, i), rep) if M else state(0, 0, i)
+            for N in range(5):
+                if x != state(N, M, i):
+                    faults.add((N, M, i))
+                x = act("E12", x, rep)
+        for g in rep._mats:             # E21 (0 here), E31 and the rest
+            column = rep._column(((g, 1),), i)
+            if act(g, state(0, 0, i), rep) \
+                    != InducedVector({(0, 0, r): v for r, v in column.items()}):
+                faults.add((g, i))
+    return faults
+
+
+@pytest.mark.parametrize("mode", sorted(MODULE_REPS))
+def test_the_table_at_level_zero_is_the_induced_module(mode):
+    # step 4 of the every-N argument of the induced module's docstring
+    assert not _level_zero_faults(highest_weight_a0rep(MODULE_REPS[mode]()))
+
+
+def test_the_level_zero_check_catches_the_rescaling_probe(patch_branches):
+    # the probe keeps every relation, but E12^N E13^M then makes 2^(N + M)
+    # |N, M>; at level 0 the rescaled E21 and E31 still act as 0
+    patch_branches(rescaled_branches(RESCALING_PROBE))
+    rep = highest_weight_a0rep(fermionic_gl11_rep())
+    assert _level_zero_faults(rep) == {
+        (N, M, i) for N in range(5) for M in (0, 1) for i in range(2)
+        if N + M}
+
+
+# -- the W images read off the table ---------------------------------------------
+
+def test_a_lowering_branch_without_its_q_number_is_refused(patch_branches):
+    branches = induced._branches
+    patch_branches(lambda g, M: [(dn, m, c, a, b, (), w)
+                                 for dn, m, c, a, b, ks, w in branches(g, M)])
+    assert str(induced.module_image("E12")) == "a+"     # no lowering branch
+    with pytest.raises(ValueError, match="lowering branch .* of E21 does "
+                                         "not carry"):
+        induced.module_image("E21")
+
+
+def test_module_image_refuses_an_unknown_generator():
+    for name in ("bogus", ["E12"]):
+        with pytest.raises(ValueError, match="unknown generator"):
+            induced.module_image(name)
 
 
 @pytest.mark.parametrize("mode", sorted(GL11_REPS))

@@ -3,7 +3,9 @@ representation matrix must show up as nonzero residuals on the relations
 it breaks, so a route that passes vacuously would be caught here."""
 
 import inspect
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,10 @@ from qgl21 import realization as rz
 from qgl21 import superalgebra as ua
 from qgl21 import walgebra as wa
 from qgl21.qmatrix import PackedRows, QMatrix
-from conftest import assert_canonical
+from conftest import RESCALING_PROBE, assert_canonical, rescaled_branches
+
+ABSTRACT_IMAGES_GOLDEN = Path(__file__).parent / "data" \
+    / "abstract_images_golden.json"
 
 
 def _failed(results):
@@ -208,7 +213,7 @@ E12_BY_TWO_BREAKS = {
 }
 
 
-def _e12_by_two(monkeypatch):
+def _e12_by_two(patch_branches):
     branches = ind._branches
 
     def e12_by_two(g, M):
@@ -216,13 +221,13 @@ def _e12_by_two(monkeypatch):
             return [(2, M, sc.ONE, 0, 0, (), ())]
         return branches(g, M)
 
-    monkeypatch.setattr(ind, "_branches", e12_by_two)
+    patch_branches(e12_by_two)
 
 
-def test_module_truncation_hides_no_fault(monkeypatch):
+def test_module_truncation_hides_no_fault(patch_branches):
     # the faulty E12 raises N by two, so its words leave the states N <= nmax
     # that the module check builds; the residuals must all still show
-    _e12_by_two(monkeypatch)
+    _e12_by_two(patch_branches)
     rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
     results = ind.check_relations_on_module(rep, 4)
     assert {r.name: r.residuals for r in results if not r.passed} \
@@ -251,7 +256,8 @@ def _plain_module_counts(rep, nmax):
 
 @pytest.mark.parametrize("corrupt", ["doubled_k2", "first_entries_only",
                                      "e12_by_two"])
-def test_module_clearing_keeps_the_residual_counts(monkeypatch, corrupt):
+def test_module_clearing_keeps_the_residual_counts(monkeypatch,
+                                                  patch_branches, corrupt):
     # the module check multiplies the cleared Laurent matrices A_g with the
     # cleared words; every count must be that of the QScalar matrices
     rep = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
@@ -260,7 +266,7 @@ def test_module_clearing_keeps_the_residual_counts(monkeypatch, corrupt):
     elif corrupt == "first_entries_only":
         _c_on_first_entries_only(monkeypatch)
     else:
-        _e12_by_two(monkeypatch)
+        _e12_by_two(patch_branches)
     counts = {r.name: r.residuals
               for r in ind.check_relations_on_module(rep, 4)}
     assert any(counts.values())
@@ -276,29 +282,40 @@ DOUBLED_CARTAN_BREAKS = {
 }
 
 
-def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(monkeypatch):
-    # a mutant of one branch of act, made from its source: only E31 on the
-    # states with M = 1 changes, so act_oracle disagrees there alone
-    line = "cartan = eps_inv"
+def _branches_from_source(line, replacement):
+    """A mutant of induced._branches, made from its source with its one
+    line `line` replaced."""
     source = inspect.getsource(ind._branches)
     assert source.count(line) == 1
     namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "cartan = eps_inv + eps_inv"),
-                 ind.__file__, "exec"), namespace)
-    monkeypatch.setattr(ind, "_branches", namespace["_branches"])
+    exec(compile(source.replace(line, replacement), ind.__file__, "exec"),
+         namespace)
+    return namespace["_branches"]
+
+
+def _grid_mismatches(rep, levels):
+    """The (g, N, M, i) of the states N < levels where act and act_oracle
+    disagree."""
+    return {(g, N, M, i) for g in ind.ACT_GENERATORS for N in range(levels)
+            for M in (0, 1) for i in range(rep.dim)
+            if ind.act(g, ind.InducedVector.basis_state(N, M, i), rep)
+            != ind.act_oracle(g, ind.InducedVector.basis_state(N, M, i), rep)}
+
+
+def test_module_route_and_grid_catch_a_doubled_e31_cartan_term(
+        patch_branches):
+    # a mutant of one branch of act, made from its source: only E31 on the
+    # states with M = 1 changes, so act_oracle disagrees there alone
+    patch_branches(_branches_from_source("cartan = eps_inv",
+                                         "cartan = eps_inv + eps_inv"))
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
                         ("fermionic", ind.fermionic_gl11_rep())):
         rep = ind.highest_weight_a0rep(gl11)
         results = ind.check_relations_on_module(rep, 4)
         assert {r.name: r.residuals for r in results if not r.passed} \
             == DOUBLED_CARTAN_BREAKS[label]
-        differ = {(g, N, M, i) for g in ind.ACT_GENERATORS for N in range(4)
-                  for M in (0, 1) for i in range(rep.dim)
-                  if ind.act(g, ind.InducedVector.basis_state(N, M, i), rep)
-                  != ind.act_oracle(g, ind.InducedVector.basis_state(N, M, i),
-                                    rep)}
-        assert differ == {("E31", N, 1, i) for N in range(4)
-                          for i in range(rep.dim)}
+        assert _grid_mismatches(rep, 4) == {("E31", N, 1, i) for N in range(4)
+                                            for i in range(rep.dim)}
 
 
 def test_module_clearing_keeps_the_counts_of_a_rep_with_a_halved_k2():
@@ -329,18 +346,12 @@ SHIFTED_E21_BREAKS = {
 }
 
 
-def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
+def test_module_route_and_grid_catch_a_shifted_e21_q_number(patch_branches):
     # [N] read as [N + 1] in the E21 branch of act, made from its source:
     # the module route evaluates that branch in the Laurent ring, the grid
     # in QScalars, and both see the fault, at E21 on the states N > 0 only
     # (at N = 0 the branch's target lies below level 0, so both skip it)
-    line = "base = (0,)"
-    source = inspect.getsource(ind._branches)
-    assert source.count(line) == 1
-    namespace = dict(vars(ind))
-    exec(compile(source.replace(line, "base = (1,)"),
-                 ind.__file__, "exec"), namespace)
-    monkeypatch.setattr(ind, "_branches", namespace["_branches"])
+    patch_branches(_branches_from_source("base = (0,)", "base = (1,)"))
     for label, gl11 in (("trivial", ind.trivial_gl11_rep()),
                         ("fermionic", ind.fermionic_gl11_rep())):
         rep = ind.highest_weight_a0rep(gl11)
@@ -349,13 +360,61 @@ def test_module_route_and_grid_catch_a_shifted_e21_q_number(monkeypatch):
         assert {name: n for name, n in counts.items() if n} \
             == SHIFTED_E21_BREAKS[label]
         assert counts == _plain_module_counts(rep, 4)
-        differ = {(g, N, M, i) for g in ind.ACT_GENERATORS for N in range(4)
-                  for M in (0, 1) for i in range(rep.dim)
-                  if ind.act(g, ind.InducedVector.basis_state(N, M, i), rep)
-                  != ind.act_oracle(g, ind.InducedVector.basis_state(N, M, i),
-                                    rep)}
-        assert differ == {("E21", N, M, i) for N in range(1, 4)
-                          for M in (0, 1) for i in range(rep.dim)}
+        assert _grid_mismatches(rep, 4) == {
+            ("E21", N, M, i) for N in range(1, 4) for M in (0, 1)
+            for i in range(rep.dim)}
+
+
+# -- the branch table in W: the abstract images are module_image's ----------------
+
+# a table mutant changes the images derived from the table, so the W route
+# sees it as failing relations, each with its residual count in W
+TABLE_MUTANT_BREAKS = {
+    "E21 lowering times an extra [N + 1]": (("base = (0,)", "base = (0, 1)"), {
+        "[E21, E23] = 0": 7,
+        "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)": 16,
+        "E21 E31 = q E31 E21": 12,
+        "E31 = -E21 E32 + q^-1 E32 E21": 14}),
+    "E31 Cartan term doubled": (
+        ("cartan = eps_inv", "cartan = eps_inv + eps_inv"), {
+            "E21 E31 = q E31 E21": 2, "E31 = -E21 E32 + q^-1 E32 E21": 2}),
+    "E23 lowering sign flipped": (
+        ("lower = [(-1, 1, -one,", "lower = [(-1, 1, one,"), {
+            "[E21, E23] = 0": 1, CARTAN_23: 4,
+            "E13 = E12 E23 - q^-1 E23 E12": 1}),
+    "E12 doubled": (
+        ("return [(1, M, one,", "return [(1, M, one + one,"), {
+            "[E12, E21] = (K1 K2^-1 - K1^-1 K2)/(q - q^-1)": 4,
+            "E13 = E12 E23 - q^-1 E23 E12": 1}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(TABLE_MUTANT_BREAKS))
+def test_w_route_catches_a_table_mutant(patch_branches, mutant):
+    (line, replacement), breaks = TABLE_MUTANT_BREAKS[mutant]
+    patch_branches(_branches_from_source(line, replacement))
+    assert {r.name: r.residuals for r in rz.verify_realization("abstract")
+            if not r.passed} == breaks
+
+
+def test_only_the_grid_catches_the_rescaling_probe_on_the_table(
+        patch_branches):
+    # the probe keeps every relation, in W and on the module: the W route
+    # and the module route pass, and the act == act_oracle grid, which ties
+    # the table to the straightening, is the link that sees it, on exactly
+    # the four rescaled generators (test_induced's level-0 check sees it too)
+    patch_branches(rescaled_branches(RESCALING_PROBE))
+    assert not _failed(rz.verify_realization("abstract"))
+    for gl11 in (ind.trivial_gl11_rep(), ind.fermionic_gl11_rep()):
+        rep = ind.highest_weight_a0rep(gl11)
+        assert not _failed(ind.check_relations_on_module(rep, 4))
+        assert {g for g, *_ in _grid_mismatches(rep, 2)} \
+            == set(RESCALING_PROBE)
+
+
+def test_a_table_mutant_is_undone_after_the_test():
+    golden = json.loads(ABSTRACT_IMAGES_GOLDEN.read_text())
+    assert {g: wa.render_element(rz.rho(g)) for g in ua.GENERATORS} == golden
 
 
 # -- the Dyson factor [N+1]/(N+1) read as [N+1]/(N+2) ------------------------------

@@ -814,6 +814,13 @@ def test_realization_map_caching():
         realization_map("dyson")
 
 
+@pytest.mark.parametrize("name", [["E12"], {"E12": 1}])
+def test_rho_refuses_an_unhashable_name(name):
+    # by superalgebra.check_generator, the rule of act and straighten
+    with pytest.raises(ValueError, match="unknown generator"):
+        rho(name)
+
+
 def test_words_outside_the_generators_are_value_errors():
     fermionic = ind.highest_weight_a0rep(ind.fermionic_gl11_rep())
     with pytest.raises(ValueError, match="unknown generator 'E99'"):

@@ -9,7 +9,10 @@ over a common denominator, e.g. 1/(2q + 2)*a + q/(q + 1)*a+ + 1/(3q + 3)
 renders as (1/3 + 1/2*a + q*a+)/(q + 1), beside sums whose denominators
 differ and denominators with non-integer monic coefficients.  The verify
 corpus pins the text and exit code of `qgl21 verify` for every suite at its
-defaults and for a few flag combinations."""
+defaults and for a few flag combinations.  The abstract corpus holds the 12
+images rho(g, "abstract") as rendered when they were transcribed by hand;
+they are now derived from the induced module's branch table
+(induced.module_image) and must render the same."""
 
 import contextlib
 import io
@@ -21,11 +24,13 @@ from qgl21 import cli
 from qgl21.realization import (
     GENERATOR_IMAGE_NAMES, fock_matrix, fock_modes, rho,
 )
+from qgl21.walgebra import render_element
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "fock_render_golden.json"
 NORMAL_ORDER_GOLDEN = DATA / "normal_order_golden.json"
 VERIFY_GOLDEN = DATA / "verify_report_golden.json"
+ABSTRACT_GOLDEN = DATA / "abstract_images_golden.json"
 MODE = "fermionic"
 DIM = 6
 
@@ -45,6 +50,14 @@ def test_fock_render_corpus_is_unchanged():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(GENERATOR_IMAGE_NAMES)
     assert render_corpus() == golden
+
+
+def test_abstract_images_render_as_transcribed():
+    # a record, not a corpus to re-record: the __main__ block leaves it
+    golden = json.loads(ABSTRACT_GOLDEN.read_text())
+    assert list(golden) == list(GENERATOR_IMAGE_NAMES)
+    assert {g: render_element(rho(g, "abstract"))
+            for g in GENERATOR_IMAGE_NAMES} == golden
 
 
 def normal_order_output(expression):

@@ -8,7 +8,8 @@ import qgl21.scalars as sc
 from conftest import random_element, random_monomial, wmonomials
 from qgl21.walgebra import (
     GENERATOR_NAMES, UNIT, ParityError, SubstitutionError, WElement,
-    generator, one, render_element, substitute_gl11, supercommutator, w_mul,
+    generator, matrix_units, one, render_element, substitute_gl11,
+    supercommutator, w_mul,
 )
 
 g = generator
@@ -55,6 +56,21 @@ def test_generator_table():
 def test_unknown_generator():
     with pytest.raises(SubstitutionError):
         g("c+")
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_matrix_units_multiply_as_matrix_units(mode):
+    units = matrix_units(mode)
+    for (i, j), x in units.items():
+        for (k, l), y in units.items():
+            assert w_mul(x, y) == (units[i, l] if j == k else WElement.zero())
+    assert units[0, 0] + units[1, 1] == one()
+
+
+@pytest.mark.parametrize("name", [["a"], {"a+": 1}, ("b",)])
+def test_an_unhashable_generator_name_is_rejected_by_name(name):
+    with pytest.raises(SubstitutionError, match="unknown W generator"):
+        g(name)
 
 
 def test_boson_twin_relations():
